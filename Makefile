@@ -25,13 +25,14 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Per-layer race targets, for local use (`race` covers them all in `ci`).
 # The telemetry layer (event ring, series registry, live servers) is the
 # most lock-sensitive code in the repo; run its suite under the race
 # detector explicitly so a failure names the layer, not the world.
 race-obs:
 	$(GO) test -race ./internal/obs/...
 
-# The wear engines shard epoch groups over the worker pool and share one
+# The wear engine shards epoch groups over the worker pool and shares one
 # immutable WearPlan across concurrent strategies; race their suite
 # explicitly so an engine-level data race is named as such.
 race-core:
@@ -120,6 +121,10 @@ benchdiff: bench-current
 report:
 	$(GO) run ./cmd/endurance-report $(REPORT_FLAGS)
 
+# `race` runs every package under the race detector exactly once; the
+# per-layer race-obs/core/serve/system/fleet targets race subsets of the
+# same packages and stay out of `ci` for local use, when a failure should
+# name its layer.
 # `bench` doubles as the CI benchmark smoke: -benchtime=1x executes every
 # benchmark body once, catching bit-rot in the measurement harness.
 # `bench-alloc` prints the hot-path B/op / allocs/op one-liners, and
@@ -128,4 +133,4 @@ report:
 # serving-throughput pair and BenchmarkFleet's draws/cold/cached/speedup
 # quartet included, timing and allocs/op both — against the committed
 # baseline: advisory locally, strict when BENCHDIFF_FLAGS=-strict.
-ci: vet doclint promlint race-obs race-core race-serve race-system race-fleet race bench bench-alloc benchdiff
+ci: vet doclint promlint race bench bench-alloc benchdiff

@@ -60,11 +60,11 @@ type arena struct {
 // other epochs (memo-collision resolution), and one re-seedable rng.
 // A permGen is single-goroutine state; each worker owns its own.
 type permGen struct {
-	sched            mapping.Schedule
-	rng              *rand.Rand
-	within, between  *mapping.Perm
-	within2          *mapping.Perm
-	between2         *mapping.Perm
+	sched           mapping.Schedule
+	rng             *rand.Rand
+	within, between *mapping.Perm
+	within2         *mapping.Perm
+	between2        *mapping.Perm
 }
 
 // reset binds the generator to a schedule. Scratch carries over; only
@@ -107,62 +107,66 @@ func (g *permGen) between2At(epoch int) *mapping.Perm {
 // are created lazily by the ensure* helpers, sized by plan constants, so
 // a software-only workload never pays for replay scratch and vice versa.
 type engineScratch struct {
-	gen     permGen
-	rowW    []uint64 // per-physical-row weights (software rank-1 part)
-	rowMax  []uint64 // per-physical-row maxima (stepper live tracking)
-	touched []int32  // rows whose rowW became nonzero (sampled sw engine)
-	hist    []uint64 // [mask*rows+physRow] replay histogram
-	arch    []int32  // per-op within-mapped row
-	hw      *mapping.HwRenamer
-	cyc     *cycleScratch
-	bg      betweenScratch
+	gen    permGen
+	rowW   []uint64 // per-physical-row weights (software rank-1 part)
+	rowMax []uint64 // per-physical-row maxima (stepper live tracking)
+	hist   []uint64 // [mask*rows+physRow] replay histogram
+	arch   []int32  // per-op within-mapped row
+	hw     *mapping.HwRenamer
+	cyc    *cycleScratch
+	units  grouper // the walker's epoch units (worker 0 only)
+	lands  grouper // one +Hw job's segment epochs by between permutation
+}
+
+// take pops the newest entry of one of the arena's free lists, or
+// allocates a fresh one when the list is empty, recording the hit or
+// miss.
+func take[T any](a *arena, list *[]T, alloc func() T) T {
+	a.mu.Lock()
+	if n := len(*list); n > 0 {
+		v := (*list)[n-1]
+		*list = (*list)[:n-1]
+		a.mu.Unlock()
+		obsArenaHits.Add(1)
+		return v
+	}
+	a.mu.Unlock()
+	obsArenaMisses.Add(1)
+	return alloc()
+}
+
+// give pushes v onto one of the arena's free lists.
+func give[T any](a *arena, list *[]T, v T) {
+	a.mu.Lock()
+	*list = append(*list, v)
+	a.mu.Unlock()
 }
 
 // getScratch pops (or allocates) a worker scratch bundle.
 func (p *WearPlan) getScratch() *engineScratch {
-	p.arena.mu.Lock()
-	if n := len(p.arena.scratch); n > 0 {
-		s := p.arena.scratch[n-1]
-		p.arena.scratch = p.arena.scratch[:n-1]
-		p.arena.mu.Unlock()
-		obsArenaHits.Add(1)
-		return s
-	}
-	p.arena.mu.Unlock()
-	obsArenaMisses.Add(1)
-	return &engineScratch{}
+	return take(&p.arena, &p.arena.scratch, func() *engineScratch { return &engineScratch{} })
 }
 
 // putScratch returns a worker scratch bundle to the plan's free list.
 // The bundle's buffers may be dirty; acquirers re-initialize what they
 // use (ensureRowW zeroes, replayJobHist zeroes the histogram, the
 // permutation fillers overwrite every slot).
-func (p *WearPlan) putScratch(s *engineScratch) {
-	p.arena.mu.Lock()
-	p.arena.scratch = append(p.arena.scratch, s)
-	p.arena.mu.Unlock()
-}
+func (p *WearPlan) putScratch(s *engineScratch) { give(&p.arena, &p.arena.scratch, s) }
 
 // ensureRowW sizes and zeroes the scratch's per-row weight buffer.
-func (p *WearPlan) ensureRowW(s *engineScratch) {
-	if len(s.rowW) != p.rows {
-		s.rowW = make([]uint64, p.rows)
-		return
-	}
-	for i := range s.rowW {
-		s.rowW[i] = 0
-	}
-}
+func (p *WearPlan) ensureRowW(s *engineScratch) { s.rowW = p.zeroedRows(s.rowW) }
 
 // ensureRowMax sizes and zeroes the scratch's per-row maximum buffer.
-func (p *WearPlan) ensureRowMax(s *engineScratch) {
-	if len(s.rowMax) != p.rows {
-		s.rowMax = make([]uint64, p.rows)
-		return
+func (p *WearPlan) ensureRowMax(s *engineScratch) { s.rowMax = p.zeroedRows(s.rowMax) }
+
+// zeroedRows returns buf zeroed, reallocated if it is not one entry per
+// physical row.
+func (p *WearPlan) zeroedRows(buf []uint64) []uint64 {
+	if len(buf) != p.rows {
+		return make([]uint64, p.rows)
 	}
-	for i := range s.rowMax {
-		s.rowMax[i] = 0
-	}
+	clear(buf)
+	return buf
 }
 
 // ensureHw sizes the scratch's +Hw replay state (histogram, per-op rows,
@@ -185,18 +189,7 @@ func (p *WearPlan) ensureHw(s *engineScratch) {
 
 // getCounts pops (or allocates) a zeroed rows×lanes accumulation buffer.
 func (p *WearPlan) getCounts() []uint64 {
-	n := p.rows * p.trace.Lanes
-	p.arena.mu.Lock()
-	if k := len(p.arena.counts); k > 0 {
-		buf := p.arena.counts[k-1]
-		p.arena.counts = p.arena.counts[:k-1]
-		p.arena.mu.Unlock()
-		obsArenaHits.Add(1)
-		return buf
-	}
-	p.arena.mu.Unlock()
-	obsArenaMisses.Add(1)
-	return make([]uint64, n)
+	return take(&p.arena, &p.arena.counts, func() []uint64 { return make([]uint64, p.rows*p.trace.Lanes) })
 }
 
 // putCounts zeroes a counts buffer and returns it to the free list.
@@ -206,28 +199,14 @@ func (p *WearPlan) putCounts(buf []uint64) {
 	if len(buf) != p.rows*p.trace.Lanes {
 		return
 	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	p.arena.mu.Lock()
-	p.arena.counts = append(p.arena.counts, buf)
-	p.arena.mu.Unlock()
+	clear(buf)
+	give(&p.arena, &p.arena.counts, buf)
 }
 
 // getHist pops (or allocates) a nMasks×rows histogram buffer. Contents
 // are unspecified; every consumer zeroes or overwrites before reading.
 func (p *WearPlan) getHist() []uint64 {
-	p.arena.mu.Lock()
-	if k := len(p.arena.hists); k > 0 {
-		buf := p.arena.hists[k-1]
-		p.arena.hists = p.arena.hists[:k-1]
-		p.arena.mu.Unlock()
-		obsArenaHits.Add(1)
-		return buf
-	}
-	p.arena.mu.Unlock()
-	obsArenaMisses.Add(1)
-	return make([]uint64, len(p.maskLanes)*p.rows)
+	return take(&p.arena, &p.arena.hists, func() []uint64 { return make([]uint64, len(p.maskLanes)*p.rows) })
 }
 
 // putHist returns a histogram buffer (dirty) to the free list.
@@ -235,9 +214,7 @@ func (p *WearPlan) putHist(buf []uint64) {
 	if len(buf) != len(p.maskLanes)*p.rows {
 		return
 	}
-	p.arena.mu.Lock()
-	p.arena.hists = append(p.arena.hists, buf)
-	p.arena.mu.Unlock()
+	give(&p.arena, &p.arena.hists, buf)
 }
 
 // newDist builds a WriteDist whose counts buffer is drawn from the

@@ -5,27 +5,23 @@
 // software strategies × hardware re-mapping on/off), from which array
 // lifetime is estimated (Eq. 4).
 //
-// Two engines are provided:
+// Simulate is the one fast engine. Every configuration reduces to one
+// computation: for each recompile epoch, land a write histogram through
+// that epoch's between-lane map — the one-iteration write matrix under
+// software re-mapping (sw_engine.go), the renamer replayed in closed
+// form within the epoch under +Hw (hw_engine.go). A segment-ordered
+// walker (walk.go) over a shared per-benchmark WearPlan (plan.go) groups
+// epochs with identical landings, shards the unique ones over a bounded
+// worker pool (SimConfig.Workers), and stops at the sampler's due epochs
+// so every sample is a true prefix. Results are bit-identical for every
+// worker count and sampling cadence. Stepper (stepper.go) lands the same
+// primitives one epoch per call.
 //
-//   - Simulate — the fast path, built on a shared per-benchmark WearPlan
-//     (plan.go). Writes of one iteration factorize as a sum of rank-1
-//     terms Σ_phases rowHist ⊗ laneMask (ops sharing a lane mask form a
-//     phase); software permutations only relabel indices, so epochs group
-//     by their (within, between) permutation pair and each unique group
-//     contributes one accumulation weighted by its summed iterations,
-//     sharded over a bounded worker pool; see sw_engine.go. Hardware
-//     renaming evolves per gate and is replayed exactly, O(1) per op —
-//     but epochs are independent (the renamer resets at recompile
-//     boundaries), so the +Hw engine memoizes per-epoch histograms by
-//     within-lane permutation and shards the unique replays over the same
-//     pool (SimConfig.Workers); see hw_engine.go. Results are
-//     bit-identical for every worker count.
-//   - BruteForce — the functional array simulator executing every single
-//     iteration cell by cell. It is mathematically identical and is used
-//     to cross-validate Simulate in the test suite.
-//
-// SimulateReference preserves the pre-memoization serial engine as a
-// third cross-validation point and benchmark baseline.
+// Two oracles cross-validate it in the test suite: SimulateReference, the
+// serial epoch-by-epoch engine that replays every op of every +Hw
+// iteration, and BruteForceReference, the functional array simulator
+// executing every iteration cell by cell. BruteForce is the same
+// simulator on the word-parallel runner.
 package core
 
 import (
@@ -130,16 +126,16 @@ type SimConfig struct {
 	// ShiftStep overrides the Bs rotation per epoch (0 = one byte);
 	// negative steps are rejected by Validate.
 	ShiftStep int
-	// Workers bounds the goroutines the +Hw engine shards epochs over;
-	// ≤ 0 selects runtime.GOMAXPROCS(0). The accumulated distribution is
-	// bit-identical for every worker count.
+	// Workers bounds the goroutines the engine shards each segment's
+	// unique epoch groups over (software and +Hw alike); ≤ 0 selects
+	// runtime.GOMAXPROCS(0). The accumulated distribution is bit-identical
+	// for every worker count.
 	Workers int
 	// Sampler, when non-nil, observes the accumulating distribution after
-	// each sampled recompile epoch (wear telemetry). The engines then
-	// accumulate in epoch order — the +Hw path switches to the sampled
-	// engine, which prefetches replay jobs in parallel but lands them
-	// serially — so every sample is a true prefix of the final
-	// distribution. Results stay bit-identical to the unsampled engines.
+	// each sampled recompile epoch (wear telemetry). The engine's walk ends
+	// a segment at every sampled epoch, so every sample is a true prefix
+	// of the final distribution. Results stay bit-identical to an
+	// unsampled run.
 	Sampler *WearSampler
 }
 
@@ -150,11 +146,43 @@ func (c SimConfig) recompileEvery() int {
 	return c.RecompileEvery
 }
 
+// epochs returns the run's recompile epoch count.
+func (c SimConfig) epochs() int {
+	every := c.recompileEvery()
+	return (c.Iterations + every - 1) / every
+}
+
+// epochLen returns an epoch's iteration count: recompileEvery, except a
+// short final epoch.
+func (c SimConfig) epochLen(epoch int) int {
+	every := c.recompileEvery()
+	return min(every, c.Iterations-epoch*every)
+}
+
 func (c SimConfig) workers() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// archRows returns the architectural row count: +Hw reserves one
+// physical row for the renamer's free slot.
+func (c SimConfig) archRows(hw bool) int {
+	if hw {
+		return c.Rows - 1
+	}
+	return c.Rows
+}
+
+// schedule returns the strategy's mapping schedule over a lanes-wide
+// array.
+func (c SimConfig) schedule(lanes int, strat StrategyConfig) mapping.Schedule {
+	return mapping.Schedule{
+		Rows: c.archRows(strat.Hw), Lanes: lanes,
+		Within: strat.Within, Between: strat.Between,
+		Seed: c.Seed, ShiftStep: c.ShiftStep,
+	}
 }
 
 // Validate checks the simulation parameters against a trace.
@@ -168,11 +196,7 @@ func (c SimConfig) Validate(tr *program.Trace, hw bool) error {
 	if c.ShiftStep < 0 {
 		return fmt.Errorf("core: shift step must be non-negative (0 = one byte), got %d", c.ShiftStep)
 	}
-	arch := c.Rows
-	if hw {
-		arch--
-	}
-	if tr.LaneBits > arch {
+	if arch := c.archRows(hw); tr.LaneBits > arch {
 		return fmt.Errorf("core: trace needs %d bit addresses, only %d available (rows=%d, hw=%v)",
 			tr.LaneBits, arch, c.Rows, hw)
 	}
@@ -299,17 +323,11 @@ func bruteForce(tr *program.Trace, cfg SimConfig, strat StrategyConfig, data arr
 	if err := cfg.Validate(tr, strat.Hw); err != nil {
 		return nil, nil, err
 	}
-	arch := cfg.Rows
 	var hw *mapping.HwRenamer
 	if strat.Hw {
-		arch--
 		hw = mapping.NewHwRenamer(cfg.Rows)
 	}
-	sched := mapping.Schedule{
-		Rows: arch, Lanes: tr.Lanes,
-		Within: strat.Within, Between: strat.Between,
-		Seed: cfg.Seed, ShiftStep: cfg.ShiftStep,
-	}
+	sched := cfg.schedule(tr.Lanes, strat)
 	arr := array.New(array.Config{BitsPerLane: cfg.Rows, Lanes: tr.Lanes, PresetOutputs: cfg.PresetOutputs})
 	m := array.Mapper{Within: sched.EpochWithin(0), Between: sched.EpochBetween(0), Hw: hw}
 	runner, err := newRunner(arr, tr, m, data)

@@ -1,4 +1,4 @@
-// The bounded parallel + memoized +Hw wear engine.
+// How the walker lands one +Hw epoch.
 //
 // Epochs of a +Hw simulation are independent: the hardware renamer is
 // Reset() at every recompile boundary, so the per-epoch physical-row
@@ -7,17 +7,16 @@
 // (b) the epoch length in iterations. The between-lane permutation only
 // relabels columns when the histogram lands in the distribution.
 //
-// The engine exploits this three ways:
+// The walker (walk.go) exploits this twice:
 //
-//   - Memoization: epochs are grouped by (within-permutation
-//     fingerprint, length), resolved to exact permutation equality on
-//     collision. Under St-within every full-length epoch shares one
-//     group (one replay for the whole run); under Bs-within the rotation
-//     family cycles with period archRows/gcd(step, archRows), so groups
-//     recur whenever the period divides into the epoch count; Ra-within
-//     epochs are (almost always) distinct. Each group is replayed once
-//     and multiply-accumulated into every member epoch through that
-//     epoch's own between-lane permutation.
+//   - Memoization: epochs are grouped into replay jobs by (within
+//     permutation, length). Under St-within every full-length epoch
+//     shares one job (one replay for the whole run); under Bs-within the
+//     rotation family cycles with period archRows/gcd(step, archRows), so
+//     jobs recur whenever the period divides into the epoch count;
+//     Ra-within epochs are (almost always) distinct. Each job is replayed
+//     once (replayJobHist) and multiply-accumulated into every member
+//     epoch through that epoch's own between-lane permutation (addHist).
 //
 //   - Closed-cycle replay: each iteration applies a fixed permutation σ
 //     to the renamer state (every full-mask write is a transposition of
@@ -31,18 +30,11 @@
 //     where memoization cannot group anything. The analytic period of σ
 //     (mapping.AnalyzeRenamerCycle) cross-checks every job's detected
 //     permutation at runtime.
-//
-//   - Bounded parallelism: groups are sharded over a pool of
-//     SimConfig.Workers goroutines. Each worker accumulates into a
-//     private copy of the distribution; the copies are merged by uint64
-//     addition, which is commutative and associative, so the result is
-//     bit-identical to the serial engine for every worker count.
 package core
 
 import (
 	"pimendure/internal/mapping"
 	"pimendure/internal/obs"
-	"pimendure/internal/pool"
 	"pimendure/internal/program"
 )
 
@@ -74,260 +66,45 @@ func flattenOps(tr *program.Trace, preset bool) (ops []wop, maskLanes [][]int) {
 	return ops, maskLanes
 }
 
-// hwJob is one unique (within-permutation, epoch length) replay unit and
-// the epochs that share its histogram.
-type hwJob struct {
-	epoch0  int    // representative epoch (regenerates the within perm)
-	fp      uint64 // within-permutation fingerprint
-	n       int    // iterations in each member epoch
-	epochs  []int  // member epoch numbers (for their between perms)
-	members int32  // member count (sizes the epochs subslice)
-	next    int32  // next job in the same fingerprint bucket (-1 ends)
-}
-
-// planHwEpochs walks the epoch sequence once and groups epochs whose
-// replays would be identical. Permutations are regenerated into gen's
-// scratch on demand, so the plan holds only integers; member epoch lists
-// are subslices of one flat backing array filled by a second bucketing
-// pass, and fingerprint collisions chain through hwJob.next — planning
-// allocates a handful of slices regardless of epoch count.
-func planHwEpochs(cfg SimConfig, gen *permGen) []hwJob {
-	type key struct {
-		fp uint64
-		n  int
-	}
-	every := cfg.recompileEvery()
-	totalEpochs := (cfg.Iterations + every - 1) / every
-	jobs := make([]hwJob, 0, totalEpochs)
-	index := make(map[key]int32, totalEpochs) // fingerprint bucket -> chain head
-	jobOf := make([]int32, totalEpochs)
-	for epoch := 0; epoch < totalEpochs; epoch++ {
-		n := every
-		if start := epoch * every; start+n > cfg.Iterations {
-			n = cfg.Iterations - start
-		}
-		within := gen.withinAt(epoch)
-		k := key{within.Fingerprint(), n}
-		var jobID int32
-		if head, ok := index[k]; ok {
-			for cand := head; ; {
-				if gen.within2At(jobs[cand].epoch0).Equal(within) {
-					jobID = cand
-					break
-				}
-				if next := jobs[cand].next; next >= 0 {
-					cand = next
-					continue
-				}
-				// True fingerprint collision: new job at the chain's end.
-				jobID = int32(len(jobs))
-				jobs = append(jobs, hwJob{epoch0: epoch, fp: k.fp, n: n, next: -1})
-				jobs[cand].next = jobID
-				break
-			}
-		} else {
-			jobID = int32(len(jobs))
-			jobs = append(jobs, hwJob{epoch0: epoch, fp: k.fp, n: n, next: -1})
-			index[k] = jobID
-		}
-		jobs[jobID].members++
-		jobOf[epoch] = jobID
-	}
-	// Second pass: bucket member epochs into one flat backing array, each
-	// job owning a capacity-bounded subslice.
-	flat := make([]int, totalEpochs)
-	off := 0
-	for j := range jobs {
-		end := off + int(jobs[j].members)
-		jobs[j].epochs = flat[off:off:end]
-		off = end
-	}
-	for epoch, j := range jobOf {
-		jobs[j].epochs = append(jobs[j].epochs, epoch)
-	}
-	return jobs
-}
-
-// betweenGroup is a set of epochs sharing one between-lane permutation.
-type betweenGroup struct {
-	epoch0 int // representative epoch (regenerates the between perm)
-	count  int
-	next   int32 // next group in the same fingerprint bucket (-1 ends)
-}
-
-// betweenScratch is reusable per-worker state for groupByBetween: the
-// group list and the fingerprint index survive across jobs so steady-
-// state grouping is allocation-free.
-type betweenScratch struct {
-	groups []betweenGroup
-	index  map[uint64]int32 // fingerprint -> chain head
-}
-
-// groupByBetween collapses a job's member epochs by between-lane
-// permutation equality (fingerprint first, exact comparison on
-// collision), preserving first-seen order. The returned slice aliases
-// scr's storage and is valid until the next call with the same scratch.
-func groupByBetween(gen *permGen, epochs []int, scr *betweenScratch) []betweenGroup {
-	if len(epochs) == 1 {
-		scr.groups = append(scr.groups[:0], betweenGroup{epoch0: epochs[0], count: 1, next: -1})
-		return scr.groups
-	}
-	if scr.index == nil {
-		scr.index = make(map[uint64]int32, len(epochs))
-	} else {
-		clear(scr.index)
-	}
-	groups := scr.groups[:0]
-	for _, epoch := range epochs {
-		between := gen.betweenAt(epoch)
-		fp := between.Fingerprint()
-		var id int32
-		if head, ok := scr.index[fp]; ok {
-			for cand := head; ; {
-				if gen.between2At(groups[cand].epoch0).Equal(between) {
-					id = cand
-					break
-				}
-				if next := groups[cand].next; next >= 0 {
-					cand = next
-					continue
-				}
-				id = int32(len(groups))
-				groups = append(groups, betweenGroup{epoch0: epoch, next: -1})
-				groups[cand].next = id
-				break
-			}
-		} else {
-			id = int32(len(groups))
-			groups = append(groups, betweenGroup{epoch0: epoch, next: -1})
-			scr.index[fp] = id
-		}
-		groups[id].count++
-	}
-	scr.groups = groups
-	return groups
-}
-
-// simulateHw replays the hardware renamer exactly, once per unique
-// (within-permutation, epoch length) group, sharded over the bounded
-// worker pool. Within each group the replay is closed in cycle form:
-// one recorded iteration plus a per-op orbit walk replaces the
-// op-by-op replay of all n iterations (see the comment on
-// accumulateClosedCycle).
-func simulateHw(p *WearPlan, cfg SimConfig, sched mapping.Schedule, dist *WriteDist) {
-	sp := obs.StartSpan("core.simulate/hw-replay")
-	defer sp.End()
-	lanes := p.trace.Lanes
-	rows := cfg.Rows
-	// Flattened ops, mask lane sets and the analytic cycle come from the
-	// shared plan: the iteration period is a property of the full-mask
-	// write sequence alone (software within-lane permutations only
-	// conjugate the state permutation), so one trace-level analysis serves
-	// every job of every strategy.
-	ops, maskLanes := p.ops, p.maskLanes
-	period := p.cycle.Period
-	planScr := p.getScratch()
-	planScr.gen.reset(sched)
-	plan := sp.Child("plan")
-	jobs := planHwEpochs(cfg, &planScr.gen)
-	plan.End()
-	// Memoization accounting: every epoch beyond a job's representative
-	// is a replay the grouping saved; the closed-cycle form additionally
-	// truncates each representative's replay to a single iteration.
-	epochs := 0
-	for _, job := range jobs {
-		epochs += len(job.epochs)
-	}
-	obsEpochs.Add(int64(epochs))
-	obsHwReplays.Add(int64(len(jobs)))
-	obsHwMemoHits.Add(int64(epochs - len(jobs)))
-	obsHwCycleLen.Add(int64(period))
-	workers := pool.Size(cfg.workers(), len(jobs))
-
-	// Per-worker state, reused across the jobs a worker drains and drawn
-	// from the plan's arena so a warm plan replays without allocating.
-	// Worker 0 accumulates straight into the final distribution; the
-	// other buffers are merged below.
-	scratches := make([]*engineScratch, workers)
-	parts := make([][]uint64, workers)
-	scratches[0] = planScr
-	parts[0] = dist.Counts
-	for w := 1; w < workers; w++ {
-		scratches[w] = p.getScratch()
-		scratches[w].gen.reset(sched)
-		parts[w] = p.getCounts()
-	}
-	for _, s := range scratches {
-		p.ensureHw(s)
-	}
-
-	pool.ForEachWorker(workers, len(jobs), func(slot, j int) {
-		job := jobs[j]
-		s := scratches[slot]
-		replayJobHist(ops, &s.gen, job, period, rows, s.arch, s.hw, s.cyc, s.hist)
-		// Multiply-accumulate the shared histogram into the member
-		// epochs. Epochs whose between-lane permutations also coincide
-		// (St always, Bs once its rotation cycles) collapse into a
-		// single accumulation scaled by their multiplicity.
-		counts := parts[slot]
-		for _, g := range groupByBetween(&s.gen, job.epochs, &s.bg) {
-			addHist(s.hist, maskLanes, rows, lanes, s.gen.betweenAt(g.epoch0), uint64(g.count), counts)
-		}
-	})
-
-	for w := 1; w < workers; w++ {
-		for i, c := range parts[w] {
-			if c != 0 {
-				dist.Counts[i] += c
-			}
-		}
-		p.putCounts(parts[w])
-		p.putScratch(scratches[w])
-	}
-	p.putScratch(planScr)
-}
-
 // replayJobHist fills hist[mask*rows+physRow] with the exact histogram of
-// one member epoch of job, in closed-cycle form: one op-by-op iteration is
-// replayed to record the orbit starts (the remaining n−1 iterations are
-// reconstructed by accumulateClosedCycle), so the per-job work is
-// O(ops × min(cycleLen, n)) regardless of epoch length. arch, hw and cyc
-// are caller-owned scratch, reusable across jobs; hist is zeroed here.
-// period is the analytic renamer period every job must reproduce.
-func replayJobHist(ops []wop, gen *permGen, job hwJob, period, rows int,
-	arch []int32, hw *mapping.HwRenamer, cyc *cycleScratch, hist []uint64) {
+// one n-iteration epoch whose within-lane permutation is epoch0's, in
+// closed-cycle form: one op-by-op iteration is replayed to record the
+// orbit starts (the remaining n−1 iterations are reconstructed by
+// accumulateClosedCycle), so the work is O(ops × min(cycleLen, n))
+// regardless of epoch length. mass is the epoch-iterations the histogram
+// stands for (replay accounting). s supplies the replay scratch; hist is
+// zeroed here.
+func (p *WearPlan) replayJobHist(s *engineScratch, epoch0, n int, mass uint64, hist []uint64) {
 	sp := obs.StartSpan("core.hw.job")
 	defer sp.End()
 	obsHwReplayIters.Add(1)
-	obsHwReplayItersSaved.Add(int64(len(job.epochs))*int64(job.n) - 1)
-	for i := range hist {
-		hist[i] = 0
-	}
+	obsHwReplayItersSaved.Add(int64(mass) - 1)
+	clear(hist)
 	// The within permutation is loop-invariant across the epoch's
 	// iterations: resolve each op's architectural row once.
-	within := gen.withinAt(job.epoch0)
-	for i, op := range ops {
-		arch[i] = int32(within.Apply(int(op.row)))
+	within := s.gen.withinAt(epoch0)
+	for i, op := range p.ops {
+		s.arch[i] = int32(within.Apply(int(op.row)))
 	}
-	hw.Reset()
+	s.hw.Reset()
 	// Recording pass — iteration 0. Each op's physical row in this
 	// iteration is its orbit start u; the renamer then holds the
 	// iteration permutation σ.
-	for i, op := range ops {
+	for i, op := range p.ops {
 		if op.full {
-			cyc.starts[i] = int32(hw.RenameOnWrite(int(arch[i])))
+			s.cyc.starts[i] = int32(s.hw.RenameOnWrite(int(s.arch[i])))
 		} else {
-			cyc.starts[i] = int32(hw.Lookup(int(arch[i])))
+			s.cyc.starts[i] = int32(s.hw.Lookup(int(s.arch[i])))
 		}
 	}
-	cyc.decompose(hw)
+	s.cyc.decompose(s.hw)
 	// The job's permutation is the trace-level one conjugated by the
 	// within map, so its order must match the analytic period; a
 	// mismatch means the closed form would be wrong.
-	if cyc.period != period {
+	if s.cyc.period != p.cycle.Period {
 		panic("core: +Hw job cycle period diverges from the analytic trace period")
 	}
-	accumulateClosedCycle(ops, cyc, uint64(job.n), rows, hist)
+	accumulateClosedCycle(p.ops, s.cyc, uint64(n), p.rows, hist)
 }
 
 // addHist accumulates a per-(mask, physical row) histogram into a

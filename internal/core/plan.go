@@ -17,7 +17,7 @@
 //     — B(all lanes) = all lanes — so this part of an epoch's
 //     contribution never needs a per-lane scan at all: the software
 //     engine accumulates a per-physical-row weight and expands it to
-//     whole rows once, at the end.
+//     whole rows once per walker segment.
 //   - The partial-mask remainder CSR-packed: per hot row, the nonzero
 //     (lane, count) list instead of a dense Lanes-wide scan, so sparse
 //     masks cost what they touch.
@@ -184,11 +184,11 @@ func (p *WearPlan) M0() []uint32 {
 	return m0
 }
 
-// check verifies a simulation config is compatible with the plan's
-// build parameters.
-func (p *WearPlan) check(tr *program.Trace, cfg SimConfig) error {
-	if tr != p.trace {
-		return fmt.Errorf("core: wear plan was built for a different trace")
+// check validates a simulation config against the plan's trace and
+// verifies it is compatible with the plan's build parameters.
+func (p *WearPlan) check(cfg SimConfig, hw bool) error {
+	if err := cfg.Validate(p.trace, hw); err != nil {
+		return err
 	}
 	if cfg.Rows != p.rows || cfg.PresetOutputs != p.preset {
 		return fmt.Errorf("core: wear plan built for rows=%d preset=%v, config has rows=%d preset=%v",
@@ -205,41 +205,18 @@ func (p *WearPlan) check(tr *program.Trace, cfg SimConfig) error {
 // plan's arena; callers that are done with it may hand it back with
 // WriteDist.Release to make the next simulation allocation-free.
 func (p *WearPlan) Simulate(cfg SimConfig, strat StrategyConfig) (*WriteDist, error) {
-	if err := cfg.Validate(p.trace, strat.Hw); err != nil {
-		return nil, err
-	}
-	if err := p.check(p.trace, cfg); err != nil {
+	if err := p.check(cfg, strat.Hw); err != nil {
 		return nil, err
 	}
 	sp := obs.StartSpan("core.simulate")
 	defer sp.End()
-	tr := p.trace
 	dist := p.newDist()
 	dist.Iterations = cfg.Iterations
 	dist.StepsPerIteration = p.stats.Steps
-
-	arch := cfg.Rows
-	if strat.Hw {
-		arch--
-	}
-	sched := mapping.Schedule{
-		Rows: arch, Lanes: tr.Lanes,
-		Within: strat.Within, Between: strat.Between,
-		Seed: cfg.Seed, ShiftStep: cfg.ShiftStep,
-	}
 	if cfg.Sampler != nil {
 		cfg.Sampler.bind(cfg.Iterations)
 	}
-	switch {
-	case strat.Hw && cfg.Sampler != nil:
-		simulateHwSampled(p, cfg, sched, dist)
-	case strat.Hw:
-		simulateHw(p, cfg, sched, dist)
-	case cfg.Sampler != nil:
-		simulateSoftwareSampled(p, cfg, sched, dist)
-	default:
-		simulateSoftware(p, cfg, sched, dist)
-	}
+	p.walk(cfg, cfg.schedule(p.trace.Lanes, strat), strat.Hw, dist)
 	if obs.Enabled() {
 		obsWrites.Add(int64(dist.Total()))
 	}

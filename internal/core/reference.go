@@ -19,15 +19,7 @@ func SimulateReference(tr *program.Trace, cfg SimConfig, strat StrategyConfig) (
 	dist.Iterations = cfg.Iterations
 	dist.StepsPerIteration = tr.Steps(cfg.PresetOutputs)
 
-	arch := cfg.Rows
-	if strat.Hw {
-		arch--
-	}
-	sched := mapping.Schedule{
-		Rows: arch, Lanes: tr.Lanes,
-		Within: strat.Within, Between: strat.Between,
-		Seed: cfg.Seed, ShiftStep: cfg.ShiftStep,
-	}
+	sched := cfg.schedule(tr.Lanes, strat)
 	if cfg.Sampler != nil {
 		cfg.Sampler.bind(cfg.Iterations)
 	}

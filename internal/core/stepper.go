@@ -4,27 +4,26 @@
 // routes work by *live* wear (internal/system's wear-aware bank policy)
 // needs the opposite — accumulate one recompile epoch at a time and ask
 // "how hot is the hottest cell right now?" between epochs. Stepper is
-// that engine: a serial walk over a shared WearPlan that reuses the same
-// accumulation primitives as the batch engines, so a stepped run is
-// bit-identical to Simulate (and SimulateReference) over the same epoch
-// sequence.
+// that engine: a serial walk over a shared WearPlan that lands each epoch
+// through the same primitives as the walker (walk.go), so a stepped run
+// is bit-identical to Simulate (and SimulateReference) over the same
+// epoch sequence.
 //
 //   - Software path: each Step is one permutation-pair accumulation
 //     (accumulateSwJob) with the rank-1 full-mask part kept as pending
-//     per-row weights until Finish — exactly the sampled software
-//     engine's discipline.
+//     per-row weights until Finish.
 //   - +Hw path: each Step replays one epoch in closed-cycle form
 //     (replayJobHist) and lands the histogram through the epoch's
-//     between-lane permutation. Consecutive epochs sharing a within-lane
-//     permutation (St always, Bs at its rotation period) reuse the last
-//     replayed histogram — a one-entry memo of the batch engine's
-//     grouping.
+//     between-lane permutation (addHist). Consecutive epochs sharing a
+//     within-lane permutation (St always, Bs at its rotation period)
+//     reuse the last replayed histogram — a one-entry memo of the
+//     walker's replay jobs.
 //
-// MaxWrites is O(1): the stepper maintains a per-physical-row running
-// maximum as it accumulates. Cell counts only grow and the pending
-// full-mask weight adds uniformly across a row, so the row maximum is
-// (max CSR/hist cell in the row) + (pending row weight) — both tracked
-// incrementally, no distribution scan per query.
+// MaxWrites is O(1): after each Step the stepper rescans only the rows
+// the epoch touched. Cell counts only grow, so the running maximum never
+// needs a full distribution scan. On the software path the pending
+// full-mask weight adds uniformly across a row, so a row's maximum is
+// (max CSR cell in the row, tracked per row) + (pending row weight).
 package core
 
 import (
@@ -53,10 +52,10 @@ type Stepper struct {
 	// scr is the stepper's arena-drawn working state, held from NewStepper
 	// until Finish returns it to the plan: the pending software row
 	// weights (scr.rowW, expanded into whole rows by Finish), the +Hw
-	// replay scratch and memoized histogram (scr.hist), and the live
-	// per-physical-row maxima (scr.rowMax — hottest materialized cell per
-	// row: CSR adds and +Hw histogram landings; excludes the pending rowW,
-	// which Step folds in when it updates curMax).
+	// replay scratch and memoized histogram (scr.hist), and the software
+	// per-physical-row maxima (scr.rowMax — hottest materialized CSR cell
+	// per row; excludes the pending rowW, which Step folds in when it
+	// updates curMax).
 	scr *engineScratch
 
 	// One-entry +Hw histogram memo key: scr.hist holds the histogram of
@@ -64,8 +63,7 @@ type Stepper struct {
 	histEpoch int
 	histN     int
 
-	selfEpoch [1]int // reusable single-epoch member list for replay jobs
-	curMax    uint64
+	curMax uint64
 }
 
 // NewStepper prepares an incremental simulation of one load-balancing
@@ -76,37 +74,25 @@ type Stepper struct {
 func (p *WearPlan) NewStepper(cfg SimConfig, strat StrategyConfig) (*Stepper, error) {
 	probe := cfg
 	probe.Iterations = 1 // Validate demands a positive count; steps supply the real one
-	if err := probe.Validate(p.trace, strat.Hw); err != nil {
+	if err := p.check(probe, strat.Hw); err != nil {
 		return nil, err
-	}
-	if err := p.check(p.trace, probe); err != nil {
-		return nil, err
-	}
-	tr := p.trace
-	arch := cfg.Rows
-	if strat.Hw {
-		arch--
 	}
 	s := &Stepper{
-		plan:  p,
-		strat: strat,
-		sched: mapping.Schedule{
-			Rows: arch, Lanes: tr.Lanes,
-			Within: strat.Within, Between: strat.Between,
-			Seed: cfg.Seed, ShiftStep: cfg.ShiftStep,
-		},
+		plan:      p,
+		strat:     strat,
+		sched:     cfg.schedule(p.trace.Lanes, strat),
 		dist:      p.newDist(),
 		histEpoch: -1,
 	}
 	s.dist.StepsPerIteration = p.stats.Steps
 	s.scr = p.getScratch()
 	s.scr.gen.reset(s.sched)
-	p.ensureRowMax(s.scr)
 	if strat.Hw {
 		p.ensureHw(s.scr)
 		obsHwCycleLen.Add(int64(p.cycle.Period))
 	} else {
 		p.ensureRowW(s.scr)
+		p.ensureRowMax(s.scr)
 	}
 	return s, nil
 }
@@ -144,83 +130,59 @@ func (s *Stepper) Step(iters int) {
 // primitive, then refreshes the per-row maxima the epoch touched.
 func (s *Stepper) stepSoftware(iters int) {
 	p := s.plan
-	job := swJob{epoch0: s.epoch, iters: uint64(iters), epochs: 1, next: -1}
 	rowW := s.scr.rowW
-	accumulateSwJob(p, &s.scr.gen, job, rowW, nil, s.dist.Counts)
+	accumulateSwJob(p, &s.scr.gen, s.epoch, uint64(iters), rowW, s.dist.Counts)
 	obsSwGroups.Add(1)
 
-	lanes := p.trace.Lanes
-	within := s.scr.gen.withinAt(s.epoch)
+	within := s.scr.gen.within // the epoch's, filled by accumulateSwJob
 	// CSR rows gained materialized cell writes: rescan each touched row.
 	for _, r := range p.csrRows {
 		pr := within.Apply(int(r))
-		row := s.dist.Counts[pr*lanes : pr*lanes+lanes]
-		var m uint64
-		for _, c := range row {
-			if c > m {
-				m = c
-			}
-		}
-		s.scr.rowMax[pr] = m
-		if cand := m + rowW[pr]; cand > s.curMax {
-			s.curMax = cand
-		}
+		s.scr.rowMax[pr] = s.rowPeak(pr)
+		s.curMax = max(s.curMax, s.scr.rowMax[pr]+rowW[pr])
 	}
 	// Full-mask rows only grew their pending uniform weight.
 	for _, r := range p.fullRowIdx {
 		pr := within.Apply(int(r))
-		if cand := s.scr.rowMax[pr] + rowW[pr]; cand > s.curMax {
-			s.curMax = cand
-		}
+		s.curMax = max(s.curMax, s.scr.rowMax[pr]+rowW[pr])
 	}
 }
 
-// stepHw replays (or reuses) the epoch's closed-cycle histogram and
-// lands it through the epoch's between-lane permutation, tracking row
-// maxima cell by cell.
+// stepHw replays (or reuses) the epoch's closed-cycle histogram, lands it
+// through the epoch's between-lane permutation, and rescans the rows the
+// histogram touched.
 func (s *Stepper) stepHw(iters int) {
-	p := s.plan
-	within := s.scr.gen.withinAt(s.epoch)
-	if s.histEpoch >= 0 && s.histN == iters && s.scr.gen.within2At(s.histEpoch).Equal(within) {
+	p, gen, hist := s.plan, &s.scr.gen, s.scr.hist
+	if s.histEpoch >= 0 && s.histN == iters && gen.within2At(s.histEpoch).Equal(gen.withinAt(s.epoch)) {
 		// One-entry memo hit: same within permutation and length means the
 		// identical histogram (the renamer resets every epoch).
 		obsHwMemoHits.Add(1)
 		obsHwReplayItersSaved.Add(int64(iters))
 	} else {
-		s.selfEpoch[0] = s.epoch
-		job := hwJob{epoch0: s.epoch, fp: within.Fingerprint(), n: iters, epochs: s.selfEpoch[:], next: -1}
-		replayJobHist(p.ops, &s.scr.gen, job, p.cycle.Period, s.dist.Rows, s.scr.arch, s.scr.hw, s.scr.cyc, s.scr.hist)
+		p.replayJobHist(s.scr, s.epoch, iters, uint64(iters), hist)
 		obsHwReplays.Add(1)
 		s.histEpoch, s.histN = s.epoch, iters
 	}
-
-	rows, lanes := s.dist.Rows, s.dist.Lanes
-	between := s.scr.gen.betweenAt(s.epoch)
-	counts := s.dist.Counts
-	for m := range p.maskLanes {
-		lanesOf := p.maskLanes[m]
-		rowMax := s.scr.rowMax
-		for r := 0; r < rows; r++ {
-			c := s.scr.hist[m*rows+r]
-			if c == 0 {
-				continue
-			}
-			dst := counts[r*lanes:]
-			rm := rowMax[r]
-			for _, l := range lanesOf {
-				bl := between.Apply(l)
-				v := dst[bl] + c
-				dst[bl] = v
-				if v > rm {
-					rm = v
-				}
-			}
-			rowMax[r] = rm
-			if rm > s.curMax {
-				s.curMax = rm
+	rows := s.dist.Rows
+	addHist(hist, p.maskLanes, rows, s.dist.Lanes, gen.betweenAt(s.epoch), 1, s.dist.Counts)
+	for r := 0; r < rows; r++ {
+		for m := range p.maskLanes {
+			if hist[m*rows+r] != 0 {
+				s.curMax = max(s.curMax, s.rowPeak(r))
+				break
 			}
 		}
 	}
+}
+
+// rowPeak returns the hottest materialized cell of physical row pr.
+func (s *Stepper) rowPeak(pr int) uint64 {
+	lanes := s.dist.Lanes
+	var m uint64
+	for _, c := range s.dist.Counts[pr*lanes : (pr+1)*lanes] {
+		m = max(m, c)
+	}
+	return m
 }
 
 // Finish completes the accumulation (expanding the pending full-mask row

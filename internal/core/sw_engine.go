@@ -1,48 +1,24 @@
-// The epoch-memoized, pool-parallel software wear engine.
+// How the walker lands one software epoch group.
 //
 // Without hardware renaming, an epoch of n iterations contributes
 // n · P_w M0 P_b to the distribution: the one-iteration write matrix M0
 // permuted by the epoch's within-lane (rows) and between-lane (columns)
 // maps. The contribution is linear in n and depends on the epoch only
-// through its permutation pair, which the engine exploits three ways —
-// the same memoize-then-shard discipline as the +Hw engine:
+// through its permutation pair, so the walker (walk.go) groups a
+// segment's epochs by that pair and lands each group once, scaled by its
+// summed iterations. core.sw.groups counts the groups landed and
+// core.sw.memo_hits the epochs folded into an existing group.
 //
-//   - Epoch grouping: epochs are grouped by (within-permutation,
-//     between-permutation), fingerprint-bucketed and resolved to exact
-//     equality on collision, with each group accumulating its members'
-//     summed iteration count. St×St collapses to a single accumulation
-//     for the whole run; Bs families collapse to their rotation period
-//     (rows/gcd(step·8, rows) distinct shifts per axis); only Ra epochs
-//     stay unique. core.sw.groups counts surviving groups and
-//     core.sw.memo_hits the epochs folded into an existing group.
-//
-//   - Rank-1 full-mask accumulation: a full lane mask is invariant under
-//     every between-lane permutation, so the full-mask part of M0 (one
-//     weight per row; see WearPlan.FullRowWrites) contributes
-//     weight·iters to every lane of one physical row. The engine
-//     accumulates those as a per-physical-row weight — O(full rows) per
-//     group, no lane dimension at all — and expands the weights to whole
-//     rows once at the end. Only the CSR-packed partial-mask remainder
-//     pays a per-lane walk per group.
-//
-//   - Bounded parallelism: groups are sharded over a pool of
-//     SimConfig.Workers goroutines, each accumulating into a private
-//     counts buffer and a private row-weight buffer; the buffers merge
-//     by uint64 addition, which commutes, so the result is bit-identical
-//     to the serial reference for every worker count.
-//
-// When a sampler is attached the engine switches to an epoch-ordered
-// variant (simulateSoftwareSampled) that accumulates one inter-sample
-// segment at a time — grouping epochs within each segment — so every
-// sample observes a true prefix of the final distribution, exactly like
-// the sampled +Hw engine.
+// The landing itself is rank-1 for the full-mask part: a full lane mask
+// is invariant under every between-lane permutation, so the full-mask
+// part of M0 (one weight per row; see WearPlan.FullRowWrites) contributes
+// weight·iters to every lane of one physical row. Those are accumulated
+// as a per-physical-row weight — O(full rows) per group, no lane
+// dimension at all — and expanded to whole rows once per segment. Only
+// the CSR-packed partial-mask remainder pays a per-lane walk per group.
 package core
 
-import (
-	"pimendure/internal/mapping"
-	"pimendure/internal/obs"
-	"pimendure/internal/pool"
-)
+import "pimendure/internal/obs"
 
 // Software-engine memoization accounting (no-ops until obs.Enable).
 var (
@@ -55,219 +31,37 @@ var (
 	obsSwMemoHits = obs.GetCounter("core.sw.memo_hits")
 )
 
-// swJob is one unique (within-permutation, between-permutation) group of
-// software epochs and the iteration mass it accumulates.
-type swJob struct {
-	epoch0 int    // representative epoch (regenerates both perms)
-	iters  uint64 // summed iterations of all member epochs
-	epochs int    // member epoch count (memoization accounting)
-	next   int32  // next job in the same fingerprint bucket (-1 ends)
-}
-
-// planSwEpochs walks an epoch range [first, last] once and groups epochs
-// whose accumulations would be identical: equal within AND between
-// permutations (fingerprint buckets resolved by exact comparison).
-// Permutations are regenerated into gen's scratch on demand, so jobs
-// hold only integers and planning an epoch range allocates only the job
-// slice and the fingerprint index — not a permutation pair per epoch.
-// Fingerprint collisions chain through swJob.next instead of per-bucket
-// slices. iterLen returns an epoch's iteration count.
-func planSwEpochs(gen *permGen, first, last int, iterLen func(epoch int) int) []swJob {
-	type key struct{ wfp, bfp uint64 }
-	jobs := make([]swJob, 0, last-first+1)
-	index := make(map[key]int32, last-first+1) // fingerprint bucket -> chain head
-	for epoch := first; epoch <= last; epoch++ {
-		within := gen.withinAt(epoch)
-		between := gen.betweenAt(epoch)
-		k := key{within.Fingerprint(), between.Fingerprint()}
-		var jobID int32
-		if head, ok := index[k]; ok {
-			for cand := head; ; {
-				e0 := jobs[cand].epoch0
-				if gen.within2At(e0).Equal(within) && gen.between2At(e0).Equal(between) {
-					jobID = cand
-					break
-				}
-				if next := jobs[cand].next; next >= 0 {
-					cand = next
-					continue
-				}
-				// True fingerprint collision: new job at the chain's end.
-				jobID = int32(len(jobs))
-				jobs = append(jobs, swJob{epoch0: epoch, next: -1})
-				jobs[cand].next = jobID
-				break
-			}
-		} else {
-			jobID = int32(len(jobs))
-			jobs = append(jobs, swJob{epoch0: epoch, next: -1})
-			index[k] = jobID
-		}
-		jobs[jobID].iters += uint64(iterLen(epoch))
-		jobs[jobID].epochs++
-	}
-	return jobs
-}
-
-// epochLen returns the per-epoch iteration count function for a config:
-// every epoch runs recompileEvery iterations except a short final one.
-func (c SimConfig) epochLen() func(epoch int) int {
-	every := c.recompileEvery()
-	return func(epoch int) int {
-		n := every
-		if start := epoch * every; start+n > c.Iterations {
-			n = c.Iterations - start
-		}
-		return n
-	}
-}
-
-// accumulateSwJob adds one group's contribution: the full-mask row
-// weights into rowW (between-invariant, expanded to whole rows later by
-// expandRowWeights) and the CSR partial-mask entries straight into
-// counts through the group's between permutation. touched, when non-nil,
-// records physical rows whose rowW entry became nonzero (the sampled
-// engine resets only those between segments).
-func accumulateSwJob(p *WearPlan, gen *permGen, job swJob,
-	rowW []uint64, touched *[]int32, counts []uint64) {
-	within := gen.withinAt(job.epoch0)
-	between := gen.betweenAt(job.epoch0)
+// accumulateSwJob lands iters iterations under epoch's permutation pair:
+// the full-mask row weights into rowW (between-invariant, expanded to
+// whole rows later by expandRowWeights) and the CSR partial-mask entries
+// straight into counts through the epoch's between permutation.
+func accumulateSwJob(p *WearPlan, gen *permGen, epoch int, iters uint64, rowW, counts []uint64) {
+	within := gen.withinAt(epoch)
+	between := gen.betweenAt(epoch)
 	for i, r := range p.fullRowIdx {
-		pr := within.Apply(int(r))
-		if touched != nil && rowW[pr] == 0 {
-			*touched = append(*touched, int32(pr))
-		}
-		rowW[pr] += uint64(p.fullRowW[i]) * job.iters
+		rowW[within.Apply(int(r))] += uint64(p.fullRowW[i]) * iters
 	}
 	lanes := p.trace.Lanes
 	for i, r := range p.csrRows {
 		dst := counts[within.Apply(int(r))*lanes:]
 		for e := p.csrPtr[i]; e < p.csrPtr[i+1]; e++ {
-			dst[between.Apply(int(p.csrLane[e]))] += uint64(p.csrCnt[e]) * job.iters
+			dst[between.Apply(int(p.csrLane[e]))] += uint64(p.csrCnt[e]) * iters
 		}
 	}
 }
 
 // expandRowWeights adds each nonzero per-physical-row weight to every
 // lane of its row — the deferred rank-1 completion of the full-mask
-// accumulation.
+// accumulation — and resets the weight.
 func expandRowWeights(rowW []uint64, lanes int, counts []uint64) {
 	for pr, c := range rowW {
 		if c == 0 {
 			continue
 		}
+		rowW[pr] = 0
 		row := counts[pr*lanes : pr*lanes+lanes]
 		for l := range row {
 			row[l] += c
 		}
 	}
-}
-
-// simulateSoftware is the fast software path: group epochs by
-// permutation pair, shard the surviving groups over the bounded worker
-// pool, merge per-worker buffers by addition. All working state — the
-// per-worker scratch bundles and partial-counts buffers — is drawn from
-// the plan's arena, so a warm plan simulates without touching the
-// allocator. Bit-identical to simulateSoftwareReference for every
-// worker count.
-func simulateSoftware(p *WearPlan, cfg SimConfig, sched mapping.Schedule, dist *WriteDist) {
-	sp := obs.StartSpan("core.simulate/sw-accumulate")
-	defer sp.End()
-	every := cfg.recompileEvery()
-	totalEpochs := (cfg.Iterations + every - 1) / every
-	planScr := p.getScratch()
-	planScr.gen.reset(sched)
-	jobs := planSwEpochs(&planScr.gen, 0, totalEpochs-1, cfg.epochLen())
-	obsEpochs.Add(int64(totalEpochs))
-	obsSwGroups.Add(int64(len(jobs)))
-	obsSwMemoHits.Add(int64(totalEpochs - len(jobs)))
-
-	lanes := p.trace.Lanes
-	workers := pool.Size(cfg.workers(), len(jobs))
-	scratches := make([]*engineScratch, workers)
-	parts := make([][]uint64, workers)
-	scratches[0] = planScr
-	parts[0] = dist.Counts
-	for w := 1; w < workers; w++ {
-		scratches[w] = p.getScratch()
-		scratches[w].gen.reset(sched)
-		parts[w] = p.getCounts()
-	}
-	for _, s := range scratches {
-		p.ensureRowW(s)
-	}
-	pool.ForEachWorker(workers, len(jobs), func(slot, j int) {
-		s := scratches[slot]
-		accumulateSwJob(p, &s.gen, jobs[j], s.rowW, nil, parts[slot])
-	})
-	for w := 1; w < workers; w++ {
-		for i, c := range parts[w] {
-			if c != 0 {
-				dist.Counts[i] += c
-			}
-		}
-		for pr, c := range scratches[w].rowW {
-			planScr.rowW[pr] += c
-		}
-		p.putCounts(parts[w])
-		p.putScratch(scratches[w])
-	}
-	expandRowWeights(planScr.rowW, lanes, dist.Counts)
-	p.putScratch(planScr)
-}
-
-// simulateSoftwareSampled is simulateSoftware with epoch-ordered
-// accumulation: the walk advances one inter-sample segment at a time,
-// grouping the segment's epochs by permutation pair (uint64 adds
-// commute, so intra-segment order is free), and feeds cfg.Sampler the
-// prefix distribution at each segment boundary. The final distribution
-// is bit-identical to the unsampled engine.
-func simulateSoftwareSampled(p *WearPlan, cfg SimConfig, sched mapping.Schedule, dist *WriteDist) {
-	sp := obs.StartSpan("core.simulate/sw-accumulate")
-	defer sp.End()
-	sampler := cfg.Sampler
-	every := cfg.recompileEvery()
-	totalEpochs := (cfg.Iterations + every - 1) / every
-	iterLen := cfg.epochLen()
-	lanes := p.trace.Lanes
-	scr := p.getScratch()
-	scr.gen.reset(sched)
-	p.ensureRowW(scr)
-	rowW := scr.rowW
-	touched := scr.touched[:0]
-	groups := 0
-	for start := 0; start < totalEpochs; {
-		end := start
-		for !sampler.due(end, totalEpochs-1) {
-			end++
-		}
-		jobs := planSwEpochs(&scr.gen, start, end, iterLen)
-		groups += len(jobs)
-		for _, job := range jobs {
-			accumulateSwJob(p, &scr.gen, job, rowW, &touched, dist.Counts)
-		}
-		// Segment boundary: complete the rank-1 full-mask part so the
-		// sampler sees the true prefix distribution, then reset only the
-		// touched weights.
-		for _, pr := range touched {
-			c := rowW[pr]
-			rowW[pr] = 0
-			row := dist.Counts[int(pr)*lanes : (int(pr)+1)*lanes]
-			for l := range row {
-				row[l] += c
-			}
-		}
-		touched = touched[:0]
-		itersSoFar := (end + 1) * every
-		if itersSoFar > cfg.Iterations {
-			itersSoFar = cfg.Iterations
-		}
-		sampler.Sample(end, itersSoFar, dist)
-		start = end + 1
-	}
-	scr.touched = touched[:0]
-	p.putScratch(scr)
-	obsEpochs.Add(int64(totalEpochs))
-	obsSwGroups.Add(int64(groups))
-	obsSwMemoHits.Add(int64(totalEpochs - groups))
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -55,23 +54,20 @@ type EventStats struct {
 	Capacity int `json:"capacity"`
 }
 
-// events is the process-wide span-event ring. Pushes take the mutex for
-// a four-field copy — "lock-light": recording happens at span (epoch /
-// job) granularity, never in the per-op replay loops, so contention is
-// negligible next to the work a span brackets. The bounded ring
-// overwrites its oldest entry when full and never blocks a worker.
-var events struct {
-	mu    sync.Mutex
-	on    bool
-	buf   []Event
-	head  uint64 // total events ever pushed
-	epoch time.Time
-}
+// events is the process-wide span-event ring (see ring). Recording
+// happens at span (epoch / job) granularity, never in the per-op replay
+// loops, so contention on its mutex is negligible next to the work a
+// span brackets. Entries carry TS as nanoseconds since monoBase; the
+// snapshot rebases them onto the ring's enable time.
+var events = ring[Event]{on: &eventsOn}
 
-// eventsOn mirrors events.on (kept in sync under events.mu) so the
-// per-span fast path — "are events even being recorded?" — is one atomic
-// load instead of a mutex round-trip on the global ring.
+// eventsOn is the ring's on flag, so the per-span fast path — "are
+// events even being recorded?" — is one atomic load instead of a mutex
+// round-trip on the global ring.
 var eventsOn atomic.Bool
+
+// monoBase anchors event timestamps on the monotonic clock.
+var monoBase = time.Now()
 
 // EnableEvents turns span-event recording on with a fresh ring of the
 // given capacity (≤ 0 selects DefaultEventCapacity). Timestamps are
@@ -81,23 +77,12 @@ func EnableEvents(capacity int) {
 	if capacity <= 0 {
 		capacity = DefaultEventCapacity
 	}
-	events.mu.Lock()
-	defer events.mu.Unlock()
-	events.on = true
-	events.buf = make([]Event, capacity)
-	events.head = 0
-	events.epoch = time.Now()
-	eventsOn.Store(true)
+	events.enable(capacity)
 }
 
 // DisableEvents stops recording; the ring contents stay readable through
 // TraceEvents/WriteTrace until the next EnableEvents.
-func DisableEvents() {
-	events.mu.Lock()
-	defer events.mu.Unlock()
-	events.on = false
-	eventsOn.Store(false)
-}
+func DisableEvents() { events.disable() }
 
 // EventsEnabled reports whether span events are being recorded.
 func EventsEnabled() bool {
@@ -106,16 +91,8 @@ func EventsEnabled() bool {
 
 // CaptureEventStats returns the ring's recorded/dropped totals.
 func CaptureEventStats() EventStats {
-	events.mu.Lock()
-	defer events.mu.Unlock()
-	return eventStatsLocked()
-}
-
-func eventStatsLocked() EventStats {
-	s := EventStats{Recorded: events.head, Capacity: len(events.buf)}
-	if n := uint64(len(events.buf)); events.head > n {
-		s.Dropped = events.head - n
-	}
+	var s EventStats
+	s.Recorded, s.Dropped, s.Capacity = events.stats()
 	return s
 }
 
@@ -126,17 +103,9 @@ func recordEvent(ph byte, name string, tid int64) {
 	if !eventsOn.Load() {
 		return
 	}
-	now := time.Now()
-	trace := traceFor(tid) // before taking events.mu: keeps the ring's critical section copy-only
-	events.mu.Lock()
-	if !events.on || len(events.buf) == 0 {
-		events.mu.Unlock()
-		return
-	}
-	ts := now.Sub(events.epoch).Nanoseconds()
-	events.buf[events.head%uint64(len(events.buf))] = Event{Name: name, Ph: ph, TS: ts, TID: tid, Trace: trace}
-	events.head++
-	events.mu.Unlock()
+	ts := time.Since(monoBase).Nanoseconds()
+	trace := traceFor(tid) // before taking the ring's mutex: keeps its critical section copy-only
+	events.push(Event{Name: name, Ph: ph, TS: ts, TID: tid, Trace: trace})
 }
 
 // eventTID returns the goroutine id to stamp on events, or 0 when the
@@ -166,23 +135,12 @@ func goid() int64 {
 
 // TraceEvents snapshots the ring in chronological order (oldest first).
 func TraceEvents() []Event {
-	events.mu.Lock()
-	defer events.mu.Unlock()
-	n := uint64(len(events.buf))
-	if n == 0 {
-		return nil
+	evs, born := events.newest(0)
+	off := born.Sub(monoBase).Nanoseconds()
+	for i := range evs {
+		evs[i].TS -= off
 	}
-	count := events.head
-	start := uint64(0)
-	if count > n {
-		start = count - n
-		count = n
-	}
-	out := make([]Event, 0, count)
-	for i := uint64(0); i < count; i++ {
-		out = append(out, events.buf[(start+i)%n])
-	}
-	return out
+	return evs
 }
 
 // TraceEventsFor snapshots the ring filtered to one trace id, oldest

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -44,18 +43,13 @@ type LogStats struct {
 }
 
 // logRing is the process-wide structured-event log — the same bounded
-// drop-oldest design as the span-event ring, but carrying wall-clock
-// JSONL records at request granularity instead of span marks at stage
+// drop-oldest ring as the span events, but carrying wall-clock JSONL
+// records at request granularity instead of span marks at stage
 // granularity.
-var logRing struct {
-	mu   sync.Mutex
-	on   bool
-	buf  []LogRecord
-	head uint64 // total records ever pushed
-}
+var logRing = ring[LogRecord]{on: &logOn}
 
-// logOn mirrors logRing.on so LogEvent's disabled fast path is one
-// atomic load.
+// logOn is the log ring's on flag, so LogEvent's disabled fast path is
+// one atomic load.
 var logOn atomic.Bool
 
 // EnableLog turns structured-event recording on with a fresh ring of the
@@ -64,22 +58,12 @@ func EnableLog(capacity int) {
 	if capacity <= 0 {
 		capacity = DefaultLogCapacity
 	}
-	logRing.mu.Lock()
-	defer logRing.mu.Unlock()
-	logRing.on = true
-	logRing.buf = make([]LogRecord, capacity)
-	logRing.head = 0
-	logOn.Store(true)
+	logRing.enable(capacity)
 }
 
 // DisableLog stops recording; ring contents stay readable through
 // LogRecords/WriteLogJSONL until the next EnableLog.
-func DisableLog() {
-	logRing.mu.Lock()
-	defer logRing.mu.Unlock()
-	logRing.on = false
-	logOn.Store(false)
-}
+func DisableLog() { logRing.disable() }
 
 // LogEnabled reports whether structured-event recording is on.
 func LogEnabled() bool {
@@ -88,23 +72,12 @@ func LogEnabled() bool {
 
 // resetLog clears the ring contents and totals, keeping the enabled
 // state. Called from Reset so test isolation covers the log too.
-func resetLog() {
-	logRing.mu.Lock()
-	defer logRing.mu.Unlock()
-	for i := range logRing.buf {
-		logRing.buf[i] = LogRecord{}
-	}
-	logRing.head = 0
-}
+func resetLog() { logRing.reset() }
 
 // CaptureLogStats returns the log ring's recorded/dropped totals.
 func CaptureLogStats() LogStats {
-	logRing.mu.Lock()
-	defer logRing.mu.Unlock()
-	s := LogStats{Recorded: logRing.head, Capacity: len(logRing.buf)}
-	if n := uint64(len(logRing.buf)); logRing.head > n {
-		s.Dropped = logRing.head - n
-	}
+	var s LogStats
+	s.Recorded, s.Dropped, s.Capacity = logRing.stats()
 	return s
 }
 
@@ -116,39 +89,14 @@ func LogEvent(event, trace string, fields map[string]any) {
 	if !logOn.Load() {
 		return
 	}
-	rec := LogRecord{TimeMS: time.Now().UnixMilli(), Event: event, Trace: trace, Fields: fields}
-	logRing.mu.Lock()
-	if !logRing.on || len(logRing.buf) == 0 {
-		logRing.mu.Unlock()
-		return
-	}
-	logRing.buf[logRing.head%uint64(len(logRing.buf))] = rec
-	logRing.head++
-	logRing.mu.Unlock()
+	logRing.push(LogRecord{TimeMS: time.Now().UnixMilli(), Event: event, Trace: trace, Fields: fields})
 }
 
 // LogRecords snapshots the newest n records in chronological order
 // (oldest first); n ≤ 0 returns everything the ring holds.
 func LogRecords(n int) []LogRecord {
-	logRing.mu.Lock()
-	defer logRing.mu.Unlock()
-	size := uint64(len(logRing.buf))
-	if size == 0 {
-		return nil
-	}
-	count := logRing.head
-	if count > size {
-		count = size
-	}
-	if n > 0 && uint64(n) < count {
-		count = uint64(n)
-	}
-	start := logRing.head - count
-	out := make([]LogRecord, 0, count)
-	for i := uint64(0); i < count; i++ {
-		out = append(out, logRing.buf[(start+i)%size])
-	}
-	return out
+	recs, _ := logRing.newest(n)
+	return recs
 }
 
 // WriteLogJSONL writes the newest n records (n ≤ 0: all held) as JSON
