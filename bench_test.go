@@ -535,18 +535,24 @@ func BenchmarkHwEngine(b *testing.B) {
 		b.ReportMetric(float64(on)/float64(off), "obs_overhead_x")
 	})
 	// Full live telemetry — counters, span events on the ring, and a
-	// per-epoch wear sampler — against the disabled baseline. The sampler
-	// switches +Hw runs onto the epoch-ordered engine, so this is the
-	// honest price of watching a run live; the ISSUE budget is ≤10%.
+	// per-epoch wear sampler — against the disabled baseline: the honest
+	// price of watching a run live. Each emitted sample ends a walker
+	// segment and takes one statistics pass over the whole distribution, a
+	// fixed cost per sample that `sample_us` reports (extra microseconds
+	// per emitted sample). `telemetry_overhead_x` divides that cost by the
+	// engine time, so it rises whenever the engine itself gets faster.
 	b.Run("engine-telemetry", func(b *testing.B) {
 		defer func() {
 			obs.Disable()
 			obs.DisableEvents()
 			obs.Reset()
 		}()
+		samples := 0
 		sampled := func(tr *program.Trace, sim core.SimConfig, s core.StrategyConfig) (*core.WriteDist, error) {
 			sim.Sampler = core.NewWearSampler("bench.telemetry."+s.Name(), 10, 1e12)
-			return core.Simulate(tr, sim, s)
+			d, err := core.Simulate(tr, sim, s)
+			samples += sim.Sampler.Series().Len()
+			return d, err
 		}
 		var off, on time.Duration
 		for i := 0; i < b.N; i++ {
@@ -562,6 +568,7 @@ func BenchmarkHwEngine(b *testing.B) {
 			on += time.Since(t0)
 		}
 		b.ReportMetric(float64(on)/float64(off), "telemetry_overhead_x")
+		b.ReportMetric(float64(on-off)/float64(samples)/1e3, "sample_us")
 	})
 	// Cross-check on the benchmark's own inputs: the two engines must be
 	// bit-identical here too, or the speedup numbers are meaningless.

@@ -20,8 +20,8 @@
 // buffers are owned exclusively between get and put; the arena never
 // hands the same buffer to two holders. Counts buffers are returned
 // zeroed from the arena; histogram and permutation scratch is returned
-// dirty and re-initialized by its consumer (replayJobHist zeroes the
-// histogram, the permutation fillers overwrite every slot). The
+// dirty and re-initialized by its consumer (replayJobHist overwrites the
+// whole histogram, the permutation fillers overwrite every slot). The
 // core.arena_hits / core.arena_misses counters record how often an
 // acquisition was served from a free list versus a fresh allocation.
 package core
@@ -105,10 +105,10 @@ func (g *permGen) between2At(epoch int) *mapping.Perm {
 
 // engineScratch bundles one worker's reusable simulation state. Fields
 // are created lazily by the ensure* helpers, sized by plan constants, so
-// a software-only workload never pays for replay scratch and vice versa.
+// a software-only workload never pays for replay scratch.
 type engineScratch struct {
 	gen    permGen
-	rowW   []uint64 // per-physical-row weights (software rank-1 part)
+	rowW   []uint64 // per-physical-row weights (rank-1 full-mask part)
 	rowMax []uint64 // per-physical-row maxima (stepper live tracking)
 	hist   []uint64 // [mask*rows+physRow] replay histogram
 	arch   []int32  // per-op within-mapped row
@@ -149,7 +149,7 @@ func (p *WearPlan) getScratch() *engineScratch {
 
 // putScratch returns a worker scratch bundle to the plan's free list.
 // The bundle's buffers may be dirty; acquirers re-initialize what they
-// use (ensureRowW zeroes, replayJobHist zeroes the histogram, the
+// use (ensureRowW zeroes, replayJobHist overwrites the histogram, the
 // permutation fillers overwrite every slot).
 func (p *WearPlan) putScratch(s *engineScratch) { give(&p.arena, &p.arena.scratch, s) }
 
@@ -171,7 +171,7 @@ func (p *WearPlan) zeroedRows(buf []uint64) []uint64 {
 
 // ensureHw sizes the scratch's +Hw replay state (histogram, per-op rows,
 // renamer, cycle decomposition). The histogram is left dirty —
-// replayJobHist zeroes it at the start of every job.
+// replayJobHist overwrites all of it in every job.
 func (p *WearPlan) ensureHw(s *engineScratch) {
 	if len(s.hist) != len(p.maskLanes)*p.rows {
 		s.hist = make([]uint64, len(p.maskLanes)*p.rows)
@@ -182,8 +182,9 @@ func (p *WearPlan) ensureHw(s *engineScratch) {
 	if s.hw == nil || s.hw.ArchRows() != p.rows-1 {
 		s.hw = mapping.NewHwRenamer(p.rows)
 	}
-	if s.cyc == nil || len(s.cyc.orbit) != p.rows || len(s.cyc.starts) != len(p.ops) {
-		s.cyc = newCycleScratch(p.rows, len(p.ops))
+	if s.cyc == nil || len(s.cyc.orbit) != p.rows || len(s.cyc.starts) != len(p.ops) ||
+		len(s.cyc.diff) != len(p.maskLanes)*(p.rows+1) {
+		s.cyc = newCycleScratch(p.rows, len(p.ops), len(p.maskLanes))
 	}
 }
 
@@ -204,7 +205,7 @@ func (p *WearPlan) putCounts(buf []uint64) {
 }
 
 // getHist pops (or allocates) a nMasks×rows histogram buffer. Contents
-// are unspecified; every consumer zeroes or overwrites before reading.
+// are unspecified; replayJobHist overwrites them before any read.
 func (p *WearPlan) getHist() []uint64 {
 	return take(&p.arena, &p.arena.hists, func() []uint64 { return make([]uint64, len(p.maskLanes)*p.rows) })
 }

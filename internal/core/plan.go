@@ -61,10 +61,14 @@ type WearPlan struct {
 	csrCnt  []uint32 // writes of each entry
 
 	// +Hw replay inputs: flattened write ops, per-mask lane sets, the
-	// full-mask row sequence, and the analytic renamer cycle (valid only
-	// when the trace fits the renamer; see hwCycleValid).
+	// masks the write ops use split into full (landed rank-1) and partial
+	// (scattered lane by lane), the full-mask row sequence, and the
+	// analytic renamer cycle (valid only when the trace fits the renamer;
+	// see hwCycleValid).
 	ops          []wop
 	maskLanes    [][]int
+	fullMasks    []int32
+	partMasks    []int32
 	fullRows     []int32
 	cycle        mapping.RenamerCycle
 	hwCycleValid bool
@@ -90,7 +94,16 @@ func NewWearPlan(tr *program.Trace, rows int, preset bool) *WearPlan {
 	lanes := tr.Lanes
 	fullW := make([]uint32, tr.LaneBits)
 	partial := make([]uint32, tr.LaneBits*lanes)
+	used := make([]bool, len(p.maskLanes))
 	for _, op := range p.ops {
+		if !used[op.mask] {
+			used[op.mask] = true
+			if op.full {
+				p.fullMasks = append(p.fullMasks, op.mask)
+			} else {
+				p.partMasks = append(p.partMasks, op.mask)
+			}
+		}
 		if op.full {
 			fullW[op.row] += uint32(op.w)
 			p.fullRows = append(p.fullRows, op.row)

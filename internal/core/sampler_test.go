@@ -121,50 +121,48 @@ func TestSampledEngineBitIdentical(t *testing.T) {
 // series must agree row for row, column for column, bit for bit. A walker
 // that landed an epoch in the wrong inter-sample segment would shift some
 // intermediate row while leaving the final distribution intact. Every=10
-// exceeds the 4 epochs, so only epochs 0 and 3 are sampled.
+// exceeds the 4 epochs, so only epochs 0 and 3 are sampled. The three
+// benchmark shapes cover traces with full masks only (mult) and with both
+// full and partial masks (dot, conv).
 func TestSampledSeriesMatchesReferencePerSample(t *testing.T) {
-	cfg := workloads.Config{Lanes: 8, Rows: 96, Basis: synth.NAND}
-	mult, err := workloads.ParallelMult(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := mult.Trace
 	base := core.SimConfig{
 		Rows: 96, PresetOutputs: true,
 		Iterations: 23, RecompileEvery: 7, Seed: 42,
 	}
-	plan := core.NewWearPlan(tr, base.Rows, base.PresetOutputs)
 	// Sampled epochs of the 4: all; 0, 2, 3; 0, 3.
 	samplesAt := map[int]int{1: 4, 2: 3, 10: 2}
-	for _, strat := range core.AllConfigs() {
-		for _, workers := range []int{1, 3} {
-			for _, every := range []int{1, 2, 10} {
-				name := fmt.Sprintf("%s/w%d/every%d", strat.Name(), workers, every)
-				fast := base
-				fast.Workers = workers
-				fast.Sampler = core.NewWearSampler("test.prefix.fast", every, 1e6)
-				d, err := plan.Simulate(fast, strat)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				d.Release()
-				ref := base
-				ref.Sampler = core.NewWearSampler("test.prefix.ref", every, 1e6)
-				if _, err := core.SimulateReference(tr, ref, strat); err != nil {
-					t.Fatalf("%s reference: %v", name, err)
-				}
-				got, want := fast.Sampler.Series().Samples(), ref.Sampler.Series().Samples()
-				obs.RemoveSeries(fast.Sampler.Series().Name())
-				obs.RemoveSeries(ref.Sampler.Series().Name())
-				if len(got) != len(want) || len(want) != samplesAt[every] {
-					t.Fatalf("%s: %d samples, reference has %d, want %d", name, len(got), len(want), samplesAt[every])
-				}
-				cols := fast.Sampler.Series().Columns()
-				for i := range want {
-					for c := range want[i] {
-						if math.Float64bits(got[i][c]) != math.Float64bits(want[i][c]) {
-							t.Errorf("%s: sample %d column %s = %v, reference %v",
-								name, i, cols[c], got[i][c], want[i][c])
+	for bench, tr := range smallBenches(t) {
+		plan := core.NewWearPlan(tr, base.Rows, base.PresetOutputs)
+		for _, strat := range core.AllConfigs() {
+			for _, workers := range []int{1, 3} {
+				for _, every := range []int{1, 2, 10} {
+					name := fmt.Sprintf("%s/%s/w%d/every%d", bench, strat.Name(), workers, every)
+					fast := base
+					fast.Workers = workers
+					fast.Sampler = core.NewWearSampler("test.prefix.fast", every, 1e6)
+					d, err := plan.Simulate(fast, strat)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					d.Release()
+					ref := base
+					ref.Sampler = core.NewWearSampler("test.prefix.ref", every, 1e6)
+					if _, err := core.SimulateReference(tr, ref, strat); err != nil {
+						t.Fatalf("%s reference: %v", name, err)
+					}
+					got, want := fast.Sampler.Series().Samples(), ref.Sampler.Series().Samples()
+					obs.RemoveSeries(fast.Sampler.Series().Name())
+					obs.RemoveSeries(ref.Sampler.Series().Name())
+					if len(got) != len(want) || len(want) != samplesAt[every] {
+						t.Fatalf("%s: %d samples, reference has %d, want %d", name, len(got), len(want), samplesAt[every])
+					}
+					cols := fast.Sampler.Series().Columns()
+					for i := range want {
+						for c := range want[i] {
+							if math.Float64bits(got[i][c]) != math.Float64bits(want[i][c]) {
+								t.Errorf("%s: sample %d column %s = %v, reference %v",
+									name, i, cols[c], got[i][c], want[i][c])
+							}
 						}
 					}
 				}

@@ -10,20 +10,22 @@
 // epoch sequence.
 //
 //   - Software path: each Step is one permutation-pair accumulation
-//     (accumulateSwJob) with the rank-1 full-mask part kept as pending
-//     per-row weights until Finish.
+//     (accumulateSwJob).
 //   - +Hw path: each Step replays one epoch in closed-cycle form
-//     (replayJobHist) and lands the histogram through the epoch's
-//     between-lane permutation (addHist). Consecutive epochs sharing a
-//     within-lane permutation (St always, Bs at its rotation period)
-//     reuse the last replayed histogram — a one-entry memo of the
-//     walker's replay jobs.
+//     (replayJobHist) and lands the histogram like the walker does: the
+//     full-mask rows as per-row weights (landFullHist), the partial-mask
+//     rows through the epoch's between-lane permutation
+//     (landPartialHist). Consecutive epochs sharing a within-lane
+//     permutation (St always, Bs at its rotation period) reuse the last
+//     replayed histogram — a one-entry memo of the walker's replay jobs.
 //
-// MaxWrites is O(1): after each Step the stepper rescans only the rows
-// the epoch touched. Cell counts only grow, so the running maximum never
-// needs a full distribution scan. On the software path the pending
-// full-mask weight adds uniformly across a row, so a row's maximum is
-// (max CSR cell in the row, tracked per row) + (pending row weight).
+// On both paths the rank-1 full-mask part is kept as pending per-row
+// weights until Finish. MaxWrites is O(1): after each Step the stepper
+// rescans only the rows the epoch scattered cells into. Cell counts only
+// grow, so the running maximum never needs a full distribution scan, and
+// the pending full-mask weight adds uniformly across a row, so a row's
+// maximum is (max materialized cell in the row, tracked per row) +
+// (pending row weight).
 package core
 
 import (
@@ -50,12 +52,12 @@ type Stepper struct {
 	iters int // iterations accumulated so far
 
 	// scr is the stepper's arena-drawn working state, held from NewStepper
-	// until Finish returns it to the plan: the pending software row
+	// until Finish returns it to the plan: the pending full-mask row
 	// weights (scr.rowW, expanded into whole rows by Finish), the +Hw
-	// replay scratch and memoized histogram (scr.hist), and the software
-	// per-physical-row maxima (scr.rowMax — hottest materialized CSR cell
-	// per row; excludes the pending rowW, which Step folds in when it
-	// updates curMax).
+	// replay scratch and memoized histogram (scr.hist), and the
+	// per-physical-row maxima (scr.rowMax — hottest materialized cell per
+	// row; excludes the pending rowW, which Step folds in when it updates
+	// curMax).
 	scr *engineScratch
 
 	// One-entry +Hw histogram memo key: scr.hist holds the histogram of
@@ -87,12 +89,11 @@ func (p *WearPlan) NewStepper(cfg SimConfig, strat StrategyConfig) (*Stepper, er
 	s.dist.StepsPerIteration = p.stats.Steps
 	s.scr = p.getScratch()
 	s.scr.gen.reset(s.sched)
+	p.ensureRowW(s.scr)
+	p.ensureRowMax(s.scr)
 	if strat.Hw {
 		p.ensureHw(s.scr)
 		obsHwCycleLen.Add(int64(p.cycle.Period))
-	} else {
-		p.ensureRowW(s.scr)
-		p.ensureRowMax(s.scr)
 	}
 	return s, nil
 }
@@ -130,27 +131,23 @@ func (s *Stepper) Step(iters int) {
 // primitive, then refreshes the per-row maxima the epoch touched.
 func (s *Stepper) stepSoftware(iters int) {
 	p := s.plan
-	rowW := s.scr.rowW
-	accumulateSwJob(p, &s.scr.gen, s.epoch, uint64(iters), rowW, s.dist.Counts)
+	accumulateSwJob(p, &s.scr.gen, s.epoch, uint64(iters), s.scr.rowW, s.dist.Counts)
 	obsSwGroups.Add(1)
 
 	within := s.scr.gen.within // the epoch's, filled by accumulateSwJob
-	// CSR rows gained materialized cell writes: rescan each touched row.
+	// CSR rows gained materialized cell writes; full-mask rows only grew
+	// their pending uniform weight.
 	for _, r := range p.csrRows {
-		pr := within.Apply(int(r))
-		s.scr.rowMax[pr] = s.rowPeak(pr)
-		s.curMax = max(s.curMax, s.scr.rowMax[pr]+rowW[pr])
+		s.track(within.Apply(int(r)), true)
 	}
-	// Full-mask rows only grew their pending uniform weight.
 	for _, r := range p.fullRowIdx {
-		pr := within.Apply(int(r))
-		s.curMax = max(s.curMax, s.scr.rowMax[pr]+rowW[pr])
+		s.track(within.Apply(int(r)), false)
 	}
 }
 
 // stepHw replays (or reuses) the epoch's closed-cycle histogram, lands it
-// through the epoch's between-lane permutation, and rescans the rows the
-// histogram touched.
+// through the same primitives as the walker, and folds the rows the
+// histogram touched into the running maximum.
 func (s *Stepper) stepHw(iters int) {
 	p, gen, hist := s.plan, &s.scr.gen, s.scr.hist
 	if s.histEpoch >= 0 && s.histN == iters && gen.within2At(s.histEpoch).Equal(gen.withinAt(s.epoch)) {
@@ -163,16 +160,38 @@ func (s *Stepper) stepHw(iters int) {
 		obsHwReplays.Add(1)
 		s.histEpoch, s.histN = s.epoch, iters
 	}
-	rows := s.dist.Rows
-	addHist(hist, p.maskLanes, rows, s.dist.Lanes, gen.betweenAt(s.epoch), 1, s.dist.Counts)
+	p.landFullHist(hist, 1, s.scr.rowW)
+	p.landPartialHist(hist, gen.betweenAt(s.epoch), 1, s.dist.Counts)
+	rows := p.rows
 	for r := 0; r < rows; r++ {
-		for m := range p.maskLanes {
-			if hist[m*rows+r] != 0 {
-				s.curMax = max(s.curMax, s.rowPeak(r))
-				break
-			}
+		if touches(hist, p.partMasks, rows, r) {
+			s.track(r, true)
+		} else if touches(hist, p.fullMasks, rows, r) {
+			s.track(r, false)
 		}
 	}
+}
+
+// touches reports whether any of the masks' histogram rows puts writes on
+// physical row r.
+func touches(hist []uint64, masks []int32, rows, r int) bool {
+	for _, m := range masks {
+		if hist[int(m)*rows+r] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// track folds physical row pr into the running maximum after an epoch
+// landed on it, first rescanning its materialized cells when the epoch
+// scattered writes into them (rescan) rather than only growing the row's
+// pending uniform weight.
+func (s *Stepper) track(pr int, rescan bool) {
+	if rescan {
+		s.scr.rowMax[pr] = s.rowPeak(pr)
+	}
+	s.curMax = max(s.curMax, s.scr.rowMax[pr]+s.scr.rowW[pr])
 }
 
 // rowPeak returns the hottest materialized cell of physical row pr.
@@ -186,18 +205,16 @@ func (s *Stepper) rowPeak(pr int) uint64 {
 }
 
 // Finish completes the accumulation (expanding the pending full-mask row
-// weights, on the software path), returns the stepper's working scratch
-// to the plan's arena, and returns the distribution — cell-for-cell
-// identical to Simulate over the same epoch sequence. The stepper must
-// not be stepped again after Finish.
+// weights), returns the stepper's working scratch to the plan's arena,
+// and returns the distribution — cell-for-cell identical to Simulate over
+// the same epoch sequence. The stepper must not be stepped again after
+// Finish.
 func (s *Stepper) Finish() (*WriteDist, error) {
 	if s.iters <= 0 {
 		return nil, fmt.Errorf("core: stepper finished with no iterations stepped")
 	}
 	if s.scr != nil {
-		if !s.strat.Hw {
-			expandRowWeights(s.scr.rowW, s.dist.Lanes, s.dist.Counts)
-		}
+		expandRowWeights(s.scr.rowW, s.dist.Lanes, s.dist.Counts)
 		s.plan.putScratch(s.scr)
 		s.scr = nil
 	}

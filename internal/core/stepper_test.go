@@ -36,11 +36,11 @@ func epochLengths(iters, recompile int) []int {
 }
 
 // A stepped run must be bit-identical to the batch engine over the same
-// epoch sequence, for every strategy configuration — including an uneven
-// final epoch — and its live MaxWrites must equal the batch maximum of
-// every iteration prefix at an epoch boundary.
+// epoch sequence, for every strategy configuration and every benchmark
+// shape (mult's full masks, dot's and conv's full and partial ones) —
+// including an uneven final epoch — and its live MaxWrites must equal the
+// batch maximum of every iteration prefix at an epoch boundary.
 func TestStepperMatchesSimulate(t *testing.T) {
-	plan := stepperFixture(t)
 	sim := core.SimConfig{
 		Rows:           96,
 		PresetOutputs:  true,
@@ -48,79 +48,87 @@ func TestStepperMatchesSimulate(t *testing.T) {
 		RecompileEvery: 7, // 23 % 7 != 0: final epoch is short
 		Seed:           42,
 	}
-	for _, strat := range core.AllConfigs() {
-		st, err := plan.NewStepper(sim, strat)
-		if err != nil {
-			t.Fatalf("%s: %v", strat.Name(), err)
-		}
-		prefix := 0
-		for _, n := range epochLengths(sim.Iterations, sim.RecompileEvery) {
-			st.Step(n)
-			prefix += n
-
-			ps := sim
-			ps.Iterations = prefix
-			want, err := plan.Simulate(ps, strat)
+	for bench, tr := range smallBenches(t) {
+		plan := core.NewWearPlan(tr, sim.Rows, sim.PresetOutputs)
+		for _, strat := range core.AllConfigs() {
+			name := bench + "/" + strat.Name()
+			st, err := plan.NewStepper(sim, strat)
 			if err != nil {
-				t.Fatalf("%s prefix %d: %v", strat.Name(), prefix, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			if got := st.MaxWrites(); got != want.Max() {
-				t.Errorf("%s: live MaxWrites after %d iterations = %d, batch max = %d",
-					strat.Name(), prefix, got, want.Max())
+			prefix := 0
+			for _, n := range epochLengths(sim.Iterations, sim.RecompileEvery) {
+				st.Step(n)
+				prefix += n
+
+				ps := sim
+				ps.Iterations = prefix
+				want, err := plan.Simulate(ps, strat)
+				if err != nil {
+					t.Fatalf("%s prefix %d: %v", name, prefix, err)
+				}
+				if got := st.MaxWrites(); got != want.Max() {
+					t.Errorf("%s: live MaxWrites after %d iterations = %d, batch max = %d",
+						name, prefix, got, want.Max())
+				}
 			}
-		}
-		if st.Epoch() != 4 || st.Iterations() != sim.Iterations {
-			t.Fatalf("%s: stepper at epoch %d / %d iterations, want 4 / %d",
-				strat.Name(), st.Epoch(), st.Iterations(), sim.Iterations)
-		}
-		got, err := st.Finish()
-		if err != nil {
-			t.Fatalf("%s finish: %v", strat.Name(), err)
-		}
-		want, err := plan.Simulate(sim, strat)
-		if err != nil {
-			t.Fatalf("%s batch: %v", strat.Name(), err)
-		}
-		if !got.Equal(want) {
-			t.Errorf("%s: stepped distribution diverges from batch engine (stepped max %d total %d, batch max %d total %d)",
-				strat.Name(), got.Max(), got.Total(), want.Max(), want.Total())
-		}
-		if got.Iterations != sim.Iterations || got.StepsPerIteration != want.StepsPerIteration {
-			t.Errorf("%s: stepped metadata %d/%d, batch %d/%d",
-				strat.Name(), got.Iterations, got.StepsPerIteration, want.Iterations, want.StepsPerIteration)
+			if st.Epoch() != 4 || st.Iterations() != sim.Iterations {
+				t.Fatalf("%s: stepper at epoch %d / %d iterations, want 4 / %d",
+					name, st.Epoch(), st.Iterations(), sim.Iterations)
+			}
+			got, err := st.Finish()
+			if err != nil {
+				t.Fatalf("%s finish: %v", name, err)
+			}
+			want, err := plan.Simulate(sim, strat)
+			if err != nil {
+				t.Fatalf("%s batch: %v", name, err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("%s: stepped distribution diverges from batch engine (stepped max %d total %d, batch max %d total %d)",
+					name, got.Max(), got.Total(), want.Max(), want.Total())
+			}
+			if got.Iterations != sim.Iterations || got.StepsPerIteration != want.StepsPerIteration {
+				t.Errorf("%s: stepped metadata %d/%d, batch %d/%d",
+					name, got.Iterations, got.StepsPerIteration, want.Iterations, want.StepsPerIteration)
+			}
 		}
 	}
 }
 
 // The stepper must also agree with the retained serial reference engine
-// (not just the parallel engine) for one software and one +Hw strategy.
+// (not just the parallel engine) for one software and one +Hw strategy,
+// on every benchmark shape.
 func TestStepperMatchesReference(t *testing.T) {
-	plan := stepperFixture(t)
 	sim := core.SimConfig{
 		Rows: 96, PresetOutputs: true,
 		Iterations: 23, RecompileEvery: 7, Seed: 42,
 	}
-	for _, strat := range []core.StrategyConfig{
-		{Within: mapping.Random, Between: mapping.Static},
-		{Within: mapping.Random, Between: mapping.Static, Hw: true},
-	} {
-		st, err := plan.NewStepper(sim, strat)
-		if err != nil {
-			t.Fatalf("%s: %v", strat.Name(), err)
-		}
-		for _, n := range epochLengths(sim.Iterations, sim.RecompileEvery) {
-			st.Step(n)
-		}
-		got, err := st.Finish()
-		if err != nil {
-			t.Fatalf("%s finish: %v", strat.Name(), err)
-		}
-		ref, err := core.SimulateReference(plan.Trace(), sim, strat)
-		if err != nil {
-			t.Fatalf("%s reference: %v", strat.Name(), err)
-		}
-		if !got.Equal(ref) {
-			t.Errorf("%s: stepped distribution diverges from serial reference", strat.Name())
+	for bench, tr := range smallBenches(t) {
+		plan := core.NewWearPlan(tr, sim.Rows, sim.PresetOutputs)
+		for _, strat := range []core.StrategyConfig{
+			{Within: mapping.Random, Between: mapping.Static},
+			{Within: mapping.Random, Between: mapping.Static, Hw: true},
+		} {
+			name := bench + "/" + strat.Name()
+			st, err := plan.NewStepper(sim, strat)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, n := range epochLengths(sim.Iterations, sim.RecompileEvery) {
+				st.Step(n)
+			}
+			got, err := st.Finish()
+			if err != nil {
+				t.Fatalf("%s finish: %v", name, err)
+			}
+			ref, err := core.SimulateReference(tr, sim, strat)
+			if err != nil {
+				t.Fatalf("%s reference: %v", name, err)
+			}
+			if !got.Equal(ref) {
+				t.Errorf("%s: stepped distribution diverges from serial reference", name)
+			}
 		}
 	}
 }

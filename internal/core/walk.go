@@ -20,15 +20,18 @@
 //     collapses to one unit, Bs families to their rotation period, only
 //     Ra epochs stay unique. A +Hw unit is a replay job — a (within
 //     permutation, epoch length) pair grouped once over the whole run,
-//     replayed once — whose segment epochs collapse further by
-//     between-lane permutation into one multiplied landing each.
+//     replayed once. Its full-mask rows land once per segment, scaled by
+//     the job's members there; only its partial-mask rows need the
+//     segment epochs grouped by between-lane permutation, one multiplied
+//     landing per group, and a plan without partial masks skips that.
 //   - Sharding: a segment's units are sharded over pool.Size(workers,
 //     units) workers. Worker 0 lands into the distribution itself; the
 //     others land into arena counts buffers merged at the segment's end.
 //     Merging is uint64 addition, so the result is bit-identical for
 //     every worker count and sampling cadence.
-//   - Segment close: the pending software full-mask row weights are
-//     expanded into whole rows, and the sampler records the true prefix.
+//   - Segment close: the full-mask row weights pending from either kind
+//     of landing (software or +Hw) are expanded into whole rows, and the
+//     sampler records the true prefix.
 //
 // A +Hw job whose members continue into a later segment keeps its
 // histogram in an arena buffer until its last member lands; a job that
@@ -198,6 +201,7 @@ func (p *WearPlan) walk(cfg SimConfig, sched mapping.Schedule, hw bool, dist *Wr
 		} else {
 			w.landSw(all[start : end+1])
 		}
+		w.closeSegment()
 		if s := cfg.Sampler; s != nil {
 			s.Sample(end, min((end+1)*cfg.recompileEvery(), cfg.Iterations), dist)
 		}
@@ -217,10 +221,9 @@ func (w *walker) grow(n int) {
 	for len(w.scr) < n {
 		s := w.p.getScratch()
 		s.gen.reset(w.sched)
+		w.p.ensureRowW(s)
 		if w.hw {
 			w.p.ensureHw(s)
-		} else {
-			w.p.ensureRowW(s)
 		}
 		w.scr = append(w.scr, s)
 		if len(w.parts) < len(w.scr) {
@@ -253,20 +256,12 @@ func (w *walker) landSw(seg []int) {
 	w.shard(len(units), func(s *engineScratch, counts []uint64, u int) {
 		accumulateSwJob(w.p, &s.gen, units[u].epoch0, units[u].iters, s.rowW, counts)
 	})
-	// Segment close: complete the rank-1 full-mask part so the sampler
-	// sees the true prefix distribution.
-	rowW := w.scr[0].rowW
-	for _, s := range w.scr[1:] {
-		for pr, c := range s.rowW {
-			rowW[pr] += c
-			s.rowW[pr] = 0
-		}
-	}
-	expandRowWeights(rowW, w.dist.Lanes, w.dist.Counts)
 }
 
 // landHw lands one segment of a +Hw run: each job with members in the
-// segment is one unit, replayed on first touch.
+// segment is one unit, replayed on first touch. Its full-mask rows land
+// once, scaled by the members in the segment; only partial-mask rows are
+// landed per distinct between permutation among those members.
 func (w *walker) landHw(seg []int) {
 	p, last := w.p, seg[len(seg)-1]
 	// A job enters the segment at its first unlanded member.
@@ -294,8 +289,11 @@ func (w *walker) landHw(seg []int) {
 			}
 			p.replayJobHist(s, job.epoch0, w.cfg.epochLen(job.epoch0), job.iters, hist)
 		}
-		for _, g := range s.lands.group(&s.gen, w.cfg, rest[:m], byBetween) {
-			addHist(hist, p.maskLanes, p.rows, p.trace.Lanes, s.gen.betweenAt(g.epoch0), uint64(g.count), counts)
+		p.landFullHist(hist, uint64(m), s.rowW)
+		if len(p.partMasks) > 0 {
+			for _, g := range s.lands.group(&s.gen, w.cfg, rest[:m], byBetween) {
+				p.landPartialHist(hist, s.gen.betweenAt(g.epoch0), uint64(g.count), counts)
+			}
 		}
 		w.landed[j] += m
 		if m == len(rest) && w.hists[j] != nil {
@@ -303,4 +301,19 @@ func (w *walker) landHw(seg []int) {
 			w.hists[j] = nil
 		}
 	})
+}
+
+// closeSegment completes the segment's rank-1 full-mask landings, software
+// and +Hw alike: it merges the workers' pending per-row weights and
+// expands them into whole rows, so the sampler sees the true prefix
+// distribution.
+func (w *walker) closeSegment() {
+	rowW := w.scr[0].rowW
+	for _, s := range w.scr[1:] {
+		for pr, c := range s.rowW {
+			rowW[pr] += c
+			s.rowW[pr] = 0
+		}
+	}
+	expandRowWeights(rowW, w.dist.Lanes, w.dist.Counts)
 }

@@ -8,10 +8,18 @@
 // deterministic results must make each item's effect independent of
 // scheduling (the wear engine does this with per-worker accumulation
 // buffers merged by commutative uint64 addition).
+//
+// A panic on a pool goroutine does not crash the process from there: the
+// first one is recovered (ForEachWorker then stops handing out items),
+// and once every worker has returned it is raised again on the calling
+// goroutine, carrying the worker's stack, where the caller's own recover
+// (a serving layer's per-job guard) can contain it.
 package pool
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -91,10 +99,12 @@ func ForEachBlock(workers, n int, fn func(lo, hi int)) {
 	// per-goroutine, so without this the fan-out would break the trace).
 	trace := obs.CurrentTrace()
 	var wg sync.WaitGroup
+	var first firstPanic
 	wg.Add(w)
 	for b := 0; b < w; b++ {
 		go func(b int) {
 			defer wg.Done()
+			defer first.catch(nil)
 			if trace != "" {
 				defer obs.SetTrace(trace)()
 			}
@@ -102,6 +112,7 @@ func ForEachBlock(workers, n int, fn func(lo, hi int)) {
 		}(b)
 	}
 	wg.Wait()
+	first.raise()
 }
 
 // ForEachWorker is ForEach with the worker slot id (0..size-1) passed
@@ -124,10 +135,13 @@ func ForEachWorker(workers, n int, fn func(worker, i int)) {
 	trace := obs.CurrentTrace()
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var first firstPanic
 	wg.Add(w)
 	for slot := 0; slot < w; slot++ {
 		go func(slot int) {
 			defer wg.Done()
+			// A panic abandons the items nobody has taken yet.
+			defer first.catch(func() { next.Store(int64(n)) })
 			if trace != "" {
 				defer obs.SetTrace(trace)()
 			}
@@ -146,4 +160,53 @@ func ForEachWorker(workers, n int, fn func(worker, i int)) {
 		}(slot)
 	}
 	wg.Wait()
+	first.raise()
+}
+
+// firstPanic keeps the first panic recovered on a dispatch's workers.
+type firstPanic struct {
+	once sync.Once
+	p    *workerPanic
+}
+
+// catch, deferred on a worker goroutine, records that goroutine's
+// panic (the first one wins) and runs stop, when non-nil, to end the
+// dispatch early.
+func (f *firstPanic) catch(stop func()) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	f.once.Do(func() { f.p = &workerPanic{value: v, stack: debug.Stack()} })
+	if stop != nil {
+		stop()
+	}
+}
+
+// raise re-panics on the dispatching goroutine with the recorded worker
+// panic, if there was one. Call it after every worker has returned.
+func (f *firstPanic) raise() {
+	if f.p != nil {
+		panic(f.p)
+	}
+}
+
+// workerPanic is a panic carried from a pool goroutine to the goroutine
+// that dispatched the work. Its message is the original panic value
+// followed by the worker's stack, which the re-raise would otherwise
+// lose; an error value stays reachable through errors.Is/As.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+// Error returns the worker's panic value followed by its stack.
+func (p *workerPanic) Error() string {
+	return fmt.Sprintf("%v\n\npool worker stack:\n%s", p.value, p.stack)
+}
+
+// Unwrap returns the worker's panic value when it is an error.
+func (p *workerPanic) Unwrap() error {
+	err, _ := p.value.(error)
+	return err
 }

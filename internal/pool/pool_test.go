@@ -1,7 +1,11 @@
 package pool_test
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -81,5 +85,72 @@ func TestForEachZeroItems(t *testing.T) {
 	pool.ForEach(4, 0, func(int) { called = true })
 	if called {
 		t.Error("fn called for empty range")
+	}
+}
+
+var errBoom = errors.New("boom")
+
+// recovered runs dispatch and returns what it panicked with on the
+// calling goroutine (nil if it returned normally).
+func recovered(dispatch func()) (v any) {
+	defer func() { v = recover() }()
+	dispatch()
+	return nil
+}
+
+// checkRaised asserts that a worker's panic reached the caller with its
+// value and the worker's stack.
+func checkRaised(t *testing.T, v any, frame string) {
+	t.Helper()
+	if v == nil {
+		t.Fatal("worker panic did not surface on the caller")
+	}
+	err, ok := v.(error)
+	if !ok || !errors.Is(err, errBoom) {
+		t.Fatalf("re-raised value %v (%T) does not wrap the worker's error", v, v)
+	}
+	if msg := fmt.Sprint(v); !strings.Contains(msg, "boom") || !strings.Contains(msg, frame) {
+		t.Errorf("re-raised panic lacks the value or the worker stack (frame %s):\n%s", frame, msg)
+	}
+}
+
+// A panic in a worker slot other than 0 — a goroutine the caller's
+// recover cannot reach — is re-raised on the caller after every worker
+// has returned.
+func TestForEachWorkerRaisesWorkerPanicOnCaller(t *testing.T) {
+	const workers, n = 3, 100
+	// The first `workers` items wait for each other, so each slot holds
+	// exactly one of them and slot 2 is certain to run.
+	var barrier sync.WaitGroup
+	barrier.Add(workers)
+	v := recovered(func() {
+		pool.ForEachWorker(workers, n, func(slot, i int) {
+			if i < workers {
+				barrier.Done()
+				barrier.Wait()
+				if slot == 2 {
+					panic(errBoom)
+				}
+			}
+		})
+	})
+	checkRaised(t, v, "TestForEachWorkerRaisesWorkerPanicOnCaller")
+}
+
+// ForEachBlock re-raises a panic from a block other than the first the
+// same way.
+func TestForEachBlockRaisesWorkerPanicOnCaller(t *testing.T) {
+	var ran atomic.Int32
+	v := recovered(func() {
+		pool.ForEachBlock(4, 100, func(lo, hi int) {
+			ran.Add(1)
+			if lo > 0 && lo < 50 {
+				panic(errBoom)
+			}
+		})
+	})
+	checkRaised(t, v, "TestForEachBlockRaisesWorkerPanicOnCaller")
+	if ran.Load() != 4 {
+		t.Errorf("%d of 4 blocks ran; the others must still finish before the re-raise", ran.Load())
 	}
 }

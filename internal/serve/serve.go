@@ -24,6 +24,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,12 +37,14 @@ import (
 )
 
 // Serving counters and gauges, exported on /metrics. cache_hits counts
-// jobs whose WearPlan came from the PlanCache; queue_depth is the
-// high-water mark of jobs admitted but not yet picked up by a worker.
+// jobs whose WearPlan came from the PlanCache; jobs_panicked counts jobs
+// that failed by panicking (also counted in jobs_failed); queue_depth is
+// the high-water mark of jobs admitted but not yet picked up by a worker.
 var (
 	obsJobsAccepted  = obs.GetCounter("serve.jobs_accepted")
 	obsJobsCompleted = obs.GetCounter("serve.jobs_completed")
 	obsJobsFailed    = obs.GetCounter("serve.jobs_failed")
+	obsJobsPanicked  = obs.GetCounter("serve.jobs_panicked")
 	obsJobsShed      = obs.GetCounter("serve.jobs_shed")
 	obsJobsCoalesced = obs.GetCounter("serve.jobs_coalesced")
 	obsCacheHits     = obs.GetCounter("serve.cache_hits")
@@ -139,9 +142,10 @@ type Server struct {
 	nextID   int
 	closed   bool
 
-	// testBeforeRun, when non-nil, runs at the top of exec — the test
-	// hook that holds jobs in the running state deterministically. Set
-	// before the first request; never touched in production.
+	// testBeforeRun, when non-nil, runs as a running job's first step,
+	// under its panic guard — the test hook that holds jobs in the
+	// running state deterministically, or makes one panic. Set before the
+	// first request; never touched in production.
 	testBeforeRun func(*job)
 }
 
@@ -367,11 +371,42 @@ func (s *Server) exec(j *job) {
 	j.started = time.Now()
 	j.mu.Unlock()
 
+	result, err := s.contained(j)
+	s.finish(j, result, err, "")
+}
+
+// contained runs the job, turning a panic anywhere under it — including
+// one the worker pool carried over from an engine goroutine — into the
+// job's error, so one bad job fails alone instead of taking the server
+// and every other in-flight job down. The panic is counted, logged as a
+// serve.panic event with its stack, and the job's scoped series retired.
+func (s *Server) contained(j *job) (result *JobResult, err error) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		msg := fmt.Sprint(v)
+		first, _, _ := strings.Cut(msg, "\n")
+		result, err = nil, fmt.Errorf("job panicked: %s", first)
+		obsJobsPanicked.Add(1)
+		if obs.LogEnabled() {
+			obs.LogEvent("serve.panic", j.trace, map[string]any{
+				"job": j.id, "fp": j.fp, "panic": msg, "stack": string(debug.Stack()),
+			})
+		}
+		prefix := "serve." + j.id + "."
+		for _, series := range obs.AllSeries() {
+			if name := series.Name(); strings.HasPrefix(name, prefix) {
+				obs.RemoveSeries(name)
+				obs.RegisterWearPNG(name, nil)
+			}
+		}
+	}()
 	if s.testBeforeRun != nil {
 		s.testBeforeRun(j)
 	}
-	result, err := s.run(j)
-	s.finish(j, result, err, "")
+	return s.run(j)
 }
 
 func (s *Server) run(j *job) (*JobResult, error) {

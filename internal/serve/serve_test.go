@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"pimendure/internal/obs"
+	"pimendure/internal/pool"
 	"pimendure/pim"
 )
 
@@ -458,6 +460,97 @@ func TestJobTelemetryLifecycle(t *testing.T) {
 	}
 	if !admit || !complete {
 		t.Errorf("log missing lifecycle records: admit=%v complete=%v", admit, complete)
+	}
+}
+
+// A job that panics — on its own goroutine, or on an engine pool worker
+// its panic is carried back from — ends failed with the panic value, is
+// counted on /metrics and logged with its stack, and the server goes on
+// to serve the next job.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	enableObs(t)
+	obs.EnableLog(0)
+	t.Cleanup(obs.DisableLog)
+
+	var calls atomic.Int32
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	s.testBeforeRun = func(j *job) {
+		switch calls.Add(1) {
+		case 1:
+			// A job-scoped series registered before the panic must be
+			// retired with the failed job.
+			obs.NewSeries("serve."+j.id+".wear", "epoch")
+			panic("boom on the queue worker")
+		case 2:
+			// Both items wait for each other, so slot 1 is certain to run.
+			var barrier sync.WaitGroup
+			barrier.Add(2)
+			pool.ForEachWorker(2, 2, func(slot, _ int) {
+				barrier.Done()
+				barrier.Wait()
+				if slot == 1 {
+					panic("boom on a pool worker")
+				}
+			})
+		}
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	panickedBefore := obs.GetCounter("serve.jobs_panicked").Value()
+	failedBefore := obs.GetCounter("serve.jobs_failed").Value()
+	withSeed := func(seed int) map[string]any {
+		m := smallSweep()
+		m["seed"] = seed
+		return m
+	}
+	for i, want := range []string{"boom on the queue worker", "boom on a pool worker"} {
+		st := pollDone(t, ts.Client(), ts.URL, submitJob(t, ts.Client(), ts.URL, withSeed(100+i)))
+		if st.State != "failed" || st.Error != "job panicked: "+want {
+			t.Errorf("panicking job %d: state %q, error %q; want failed with %q", i, st.State, st.Error, want)
+		}
+		if st.Result != nil {
+			t.Errorf("panicking job %d carries a result", i)
+		}
+	}
+	if st := pollDone(t, ts.Client(), ts.URL, submitJob(t, ts.Client(), ts.URL, withSeed(102))); st.State != "done" {
+		t.Fatalf("job after the panics: state %q (err %q), want done", st.State, st.Error)
+	}
+
+	for _, series := range obs.AllSeries() {
+		if strings.HasSuffix(series.Name(), ".wear") && strings.HasPrefix(series.Name(), "serve.") {
+			t.Errorf("failed job left its series %s registered", series.Name())
+		}
+	}
+	if got := obs.GetCounter("serve.jobs_panicked").Value(); got != panickedBefore+2 {
+		t.Errorf("serve.jobs_panicked = %d, want %d", got, panickedBefore+2)
+	}
+	if got := obs.GetCounter("serve.jobs_failed").Value(); got != failedBefore+2 {
+		t.Errorf("serve.jobs_failed = %d, want %d", got, failedBefore+2)
+	}
+	var expo bytes.Buffer
+	if err := obs.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\nserve_jobs_panicked %d\n", panickedBefore+2); !strings.Contains(expo.String(), want) {
+		t.Errorf("/metrics exposition lacks %q", strings.TrimSpace(want))
+	}
+	var logged []string
+	for _, rec := range obs.LogRecords(0) {
+		if rec.Event != "serve.panic" {
+			continue
+		}
+		stack, _ := rec.Fields["stack"].(string)
+		if !strings.Contains(stack, "goroutine") {
+			t.Errorf("serve.panic record for %v lacks a stack", rec.Fields["job"])
+		}
+		msg, _ := rec.Fields["panic"].(string)
+		logged = append(logged, msg)
+	}
+	if len(logged) != 2 || !strings.HasPrefix(logged[0], "boom on the queue worker") ||
+		!strings.HasPrefix(logged[1], "boom on a pool worker") || !strings.Contains(logged[1], "pool worker stack") {
+		t.Errorf("serve.panic records %q, want one per panicking job with the pool worker's stack on the second", logged)
 	}
 }
 

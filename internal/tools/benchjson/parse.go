@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -11,7 +12,10 @@ import (
 // Document is the JSON shape benchjson emits.
 type Document struct {
 	// Context captures the `key: value` header lines `go test -bench`
-	// prints before the results (goos, goarch, pkg, cpu).
+	// prints before the results (goos, goarch, pkg, cpu), plus gomaxprocs:
+	// the -N suffix stripped from the result names (comma-separated when
+	// the run used several -cpu values), so a document records the core
+	// count its numbers were measured at.
 	Context map[string]string `json:"context,omitempty"`
 	// Benchmarks maps normalized benchmark name → result.
 	Benchmarks map[string]Result `json:"benchmarks"`
@@ -30,16 +34,18 @@ type Result struct {
 }
 
 // normalizeName strips the -GOMAXPROCS suffix Go appends to benchmark
-// names, so documents from machines with different core counts share keys.
-func normalizeName(name string) string {
+// names, so documents from machines with different core counts share
+// keys, and returns the stripped count ("1" when there is no suffix: go
+// test omits it at GOMAXPROCS=1).
+func normalizeName(name string) (string, string) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, "1"
 	}
 	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+		return name, "1"
 	}
-	return name[:i]
+	return name[:i], name[i+1:]
 }
 
 // parse consumes `go test -bench` text output and collects benchmark
@@ -48,30 +54,40 @@ func normalizeName(name string) string {
 // last measurement.
 func parse(r io.Reader) (*Document, error) {
 	doc := &Document{Benchmarks: map[string]Result{}}
+	setContext := func(k, v string) {
+		if doc.Context == nil {
+			doc.Context = map[string]string{}
+		}
+		doc.Context[k] = v
+	}
+	var procs []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
 		case strings.HasPrefix(line, "Benchmark"):
-			name, res, err := parseBenchLine(line)
+			name, n, res, err := parseBenchLine(line)
 			if err != nil {
 				return nil, err
 			}
 			if res != nil {
 				doc.Benchmarks[name] = *res
+				if !slices.Contains(procs, n) {
+					procs = append(procs, n)
+				}
 			}
 		case strings.HasPrefix(line, "goos:"), strings.HasPrefix(line, "goarch:"),
 			strings.HasPrefix(line, "pkg:"), strings.HasPrefix(line, "cpu:"):
 			k, v, _ := strings.Cut(line, ":")
-			if doc.Context == nil {
-				doc.Context = map[string]string{}
-			}
-			doc.Context[k] = strings.TrimSpace(v)
+			setContext(k, strings.TrimSpace(v))
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if len(procs) > 0 {
+		setContext("gomaxprocs", strings.Join(procs, ","))
 	}
 	return doc, nil
 }
@@ -80,25 +96,26 @@ func parse(r io.Reader) (*Document, error) {
 //
 //	BenchmarkName-8  20  123456 ns/op  28.84 speedup_x  16 B/op  2 allocs/op
 //
-// Returns (name, nil, nil) for lines that start with "Benchmark" but are
+// It returns the normalized name, the GOMAXPROCS the line was measured
+// at, and the result — nil for lines that start with "Benchmark" but are
 // not results (e.g. a bare name printed before a hung run).
-func parseBenchLine(line string) (string, *Result, error) {
+func parseBenchLine(line string) (string, string, *Result, error) {
 	f := strings.Fields(line)
 	if len(f) < 3 {
-		return "", nil, nil
+		return "", "", nil, nil
 	}
 	n, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
-		return "", nil, nil // "BenchmarkX ..." log output, not a result line
+		return "", "", nil, nil // "BenchmarkX ..." log output, not a result line
 	}
 	res := &Result{Iterations: n}
 	if len(f)%2 != 0 {
-		return "", nil, fmt.Errorf("malformed bench line (odd value/unit pairs): %q", line)
+		return "", "", nil, fmt.Errorf("malformed bench line (odd value/unit pairs): %q", line)
 	}
 	for i := 2; i < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
-			return "", nil, fmt.Errorf("bad value %q in bench line %q", f[i], line)
+			return "", "", nil, fmt.Errorf("bad value %q in bench line %q", f[i], line)
 		}
 		unit := f[i+1]
 		if unit == "ns/op" {
@@ -110,5 +127,6 @@ func parseBenchLine(line string) (string, *Result, error) {
 		}
 		res.Metrics[unit] = v
 	}
-	return normalizeName(f[0]), res, nil
+	name, procs := normalizeName(f[0])
+	return name, procs, res, nil
 }

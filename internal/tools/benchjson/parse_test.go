@@ -23,6 +23,10 @@ ok  	pimendure	2.944s
 	if doc.Context["goos"] != "linux" || doc.Context["pkg"] != "pimendure" {
 		t.Errorf("context not captured: %+v", doc.Context)
 	}
+	// One line carried -8, the others no suffix (GOMAXPROCS=1).
+	if doc.Context["gomaxprocs"] != "8,1" {
+		t.Errorf("gomaxprocs = %q, want \"8,1\"", doc.Context["gomaxprocs"])
+	}
 	if len(doc.Benchmarks) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3", len(doc.Benchmarks))
 	}
@@ -41,6 +45,32 @@ ok  	pimendure	2.944s
 	mult := doc.Benchmarks["BenchmarkE1MultSynthesis"]
 	if mult.Metrics["writes/mult"] != 9824 || mult.Metrics["amplification"] != 42.5 {
 		t.Errorf("custom metrics parsed wrong: %+v", mult)
+	}
+}
+
+// The -N suffix stripped from the names is the GOMAXPROCS the numbers
+// were measured at; it lands in the context, once per distinct value, and
+// a run without suffixes was measured at GOMAXPROCS=1.
+func TestParseRecordsGOMAXPROCS(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"BenchmarkA-2 1 10 ns/op\nBenchmarkB/sub-2 1 10 ns/op\n", "2"},
+		{"BenchmarkA 1 10 ns/op\n", "1"},
+		{"BenchmarkA 1 10 ns/op\nBenchmarkA-2 1 10 ns/op\nBenchmarkB 1 10 ns/op\n", "1,2"},
+	} {
+		doc, err := parse(strings.NewReader(c.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := doc.Context["gomaxprocs"]; got != c.want {
+			t.Errorf("gomaxprocs = %q, want %q for:\n%s", got, c.want, c.in)
+		}
+	}
+	doc, err := parse(strings.NewReader("goos: linux\nPASS\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := doc.Context["gomaxprocs"]; ok {
+		t.Error("gomaxprocs recorded without any result line")
 	}
 }
 
