@@ -1,5 +1,5 @@
 # Build/verify entry points. `make ci` is what the repo considers green:
-# vet, the documentation linter, and the full test suite under the race
+# vet, gofmt, the documentation linter, and the full test suite under the race
 # detector (the wear engine and pim.Sweep are concurrent; racing them is
 # part of tier-1).
 
@@ -9,7 +9,7 @@ GO ?= go
 # API + instrumented engine layers). Enforced by `make doclint`.
 DOC_PKGS = ./pim ./pim/kernel ./internal/obs ./internal/core ./internal/pool ./internal/serve ./internal/system ./internal/device ./internal/fleet
 
-.PHONY: all build vet test race race-obs race-core race-serve race-system race-fleet bench bench-alloc bench-json bench-current benchdiff report ci doclint promlint
+.PHONY: all build vet test race race-obs race-core race-serve race-system race-fleet bench bench-alloc bench-json bench-current benchdiff report ci doclint promlint fmt
 
 all: build
 
@@ -56,6 +56,11 @@ race-system:
 # explicitly so a draw-path data race is named.
 race-fleet:
 	$(GO) test -race ./internal/fleet/... ./pim/...
+
+# Format check: fail when gofmt would rewrite any Go file in the tree
+# (`gofmt -w <file>` fixes one).
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
 
 # Doc-lint: fail on undocumented exported symbols (revive `exported`
 # rule stand-in, zero dependencies).
@@ -133,4 +138,4 @@ report:
 # serving-throughput pair and BenchmarkFleet's draws/cold/cached/speedup
 # quartet included, timing and allocs/op both — against the committed
 # baseline: advisory locally, strict when BENCHDIFF_FLAGS=-strict.
-ci: vet doclint promlint race bench bench-alloc benchdiff
+ci: vet fmt doclint promlint race bench bench-alloc benchdiff

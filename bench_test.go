@@ -13,8 +13,8 @@ package pimendure
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -595,7 +595,12 @@ func BenchmarkHwEngine(b *testing.B) {
 // engine alone, and "software-paper-speedup" times that same sweep
 // against the retained pre-plan serial engine (core.SimulateReference's
 // software path — the engine every software config ran on before the
-// WearPlan existed) and reports the ratio as `speedup_x`.
+// WearPlan existed) and reports the ratio as `speedup_x`. The parallel
+// multiplication writes only through the full lane mask, so
+// "software-partial" times the partial-mask landing instead: the 9
+// software configurations on the §4 dot product (1024×1024, 32-bit),
+// whose reduction tree writes through ten nested partial masks, at
+// 10 000 iterations.
 func BenchmarkSweep(b *testing.B) {
 	b.Run("full18", func(b *testing.B) {
 		bench := mustMult(b, benchOptions(), 32)
@@ -664,24 +669,63 @@ func BenchmarkSweep(b *testing.B) {
 		}
 		b.ReportMetric(float64(ref)/float64(eng), "speedup_x")
 	})
+	b.Run("software-partial", func(b *testing.B) {
+		dot, err := pim.NewDotProduct(pim.DefaultOptions(), 1024, 32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim := paperSim
+		sim.Iterations = 10000
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			plan := core.NewWearPlan(dot.Trace, sim.Rows, sim.PresetOutputs)
+			for _, s := range swConfigs {
+				dist, err := plan.Simulate(sim, s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dist.Release()
+			}
+		}
+	})
 }
 
-// BenchmarkSweepWorkers measures the full 18-configuration sweep at
-// explicit worker budgets (the pim.Sweep bounded pool).
+// BenchmarkSweepWorkers measures the full 18-configuration sweep (the
+// pim.Sweep bounded pool) at one worker and at GOMAXPROCS workers.
+// "parallel" times both on the same inputs and reports their parallel
+// efficiency, parallel_eff = t₁ / (t_N × N) for N = GOMAXPROCS: 1 is
+// perfect scaling, 1/N no gain from the extra cores.
 func BenchmarkSweepWorkers(b *testing.B) {
 	bench := mustMult(b, benchOptions(), 32)
 	opt := benchOptions()
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rc := benchRun()
-			rc.Workers = workers
-			for i := 0; i < b.N; i++ {
-				if _, err := pim.Sweep(bench, opt, rc, nil, pim.MRAM()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	n := runtime.GOMAXPROCS(0)
+	sweep := func(b *testing.B, workers int) time.Duration {
+		rc := benchRun()
+		rc.Workers = workers
+		t0 := time.Now()
+		if _, err := pim.Sweep(bench, opt, rc, nil, pim.MRAM()); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(t0)
 	}
+	b.Run("workers=1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sweep(b, 1)
+		}
+	})
+	b.Run("workers=gomaxprocs", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sweep(b, n)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		var t1, tn time.Duration
+		for i := 0; i < b.N; i++ {
+			t1 += sweep(b, 1)
+			tn += sweep(b, n)
+		}
+		b.ReportMetric(float64(t1)/(float64(tn)*float64(n)), "parallel_eff")
+	})
 }
 
 // BenchmarkArrayIteration measures the bit-accurate simulator's throughput

@@ -21,7 +21,8 @@
 // hands the same buffer to two holders. Counts buffers are returned
 // zeroed from the arena; histogram and permutation scratch is returned
 // dirty and re-initialized by its consumer (replayJobHist overwrites the
-// whole histogram, the permutation fillers overwrite every slot). The
+// whole histogram, a software landing clears it first, the permutation
+// fillers overwrite every slot). The
 // core.arena_hits / core.arena_misses counters record how often an
 // acquisition was served from a free list versus a fresh allocation.
 package core
@@ -110,12 +111,19 @@ type engineScratch struct {
 	gen    permGen
 	rowW   []uint64 // per-physical-row weights (rank-1 full-mask part)
 	rowMax []uint64 // per-physical-row maxima (stepper live tracking)
-	hist   []uint64 // [mask*rows+physRow] replay histogram
+	hist   []uint64 // [mask*rows+physRow] epoch histogram (software sum or +Hw replay)
 	arch   []int32  // per-op within-mapped row
 	hw     *mapping.HwRenamer
 	cyc    *cycleScratch
 	units  grouper // the walker's epoch units (worker 0 only)
-	lands  grouper // one +Hw job's segment epochs by between permutation
+	lands  grouper // one unit's epochs: +Hw by between, software by within
+
+	// landPartialHist's lane sets under one between map: each partial
+	// mask's permuted lanes, sorted, at sorted[sortedOff[i]:sortedOff[i+1]],
+	// extracted from the lane bitmap laneBits (kept zeroed between calls).
+	sorted    []int32
+	sortedOff []int32
+	laneBits  []uint64
 }
 
 // take pops the newest entry of one of the arena's free lists, or
@@ -169,13 +177,22 @@ func (p *WearPlan) zeroedRows(buf []uint64) []uint64 {
 	return buf
 }
 
-// ensureHw sizes the scratch's +Hw replay state (histogram, per-op rows,
-// renamer, cycle decomposition). The histogram is left dirty —
-// replayJobHist overwrites all of it in every job.
-func (p *WearPlan) ensureHw(s *engineScratch) {
+// ensureLand sizes the scratch every landing needs: the epoch histogram
+// (left dirty — software units clear it, replayJobHist overwrites it)
+// and landPartialHist's zeroed lane bitmap.
+func (p *WearPlan) ensureLand(s *engineScratch) {
 	if len(s.hist) != len(p.maskLanes)*p.rows {
 		s.hist = make([]uint64, len(p.maskLanes)*p.rows)
 	}
+	if words := (p.trace.Lanes + 63) / 64; len(s.laneBits) != words {
+		s.laneBits = make([]uint64, words)
+	}
+	clear(s.laneBits)
+}
+
+// ensureHw sizes the scratch's +Hw replay state (per-op rows, renamer,
+// cycle decomposition).
+func (p *WearPlan) ensureHw(s *engineScratch) {
 	if len(s.arch) != len(p.ops) {
 		s.arch = make([]int32, len(p.ops))
 	}

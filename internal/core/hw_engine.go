@@ -36,14 +36,18 @@
 //
 //   - Rank-1 landing: a full lane mask is invariant under every
 //     between-lane permutation, so a histogram's full-mask rows land as
-//     per-physical-row weights — scaled by the job's member count in the
-//     segment, with no lane dimension and no grouping by between map —
-//     that the walker expands into whole rows once per segment. Only the
-//     partial-mask rows are scattered lane by lane, once per distinct
-//     between permutation among the job's members.
+//     per-physical-row weights (landFullHist) — scaled by the job's
+//     member count in the segment, with no lane dimension and no grouping
+//     by between map — that the walker expands into whole rows once per
+//     segment. Only the partial-mask rows are scattered, once per
+//     distinct between permutation among the job's members, through that
+//     map's sorted lane sets (landPartialHist). Software groups and the
+//     Stepper land their histograms through the same two primitives.
 package core
 
 import (
+	"math/bits"
+
 	"pimendure/internal/mapping"
 	"pimendure/internal/obs"
 	"pimendure/internal/program"
@@ -135,20 +139,43 @@ func (p *WearPlan) landFullHist(hist []uint64, mult uint64, rowW []uint64) {
 	}
 }
 
-// landPartialHist scatters mult copies of a job histogram's partial-mask
+// landPartialHist scatters mult copies of a histogram's partial-mask
 // rows over their lanes of counts, through one between-lane permutation.
-func (p *WearPlan) landPartialHist(hist []uint64, between *mapping.Perm, mult uint64, counts []uint64) {
-	lanes := p.trace.Lanes
+// Once per call it permutes each partial mask's lane set and sorts it
+// through a lane bitmap in s; it then walks the physical rows in order,
+// adding each row's count to its mask's sorted lanes, so the scatter runs
+// along each counts row in ascending lane order with no per-cell
+// permutation lookup.
+func (p *WearPlan) landPartialHist(s *engineScratch, hist []uint64, between *mapping.Perm, mult uint64, counts []uint64) {
+	if len(p.partMasks) == 0 {
+		return
+	}
+	s.sorted, s.sortedOff = s.sorted[:0], s.sortedOff[:0]
 	for _, m := range p.partMasks {
-		lanesOf := p.maskLanes[m]
-		for r, c := range hist[int(m)*p.rows : int(m+1)*p.rows] {
+		s.sortedOff = append(s.sortedOff, int32(len(s.sorted)))
+		for _, l := range p.maskLanes[m] {
+			t := between.Apply(l)
+			s.laneBits[t>>6] |= 1 << (t & 63)
+		}
+		for i, word := range s.laneBits {
+			s.laneBits[i] = 0
+			for ; word != 0; word &= word - 1 {
+				s.sorted = append(s.sorted, int32(i<<6|bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	s.sortedOff = append(s.sortedOff, int32(len(s.sorted)))
+	lanes, rows := p.trace.Lanes, p.rows
+	for r := 0; r < rows; r++ {
+		dst := counts[r*lanes : (r+1)*lanes]
+		for i, m := range p.partMasks {
+			c := hist[int(m)*rows+r]
 			if c == 0 {
 				continue
 			}
 			c *= mult
-			dst := counts[r*lanes:]
-			for _, l := range lanesOf {
-				dst[between.Apply(l)] += c
+			for _, l := range s.sorted[s.sortedOff[i]:s.sortedOff[i+1]] {
+				dst[l] += c
 			}
 		}
 	}

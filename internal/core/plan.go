@@ -9,22 +9,16 @@
 // now pim.Sweep builds one WearPlan and every strategy consumes it
 // (pim.Run builds one on demand when called alone).
 //
-// The plan stores the write matrix M0 factorized the way the engines
-// consume it:
-//
-//   - The full-mask part as one weight per logical row (FullRowWrites).
-//     A full lane mask is invariant under every between-lane permutation
-//     — B(all lanes) = all lanes — so this part of an epoch's
-//     contribution never needs a per-lane scan at all: the software
-//     engine accumulates a per-physical-row weight and expands it to
-//     whole rows once per walker segment.
-//   - The partial-mask remainder CSR-packed: per hot row, the nonzero
-//     (lane, count) list instead of a dense Lanes-wide scan, so sparse
-//     masks cost what they touch.
-//
-// M0[r][l] equals FullRowWrites[r] + the CSR row entries for (r, l); the
-// two parts sum to exactly the dense matrix the pre-plan engine built per
-// run (see planMatchesDense in plan_test.go).
+// The plan stores the one-iteration write matrix M0 once, as the table
+// the engines consume: one (mask, logical row, writes) entry per pair
+// some write op touches, sorted by row. An entry stands for its writes on
+// every lane of its mask, so the table is O(ops) however wide the masks
+// are, and a software epoch turns it into the same per-(mask, physical
+// row) histogram a +Hw replay produces (sw_engine.go) — one landing for
+// both. M0, FullRowWrites and PartialEntries are derived views of the
+// table, for cross-validation; M0[r][l] is the sum of the entries on row
+// r whose mask holds lane l, exactly the dense matrix the pre-plan engine
+// built per run (see planMatchesDense in plan_test.go).
 package core
 
 import (
@@ -36,7 +30,7 @@ import (
 )
 
 // WearPlan is the immutable per-benchmark precomputation shared by every
-// strategy in a sweep: the factorized one-iteration write matrix, the
+// strategy in a sweep: the one-iteration write-matrix table, the
 // flattened write-op list with mask lane sets (the +Hw replay inputs),
 // the analytic renamer cycle, and the trace statistics. Build one with
 // NewWearPlan and run any number of simulations against it concurrently
@@ -49,22 +43,15 @@ type WearPlan struct {
 	preset bool
 	stats  program.Stats
 
-	// Software engine inputs: the one-iteration write matrix M0, split
-	// into its between-permutation-invariant full-mask part (a weight per
-	// logical row) and the CSR-packed partial-mask remainder.
-	fullRowIdx []int32  // logical rows with full-mask writes
-	fullRowW   []uint32 // summed writes per such row
+	// The one-iteration write matrix: (mask, logical row, writes) entries,
+	// sorted by row (see wentry).
+	entries []wentry
 
-	csrRows []int32  // logical rows with partial-mask writes
-	csrPtr  []int32  // CSR offsets: row csrRows[i] owns entries [csrPtr[i], csrPtr[i+1])
-	csrLane []int32  // lane of each entry
-	csrCnt  []uint32 // writes of each entry
-
-	// +Hw replay inputs: flattened write ops, per-mask lane sets, the
-	// masks the write ops use split into full (landed rank-1) and partial
-	// (scattered lane by lane), the full-mask row sequence, and the
-	// analytic renamer cycle (valid only when the trace fits the renamer;
-	// see hwCycleValid).
+	// Replay and landing inputs: flattened write ops, per-mask lane sets,
+	// the masks the write ops use split into full (landed rank-1) and
+	// partial (scattered through sorted lane sets), the full-mask row
+	// sequence, and the analytic renamer cycle (valid only when the trace
+	// fits the renamer; see hwCycleValid).
 	ops          []wop
 	maskLanes    [][]int
 	fullMasks    []int32
@@ -78,6 +65,15 @@ type WearPlan struct {
 	arena arena
 }
 
+// wentry is one entry of the plan's write-matrix table: each iteration,
+// the write ops on logical row row under mask mask write every lane of
+// the mask w times.
+type wentry struct {
+	row  int32
+	mask int32
+	w    uint32
+}
+
 // NewWearPlan precomputes the shared simulation plan for one trace on a
 // rows-deep array with the given output-preset policy. The work is
 // O(trace size) and is recorded under the "core.simulate/plan" stage;
@@ -89,12 +85,11 @@ func NewWearPlan(tr *program.Trace, rows int, preset bool) *WearPlan {
 	p.stats = tr.ComputeStats(preset)
 	p.ops, p.maskLanes = flattenOps(tr, preset)
 
-	// Factorized M0: dense staging over the trace's (small) logical row
-	// footprint, compressed once.
-	lanes := tr.Lanes
-	fullW := make([]uint32, tr.LaneBits)
-	partial := make([]uint32, tr.LaneBits*lanes)
-	used := make([]bool, len(p.maskLanes))
+	// The write-matrix table: dense (mask, row) staging over the trace's
+	// (small) logical row footprint, compressed once in row order.
+	masks := len(p.maskLanes)
+	staged := make([]uint32, tr.LaneBits*masks)
+	used := make([]bool, masks)
 	for _, op := range p.ops {
 		if !used[op.mask] {
 			used[op.mask] = true
@@ -105,34 +100,15 @@ func NewWearPlan(tr *program.Trace, rows int, preset bool) *WearPlan {
 			}
 		}
 		if op.full {
-			fullW[op.row] += uint32(op.w)
 			p.fullRows = append(p.fullRows, op.row)
-			continue
 		}
-		base := int(op.row) * lanes
-		for _, l := range p.maskLanes[op.mask] {
-			partial[base+l] += uint32(op.w)
+		staged[int(op.row)*masks+int(op.mask)] += uint32(op.w)
+	}
+	for i, w := range staged {
+		if w != 0 {
+			p.entries = append(p.entries, wentry{row: int32(i / masks), mask: int32(i % masks), w: w})
 		}
 	}
-	for r := 0; r < tr.LaneBits; r++ {
-		if fullW[r] != 0 {
-			p.fullRowIdx = append(p.fullRowIdx, int32(r))
-			p.fullRowW = append(p.fullRowW, fullW[r])
-		}
-		hot := false
-		for l := 0; l < lanes; l++ {
-			if c := partial[r*lanes+l]; c != 0 {
-				if !hot {
-					hot = true
-					p.csrRows = append(p.csrRows, int32(r))
-					p.csrPtr = append(p.csrPtr, int32(len(p.csrLane)))
-				}
-				p.csrLane = append(p.csrLane, int32(l))
-				p.csrCnt = append(p.csrCnt, c)
-			}
-		}
-	}
-	p.csrPtr = append(p.csrPtr, int32(len(p.csrLane)))
 
 	// The renamer period is conjugation-invariant, so one trace-level
 	// analysis serves every +Hw epoch of every strategy. It only makes
@@ -166,32 +142,54 @@ func (p *WearPlan) Cycle() (mapping.RenamerCycle, bool) { return p.cycle, p.hwCy
 
 // FullRowWrites returns the between-invariant part of the one-iteration
 // write matrix: parallel slices of logical rows receiving full-mask
-// writes and the summed per-lane write count of each.
+// writes, in ascending order, and the summed per-lane write count of
+// each.
 func (p *WearPlan) FullRowWrites() (rows []int32, writes []uint32) {
-	return p.fullRowIdx, p.fullRowW
+	for _, e := range p.entries {
+		if !p.trace.Mask(program.MaskID(e.mask)).Full() {
+			continue
+		}
+		if n := len(rows); n > 0 && rows[n-1] == e.row {
+			writes[n-1] += e.w
+			continue
+		}
+		rows = append(rows, e.row)
+		writes = append(writes, e.w)
+	}
+	return rows, writes
 }
 
-// PartialEntries returns the number of nonzero (row, lane) entries in the
-// CSR-packed partial-mask part of the write matrix.
-func (p *WearPlan) PartialEntries() int { return len(p.csrLane) }
+// PartialEntries returns the number of (row, lane) cells of the
+// one-iteration write matrix that receive partial-mask writes.
+func (p *WearPlan) PartialEntries() int {
+	lanes := p.trace.Lanes
+	part := make([]bool, p.trace.LaneBits*lanes)
+	n := 0
+	for _, e := range p.entries {
+		if p.trace.Mask(program.MaskID(e.mask)).Full() {
+			continue
+		}
+		for _, l := range p.maskLanes[e.mask] {
+			if c := int(e.row)*lanes + l; !part[c] {
+				part[c] = true
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // M0 materializes the dense one-iteration write matrix [row*Lanes+lane]
-// from the factorized plan — the matrix the pre-plan software engine
-// rebuilt on every run. It is exported for cross-validation; the engines
-// never call it.
+// from the plan's table — the matrix the pre-plan software engine rebuilt
+// on every run. It is exported for cross-validation; the engines never
+// call it.
 func (p *WearPlan) M0() []uint32 {
 	lanes := p.trace.Lanes
 	m0 := make([]uint32, p.trace.LaneBits*lanes)
-	for i, r := range p.fullRowIdx {
-		base := int(r) * lanes
-		for l := 0; l < lanes; l++ {
-			m0[base+l] += p.fullRowW[i]
-		}
-	}
-	for i, r := range p.csrRows {
-		base := int(r) * lanes
-		for e := p.csrPtr[i]; e < p.csrPtr[i+1]; e++ {
-			m0[base+int(p.csrLane[e])] += p.csrCnt[e]
+	for _, e := range p.entries {
+		row := m0[int(e.row)*lanes:]
+		for _, l := range p.maskLanes[e.mask] {
+			row[l] += e.w
 		}
 	}
 	return m0

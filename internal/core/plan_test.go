@@ -12,9 +12,9 @@ import (
 	"pimendure/internal/workloads"
 )
 
-// planMatchesDense cross-checks the plan's factorized write matrix
-// (full-mask row weights + CSR partial entries) against a dense M0 built
-// straight from the trace the way the pre-plan engine did.
+// planMatchesDense cross-checks the plan's write-matrix table (expanded
+// by WearPlan.M0) against a dense M0 built straight from the trace the
+// way the pre-plan engine did.
 func planMatchesDense(t *testing.T, tr *program.Trace, rows int, preset bool) {
 	t.Helper()
 	p := core.NewWearPlan(tr, rows, preset)
@@ -45,9 +45,9 @@ func planMatchesDense(t *testing.T, tr *program.Trace, rows int, preset bool) {
 	}
 }
 
-// The factorized plan must reproduce the dense one-iteration write
-// matrix exactly, on both a fully utilized benchmark (all-full masks,
-// pure rank-1 part) and a partially utilized one (nonempty CSR part).
+// The plan must reproduce the dense one-iteration write matrix exactly,
+// on both a fully utilized benchmark (all-full masks, pure rank-1 part)
+// and a partially utilized one (nonempty partial-mask part).
 func TestPlanMatchesDense(t *testing.T) {
 	cfg := workloads.Config{Lanes: 8, Rows: 96, Basis: synth.NAND}
 	mult, err := workloads.ParallelMult(cfg, 4)
@@ -63,9 +63,9 @@ func TestPlanMatchesDense(t *testing.T) {
 		planMatchesDense(t, dot.Trace, 96, preset)
 	}
 	// The parallel multiplication runs at utilization 1: every mask is
-	// full, so the whole matrix lives in the rank-1 part and the CSR
-	// remainder must be empty — the case the software engine's full-mask
-	// factorization is built around.
+	// full, so the whole matrix lives in the rank-1 part and the
+	// partial-mask remainder must be empty — the case the full-mask
+	// landing is built around.
 	p := core.NewWearPlan(mult.Trace, 96, true)
 	fullRows, _ := p.FullRowWrites()
 	if len(fullRows) == 0 {
@@ -75,7 +75,7 @@ func TestPlanMatchesDense(t *testing.T) {
 		t.Errorf("parallel mult plan has %d partial entries, want 0 (all masks full)", n)
 	}
 	// The dot product reduces across lanes: its plan must carry partial
-	// entries, or the CSR path would be untested dead code.
+	// entries, or the partial-mask landing would be untested dead code.
 	if n := core.NewWearPlan(dot.Trace, 96, true).PartialEntries(); n == 0 {
 		t.Error("dot product plan has no partial entries; expected masked writes")
 	}

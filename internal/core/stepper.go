@@ -9,18 +9,20 @@
 // is bit-identical to Simulate (and SimulateReference) over the same
 // epoch sequence.
 //
-//   - Software path: each Step is one permutation-pair accumulation
-//     (accumulateSwJob).
-//   - +Hw path: each Step replays one epoch in closed-cycle form
-//     (replayJobHist) and lands the histogram like the walker does: the
-//     full-mask rows as per-row weights (landFullHist), the partial-mask
-//     rows through the epoch's between-lane permutation
-//     (landPartialHist). Consecutive epochs sharing a within-lane
-//     permutation (St always, Bs at its rotation period) reuse the last
-//     replayed histogram — a one-entry memo of the walker's replay jobs.
+// Software and +Hw steps differ only in how the epoch's per-(mask,
+// physical row) histogram is built:
 //
-// On both paths the rank-1 full-mask part is kept as pending per-row
-// weights until Finish. MaxWrites is O(1): after each Step the stepper
+//   - Software: the plan's write-matrix entries permuted by the epoch's
+//     within-lane map, times the epoch length (addSwHist).
+//   - +Hw: the epoch replayed in closed-cycle form (replayJobHist).
+//     Consecutive epochs sharing a within-lane permutation and length
+//     (St always, Bs at its rotation period) reuse the last replayed
+//     histogram — a one-entry memo of the walker's replay jobs.
+//
+// Both then share one landing-and-tracking path: the full-mask rows land
+// as pending per-row weights (landFullHist, expanded by Finish), the
+// partial-mask rows through the epoch's between-lane map
+// (landPartialHist). MaxWrites is O(1): after each Step the stepper
 // rescans only the rows the epoch scattered cells into. Cell counts only
 // grow, so the running maximum never needs a full distribution scan, and
 // the pending full-mask weight adds uniformly across a row, so a row's
@@ -53,11 +55,11 @@ type Stepper struct {
 
 	// scr is the stepper's arena-drawn working state, held from NewStepper
 	// until Finish returns it to the plan: the pending full-mask row
-	// weights (scr.rowW, expanded into whole rows by Finish), the +Hw
-	// replay scratch and memoized histogram (scr.hist), and the
-	// per-physical-row maxima (scr.rowMax — hottest materialized cell per
-	// row; excludes the pending rowW, which Step folds in when it updates
-	// curMax).
+	// weights (scr.rowW, expanded into whole rows by Finish), the epoch
+	// histogram (scr.hist; under +Hw the memoized replay) and the replay
+	// scratch, and the per-physical-row maxima (scr.rowMax — hottest
+	// materialized cell per row; excludes the pending rowW, which Step
+	// folds in when it updates curMax).
 	scr *engineScratch
 
 	// One-entry +Hw histogram memo key: scr.hist holds the histogram of
@@ -91,6 +93,7 @@ func (p *WearPlan) NewStepper(cfg SimConfig, strat StrategyConfig) (*Stepper, er
 	s.scr.gen.reset(s.sched)
 	p.ensureRowW(s.scr)
 	p.ensureRowMax(s.scr)
+	p.ensureLand(s.scr)
 	if strat.Hw {
 		p.ensureHw(s.scr)
 		obsHwCycleLen.Add(int64(p.cycle.Period))
@@ -113,55 +116,24 @@ func (s *Stepper) MaxWrites() uint64 { return s.curMax }
 // count (an equivalent batch run's epoch lengths: RecompileEvery per
 // epoch, short final epoch allowed). Calls with iters ≤ 0 are no-ops
 // that do not advance the epoch index.
+//
+// Software and +Hw steps differ only in how the epoch's histogram is
+// built; both land it through the walker's primitives and fold the rows
+// it touched into the running maximum.
 func (s *Stepper) Step(iters int) {
 	if iters <= 0 {
 		return
 	}
-	if s.strat.Hw {
-		s.stepHw(iters)
-	} else {
-		s.stepSoftware(iters)
-	}
-	obsEpochs.Add(1)
-	s.epoch++
-	s.iters += iters
-}
-
-// stepSoftware lands one epoch through the shared software accumulation
-// primitive, then refreshes the per-row maxima the epoch touched.
-func (s *Stepper) stepSoftware(iters int) {
-	p := s.plan
-	accumulateSwJob(p, &s.scr.gen, s.epoch, uint64(iters), s.scr.rowW, s.dist.Counts)
-	obsSwGroups.Add(1)
-
-	within := s.scr.gen.within // the epoch's, filled by accumulateSwJob
-	// CSR rows gained materialized cell writes; full-mask rows only grew
-	// their pending uniform weight.
-	for _, r := range p.csrRows {
-		s.track(within.Apply(int(r)), true)
-	}
-	for _, r := range p.fullRowIdx {
-		s.track(within.Apply(int(r)), false)
-	}
-}
-
-// stepHw replays (or reuses) the epoch's closed-cycle histogram, lands it
-// through the same primitives as the walker, and folds the rows the
-// histogram touched into the running maximum.
-func (s *Stepper) stepHw(iters int) {
 	p, gen, hist := s.plan, &s.scr.gen, s.scr.hist
-	if s.histEpoch >= 0 && s.histN == iters && gen.within2At(s.histEpoch).Equal(gen.withinAt(s.epoch)) {
-		// One-entry memo hit: same within permutation and length means the
-		// identical histogram (the renamer resets every epoch).
-		obsHwMemoHits.Add(1)
-		obsHwReplayItersSaved.Add(int64(iters))
+	if s.strat.Hw {
+		s.replay(iters)
 	} else {
-		p.replayJobHist(s.scr, s.epoch, iters, uint64(iters), hist)
-		obsHwReplays.Add(1)
-		s.histEpoch, s.histN = s.epoch, iters
+		clear(hist)
+		p.addSwHist(gen.withinAt(s.epoch), uint64(iters), hist)
+		obsSwGroups.Add(1)
 	}
 	p.landFullHist(hist, 1, s.scr.rowW)
-	p.landPartialHist(hist, gen.betweenAt(s.epoch), 1, s.dist.Counts)
+	p.landPartialHist(s.scr, hist, gen.betweenAt(s.epoch), 1, s.dist.Counts)
 	rows := p.rows
 	for r := 0; r < rows; r++ {
 		if touches(hist, p.partMasks, rows, r) {
@@ -170,6 +142,25 @@ func (s *Stepper) stepHw(iters int) {
 			s.track(r, false)
 		}
 	}
+	obsEpochs.Add(1)
+	s.epoch++
+	s.iters += iters
+}
+
+// replay fills scr.hist with the epoch's closed-cycle +Hw histogram, or
+// keeps the memoized one when the previous replay had the same within
+// permutation and length (the renamer resets every epoch, so the
+// histogram is identical).
+func (s *Stepper) replay(iters int) {
+	gen := &s.scr.gen
+	if s.histEpoch >= 0 && s.histN == iters && gen.within2At(s.histEpoch).Equal(gen.withinAt(s.epoch)) {
+		obsHwMemoHits.Add(1)
+		obsHwReplayItersSaved.Add(int64(iters))
+		return
+	}
+	s.plan.replayJobHist(s.scr, s.epoch, iters, uint64(iters), s.scr.hist)
+	obsHwReplays.Add(1)
+	s.histEpoch, s.histN = s.epoch, iters
 }
 
 // touches reports whether any of the masks' histogram rows puts writes on

@@ -1,24 +1,31 @@
-// How the walker lands one software epoch group.
+// How the walker lands software epochs.
 //
 // Without hardware renaming, an epoch of n iterations contributes
 // n · P_w M0 P_b to the distribution: the one-iteration write matrix M0
 // permuted by the epoch's within-lane (rows) and between-lane (columns)
 // maps. The contribution is linear in n and depends on the epoch only
-// through its permutation pair, so the walker (walk.go) groups a
-// segment's epochs by that pair and lands each group once, scaled by its
-// summed iterations. core.sw.groups counts the groups landed and
-// core.sw.memo_hits the epochs folded into an existing group.
+// through its permutation pair, and the between map acts last, on whole
+// lane columns. So the walker (walk.go) groups a segment's epochs by
+// between permutation, and within each group sums one per-(mask,
+// physical row) histogram: every distinct within map adds its members'
+// summed iterations times the plan's write-matrix entries, permuted by
+// that map (addSwHist). The histogram has the shape a +Hw replay job
+// produces (hw_engine.go) and lands the same way, once per group:
+// landFullHist adds the full-mask rows as per-row weights — a full lane
+// mask is invariant under every between-lane permutation, so they need no
+// lane dimension and are expanded to whole rows once per segment — and
+// landPartialHist scatters the partial-mask rows through the group's
+// between map. A between group of many within maps (Ra×St, Ra×Bs, Bs×St)
+// therefore pays one lane scatter, not one per map.
 //
-// The landing itself is rank-1 for the full-mask part: a full lane mask
-// is invariant under every between-lane permutation, so the full-mask
-// part of M0 (one weight per row; see WearPlan.FullRowWrites) contributes
-// weight·iters to every lane of one physical row. Those are accumulated
-// as a per-physical-row weight — O(full rows) per group, no lane
-// dimension at all — and expanded to whole rows once per segment. Only
-// the CSR-packed partial-mask remainder pays a per-lane walk per group.
+// core.sw.groups counts the distinct (within, between) pairs summed and
+// core.sw.memo_hits the epochs folded into an existing pair.
 package core
 
-import "pimendure/internal/obs"
+import (
+	"pimendure/internal/mapping"
+	"pimendure/internal/obs"
+)
 
 // Software-engine memoization accounting (no-ops until obs.Enable).
 var (
@@ -31,28 +38,17 @@ var (
 	obsSwMemoHits = obs.GetCounter("core.sw.memo_hits")
 )
 
-// accumulateSwJob lands iters iterations under epoch's permutation pair:
-// the full-mask row weights into rowW (between-invariant, expanded to
-// whole rows later by expandRowWeights) and the CSR partial-mask entries
-// straight into counts through the epoch's between permutation.
-func accumulateSwJob(p *WearPlan, gen *permGen, epoch int, iters uint64, rowW, counts []uint64) {
-	within := gen.withinAt(epoch)
-	between := gen.betweenAt(epoch)
-	for i, r := range p.fullRowIdx {
-		rowW[within.Apply(int(r))] += uint64(p.fullRowW[i]) * iters
-	}
-	lanes := p.trace.Lanes
-	for i, r := range p.csrRows {
-		dst := counts[within.Apply(int(r))*lanes:]
-		for e := p.csrPtr[i]; e < p.csrPtr[i+1]; e++ {
-			dst[between.Apply(int(p.csrLane[e]))] += uint64(p.csrCnt[e]) * iters
-		}
+// addSwHist adds iters iterations of the one-iteration write matrix,
+// rows permuted by within, to hist[mask*rows+physRow].
+func (p *WearPlan) addSwHist(within *mapping.Perm, iters uint64, hist []uint64) {
+	for _, e := range p.entries {
+		hist[int(e.mask)*p.rows+within.Apply(int(e.row))] += uint64(e.w) * iters
 	}
 }
 
 // expandRowWeights adds each nonzero per-physical-row weight to every
 // lane of its row — the deferred rank-1 completion of the full-mask
-// accumulation — and resets the weight.
+// landings — and resets the weight.
 func expandRowWeights(rowW []uint64, lanes int, counts []uint64) {
 	for pr, c := range rowW {
 		if c == 0 {

@@ -2,11 +2,14 @@
 // WearPlan.Simulate.
 //
 // Every configuration reduces to one computation: for each recompile
-// epoch, land a write histogram through that epoch's between-lane map.
-// Under software re-mapping the histogram is the one-iteration write
-// matrix permuted by the epoch's within-lane map (sw_engine.go); under
-// +Hw it is the renamer replayed within the epoch, which resets at every
-// recompile boundary (hw_engine.go).
+// epoch, land a per-(mask, physical row) write histogram through that
+// epoch's between-lane map. Under software re-mapping the histogram is
+// the plan's write-matrix table permuted by the epoch's within-lane map
+// (sw_engine.go); under +Hw it is the renamer replayed within the epoch,
+// which resets at every recompile boundary (hw_engine.go). Both land
+// through the same two primitives: landFullHist adds the full-mask rows
+// as per-row weights, and landPartialHist scatters the partial-mask rows
+// through sorted lane sets.
 //
 // The walker advances one segment at a time. Segments end at the
 // sampler's due epochs; without a sampler one segment spans the whole
@@ -15,15 +18,18 @@
 // and the walker exploits that freedom:
 //
 //   - Grouping: epochs with identical landings collapse into units (see
-//     grouper). A software unit is a segment's (within, between)
-//     permutation pair carrying its members' summed iterations: St×St
-//     collapses to one unit, Bs families to their rotation period, only
-//     Ra epochs stay unique. A +Hw unit is a replay job — a (within
-//     permutation, epoch length) pair grouped once over the whole run,
-//     replayed once. Its full-mask rows land once per segment, scaled by
-//     the job's members there; only its partial-mask rows need the
-//     segment epochs grouped by between-lane permutation, one multiplied
-//     landing per group, and a plan without partial masks skips that.
+//     grouper). A software unit is a segment's between-lane permutation:
+//     its members are sub-grouped by within permutation, each distinct
+//     (within, between) pair adds its summed iterations to the unit's
+//     histogram, and the unit lands once. Whatever the within maps, an
+//     St between map makes one unit per segment and a Bs one its rotation
+//     period; only Ra-between epochs stay unique. A +Hw unit is a
+//     replay job — a (within permutation, epoch length) pair grouped once
+//     over the whole run, replayed once. Its full-mask rows land once per
+//     segment, scaled by the job's members there; only its partial-mask
+//     rows need the segment epochs grouped by between-lane permutation,
+//     one multiplied landing per group, and a plan without partial masks
+//     skips that.
 //   - Sharding: a segment's units are sharded over pool.Size(workers,
 //     units) workers. Worker 0 lands into the distribution itself; the
 //     others land into arena counts buffers merged at the segment's end.
@@ -222,6 +228,7 @@ func (w *walker) grow(n int) {
 		s := w.p.getScratch()
 		s.gen.reset(w.sched)
 		w.p.ensureRowW(s)
+		w.p.ensureLand(s)
 		if w.hw {
 			w.p.ensureHw(s)
 		}
@@ -248,13 +255,23 @@ func (w *walker) shard(units int, land func(s *engineScratch, counts []uint64, u
 	}
 }
 
-// landSw lands one segment of a software run.
+// landSw lands one segment of a software run: each distinct between
+// permutation is one unit, whose members sum one histogram — a term per
+// distinct within map among them — that lands once.
 func (w *walker) landSw(seg []int) {
-	units := w.scr[0].units.group(&w.scr[0].gen, w.cfg, seg, byWithin|byBetween)
-	obsSwGroups.Add(int64(len(units)))
-	obsSwMemoHits.Add(int64(len(seg) - len(units)))
+	p := w.p
+	units := w.scr[0].units.group(&w.scr[0].gen, w.cfg, seg, byBetween)
 	w.shard(len(units), func(s *engineScratch, counts []uint64, u int) {
-		accumulateSwJob(w.p, &s.gen, units[u].epoch0, units[u].iters, s.rowW, counts)
+		unit := &units[u]
+		clear(s.hist)
+		pairs := s.lands.group(&s.gen, w.cfg, unit.members, byWithin)
+		for _, g := range pairs {
+			p.addSwHist(s.gen.withinAt(g.epoch0), g.iters, s.hist)
+		}
+		obsSwGroups.Add(int64(len(pairs)))
+		obsSwMemoHits.Add(int64(unit.count - len(pairs)))
+		p.landFullHist(s.hist, 1, s.rowW)
+		p.landPartialHist(s, s.hist, s.gen.betweenAt(unit.epoch0), 1, counts)
 	})
 }
 
@@ -292,7 +309,7 @@ func (w *walker) landHw(seg []int) {
 		p.landFullHist(hist, uint64(m), s.rowW)
 		if len(p.partMasks) > 0 {
 			for _, g := range s.lands.group(&s.gen, w.cfg, rest[:m], byBetween) {
-				p.landPartialHist(hist, s.gen.betweenAt(g.epoch0), uint64(g.count), counts)
+				p.landPartialHist(s, hist, s.gen.betweenAt(g.epoch0), uint64(g.count), counts)
 			}
 		}
 		w.landed[j] += m

@@ -111,8 +111,8 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 	touch(benches[0])
 	touch(benches[1])
-	touch(benches[0])    // refresh 0: LRU order now 1, 0
-	touch(benches[2])    // evicts 1
+	touch(benches[0]) // refresh 0: LRU order now 1, 0
+	touch(benches[2]) // evicts 1
 	if !touch(benches[0]) {
 		t.Error("recently used plan was evicted")
 	}
