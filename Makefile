@@ -9,7 +9,7 @@ GO ?= go
 # API + instrumented engine layers). Enforced by `make doclint`.
 DOC_PKGS = ./pim ./pim/kernel ./internal/obs ./internal/core ./internal/pool ./internal/serve ./internal/system ./internal/device ./internal/fleet
 
-.PHONY: all build vet test race race-obs race-core race-serve race-system race-fleet bench bench-alloc bench-json bench-current benchdiff report ci doclint promlint fmt
+.PHONY: all build vet test race race-obs race-core race-serve race-system race-fleet bench bench-alloc bench-json bench-current benchdiff report report-diff ci doclint promlint fmt
 
 all: build
 
@@ -126,6 +126,23 @@ benchdiff: bench-current
 report:
 	$(GO) run ./cmd/endurance-report $(REPORT_FLAGS)
 
+# Report determinism: the quick report at -workers 1 and at -workers 2,
+# into two temporary directories, must write the same files byte for
+# byte. Only the run manifest (args, timings) and the trace timeline may
+# differ.
+REPORT_DIFF_FLAGS = -quick -lanes 64 -iters 400 -trials 20
+report-diff:
+	@set -e; bin=$$(mktemp -d); w1=$$(mktemp -d); w2=$$(mktemp -d); \
+	trap 'rm -rf "$$bin" "$$w1" "$$w2"' EXIT; \
+	$(GO) build -o "$$bin/endurance-report" ./cmd/endurance-report; \
+	for w in 1 2; do \
+		out=$$w1; [ $$w = 2 ] && out=$$w2; \
+		"$$bin/endurance-report" $(REPORT_DIFF_FLAGS) -workers $$w -out "$$out" >"$$bin/log" 2>&1 \
+			|| { cat "$$bin/log"; echo "report-diff: the report failed at -workers $$w"; exit 1; }; \
+	done; \
+	diff -r -x 'manifest_*' -x 'trace_*' "$$w1" "$$w2"; \
+	echo "report-diff: -workers 1 and 2 wrote the same $$(ls "$$w1" | wc -l) files"
+
 # `race` runs every package under the race detector exactly once; the
 # per-layer race-obs/core/serve/system/fleet targets race subsets of the
 # same packages and stay out of `ci` for local use, when a failure should
@@ -138,4 +155,5 @@ report:
 # serving-throughput pair and BenchmarkFleet's draws/cold/cached/speedup
 # quartet included, timing and allocs/op both — against the committed
 # baseline: advisory locally, strict when BENCHDIFF_FLAGS=-strict.
-ci: vet fmt doclint promlint race bench bench-alloc benchdiff
+# `report-diff` checks that the report is identical across worker counts.
+ci: vet fmt doclint promlint race bench bench-alloc benchdiff report-diff

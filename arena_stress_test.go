@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -22,20 +21,6 @@ import (
 	"pimendure/internal/serve"
 	"pimendure/pim"
 )
-
-// countsFNV mirrors the serving layer's dist_fnv checksum (FNV-64a over
-// little-endian cells), so serve results compare against local ones.
-func countsFNV(counts []uint64) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, c := range counts {
-		for i := range buf {
-			buf[i] = byte(c >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
 
 func TestArenaSharedAcrossSubsystems(t *testing.T) {
 	opt := pim.Options{Lanes: 64, Rows: 256, PresetOutputs: true, NANDBasis: true}
@@ -55,7 +40,7 @@ func TestArenaSharedAcrossSubsystems(t *testing.T) {
 	}
 	sweepWant := map[string]string{}
 	for _, r := range coldSweep {
-		sweepWant[r.Strategy.Name()] = countsFNV(r.Dist.Counts)
+		sweepWant[r.Strategy.Name()] = r.Dist.Checksum()
 	}
 	coldStripe, err := pim.BankStripe(bench, opt, rc, pim.StaticStrategy, tech, bankCfg)
 	if err != nil {
@@ -64,7 +49,7 @@ func TestArenaSharedAcrossSubsystems(t *testing.T) {
 	stripeWant := make([]string, len(coldStripe.Banks))
 	for i, br := range coldStripe.Banks {
 		if br.Dist != nil {
-			stripeWant[i] = countsFNV(br.Dist.Counts)
+			stripeWant[i] = br.Dist.Checksum()
 		}
 	}
 
@@ -151,7 +136,7 @@ func TestArenaSharedAcrossSubsystems(t *testing.T) {
 						return
 					}
 					for _, r := range results {
-						if got, want := countsFNV(r.Dist.Counts), sweepWant[r.Strategy.Name()]; got != want {
+						if got, want := r.Dist.Checksum(), sweepWant[r.Strategy.Name()]; got != want {
 							errs[w] = fmt.Errorf("sweep %s: dist fnv %s, cold run %s", r.Strategy.Name(), got, want)
 							return
 						}
@@ -169,7 +154,7 @@ func TestArenaSharedAcrossSubsystems(t *testing.T) {
 						if br.Dist == nil {
 							continue
 						}
-						if got := countsFNV(br.Dist.Counts); got != stripeWant[i] {
+						if got := br.Dist.Checksum(); got != stripeWant[i] {
 							errs[w] = fmt.Errorf("stripe bank %d: dist fnv %s, cold run %s", i, got, stripeWant[i])
 							return
 						}

@@ -40,21 +40,13 @@ func runE12(cfg config) error {
 	// bit-accurate simulator.
 	opt := pim.Options{Lanes: 16, Rows: cfg.rows, PresetOutputs: true, NANDBasis: true}
 	data := func(slot, lane int) bool { return (slot*31+lane*17)%7 < 3 }
-	mult, err := pim.NewParallelMult(opt, 32)
-	if err != nil {
-		return err
-	}
-	dot, err := pim.NewDotProduct(opt, 16, 32)
-	if err != nil {
-		return err
-	}
-	conv, err := pim.NewConvolution(opt, 4, 3, 8)
+	suite, err := pim.PaperBenchmarks(opt)
 	if err != nil {
 		return err
 	}
 	fv := report.NewTable("E12 — functional verification of PIM-aware strategies (16-lane array)",
 		"benchmark", "StxSt", "RaxRa", "BsxBs+Hw")
-	for _, b := range []*pim.Benchmark{mult, conv, dot} {
+	for _, b := range suite {
 		row := []string{b.Name}
 		for _, s := range []pim.Strategy{
 			pim.StaticStrategy,

@@ -11,28 +11,19 @@ import (
 	"pimendure/pim"
 )
 
-// benchSet compiles the paper's three kernels at the report's array size.
+// benchSet compiles the paper's three kernels at the report's array
+// size, keyed by the figure that shows their heatmaps.
 func benchSet(cfg config) (map[string]*pim.Benchmark, []string, error) {
-	opt := pimOptions(cfg)
-	mult, err := pim.NewParallelMult(opt, 32)
+	suite, err := pim.PaperBenchmarks(pimOptions(cfg))
 	if err != nil {
 		return nil, nil, err
 	}
-	conv, err := pim.NewConvolution(opt, 4, 3, 8)
-	if err != nil {
-		return nil, nil, err
+	order := []string{"fig14", "fig15", "fig16"} // mult, conv, dot: the suite's order
+	benches := make(map[string]*pim.Benchmark, len(order))
+	for i, fig := range order {
+		benches[fig] = suite[i]
 	}
-	n := 1
-	for n*2 <= cfg.lanes {
-		n *= 2
-	}
-	dot, err := pim.NewDotProduct(opt, n, 32)
-	if err != nil {
-		return nil, nil, err
-	}
-	return map[string]*pim.Benchmark{
-		"fig14": mult, "fig15": conv, "fig16": dot,
-	}, []string{"fig14", "fig15", "fig16"}, nil
+	return benches, order, nil
 }
 
 func pimOptions(cfg config) pim.Options {

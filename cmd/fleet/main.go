@@ -42,8 +42,8 @@ func main() {
 
 	run := obs.NewRun("fleet", flag.CommandLine)
 	out := flag.String("out", "out", "output directory")
-	benchmark := flag.String("benchmark", "mult", "kernel: mult, dot, conv, add, bnn")
-	bits := flag.Int("bits", 32, "operand precision (conv defaults to 8)")
+	benchmark := flag.String("benchmark", "mult", "kernel: "+strings.Join(pim.KernelNames(), ", "))
+	bits := flag.Int("bits", 0, "operand precision (0 = the kernel's default; bnn ignores it)")
 	lanes := flag.Int("lanes", 1024, "array lanes (columns)")
 	rows := flag.Int("rows", 1024, "array rows")
 	iters := flag.Int("iters", 100000, "benchmark iterations per strategy")
@@ -71,7 +71,7 @@ func main() {
 
 	opt := pim.DefaultOptions()
 	opt.Lanes, opt.Rows = *lanes, *rows
-	bench, err := compile(*benchmark, opt, *bits)
+	bench, params, err := pim.NewNamed(opt, *benchmark, pim.KernelParams{Bits: *bits})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func main() {
 	}
 
 	if err := run.Finish(*out, map[string]any{
-		"benchmark": *benchmark, "bits": *bits, "lanes": *lanes, "rows": *rows,
+		"benchmark": *benchmark, "bits": params.Bits, "lanes": *lanes, "rows": *rows,
 		"iters": *iters, "recompile": *recompile, "devices": *devices,
 		"sigmas": *sigmaList, "workers": *workers, "quick": *quick,
 	}, *seed, os.Stdout); err != nil {
@@ -266,25 +266,6 @@ func parseSigmas(list string) ([]float64, error) {
 		return nil, fmt.Errorf("empty sigma list")
 	}
 	return out, nil
-}
-
-func compile(name string, opt pim.Options, bits int) (*pim.Benchmark, error) {
-	switch name {
-	case "mult":
-		return pim.NewParallelMult(opt, bits)
-	case "dot":
-		return pim.NewDotProduct(opt, opt.Lanes, bits)
-	case "conv":
-		if bits == 32 {
-			bits = 8
-		}
-		return pim.NewConvolution(opt, 4, 3, bits)
-	case "add":
-		return pim.NewVectorAdd(opt, bits)
-	case "bnn":
-		return pim.NewBNNLayer(opt, 64)
-	}
-	return nil, fmt.Errorf("unknown benchmark %q (mult, dot, conv, add, bnn)", name)
 }
 
 // writeFile creates a file under dir and streams fn to it.

@@ -1,6 +1,12 @@
-// Command heatmap runs a benchmark under a strategy configuration and
-// renders its write-distribution heatmap (one panel of Figs. 14–16) to a
-// PNG and/or PGM file.
+// Command heatmap renders a saved write distribution — one panel of
+// Figs. 14–16 — to a PNG and/or PGM file:
+//
+//	pimsim -bench dot -within Ra -dumpdist dot.json
+//	heatmap -load dot.json -pgm dot.pgm
+//
+// It does not simulate: pimsim -dumpdist writes the distribution (pimsim
+// -png renders a run's PNG directly), and endurance-report renders every
+// panel of the three figures.
 package main
 
 import (
@@ -9,7 +15,6 @@ import (
 	"log"
 	"os"
 
-	"pimendure/internal/mapping"
 	"pimendure/internal/obs"
 	"pimendure/pim"
 )
@@ -19,95 +24,42 @@ func main() {
 	log.SetPrefix("heatmap: ")
 
 	run := obs.NewRun("heatmap", flag.CommandLine)
-	benchName := flag.String("bench", "mult", "benchmark: mult, dot, conv")
-	lanes := flag.Int("lanes", 1024, "array lanes")
-	rows := flag.Int("rows", 1024, "array rows")
-	within := flag.String("within", "St", "within-lane strategy: St, Ra, Bs")
-	between := flag.String("between", "St", "between-lane strategy: St, Ra, Bs")
-	hw := flag.Bool("hw", false, "hardware renaming")
-	iters := flag.Int("iters", 10000, "iterations")
-	recompile := flag.Int("recompile", 100, "software re-mapping period")
 	dim := flag.Int("dim", 128, "heatmap resolution cap")
 	scale := flag.Int("scale", 4, "PNG pixels per cell")
 	pngPath := flag.String("png", "heatmap.png", "PNG output path (empty to skip)")
 	pgmPath := flag.String("pgm", "", "PGM output path (empty to skip)")
-	load := flag.String("load", "", "render a saved distribution (pimsim -dumpdist) instead of simulating")
+	load := flag.String("load", "", "saved distribution to render (written by pimsim -dumpdist)")
 	manifestDir := flag.String("out", "out", "directory for the run manifest")
 	flag.Parse()
+	if *load == "" {
+		fmt.Fprintln(flag.CommandLine.Output(),
+			"heatmap: -load is required: save a run with pimsim -dumpdist <file>, then render it with heatmap -load <file> (pimsim -png renders a run directly)")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := run.Start(); err != nil {
 		log.Fatal(err)
 	}
-	finish := func() {
-		if err := run.Finish(*manifestDir, map[string]any{
-			"bench": *benchName, "lanes": *lanes, "rows": *rows,
-			"within": *within, "between": *between, "hw": *hw,
-			"iters": *iters, "recompile": *recompile,
-			"dim": *dim, "scale": *scale, "load": *load,
-		}, 1, os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-	}
 
-	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			log.Fatal(err)
-		}
-		dist, err := pim.LoadDist(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		grid, err := pim.Heatmap(dist, *dim)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(grid, *pngPath, *pgmPath, *scale)
-		finish()
-		return
-	}
-
-	opt := pim.Options{Lanes: *lanes, Rows: *rows, PresetOutputs: true, NANDBasis: true}
-	var bench *pim.Benchmark
-	var err error
-	switch *benchName {
-	case "mult":
-		bench, err = pim.NewParallelMult(opt, 32)
-	case "conv":
-		bench, err = pim.NewConvolution(opt, 4, 3, 8)
-	case "dot":
-		n := 1
-		for n*2 <= opt.Lanes {
-			n *= 2
-		}
-		bench, err = pim.NewDotProduct(opt, n, 32)
-	default:
-		err = fmt.Errorf("unknown benchmark %q", *benchName)
-	}
+	f, err := os.Open(*load)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	w, err := mapping.ParseStrategy(*within)
+	dist, err := pim.LoadDist(f)
+	f.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := mapping.ParseStrategy(*between)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := pim.Run(bench, opt,
-		pim.RunConfig{Iterations: *iters, RecompileEvery: *recompile, Seed: 1},
-		pim.Strategy{Within: w, Between: b, Hw: *hw}, pim.MRAM())
-	if err != nil {
-		log.Fatal(err)
-	}
-	grid, err := pim.Heatmap(res.Dist, *dim)
+	grid, err := pim.Heatmap(dist, *dim)
 	if err != nil {
 		log.Fatal(err)
 	}
 	emit(grid, *pngPath, *pgmPath, *scale)
-	finish()
+	if err := run.Finish(*manifestDir, map[string]any{
+		"dim": *dim, "scale": *scale, "load": *load,
+	}, 0, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // emit renders a normalized grid to the requested files.

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"pimendure/internal/array"
 	"pimendure/internal/asm"
@@ -83,8 +84,8 @@ func loadTrace(fs *flag.FlagSet) (*program.Trace, error) {
 func cmdDump(args []string) error {
 	fs := flag.NewFlagSet("dump", flag.ExitOnError)
 	run := obs.NewRun("pimasm", fs)
-	benchName := fs.String("bench", "mult", "kernel: mult, dot, conv, add, bnn")
-	bits := fs.Int("bits", 8, "operand precision")
+	benchName := fs.String("bench", "mult", "kernel: "+strings.Join(pim.KernelNames(), ", "))
+	bits := fs.Int("bits", 8, "operand precision (bnn ignores it)")
 	lanes := fs.Int("lanes", 16, "lanes")
 	rows := fs.Int("rows", 512, "rows")
 	if err := fs.Parse(args); err != nil {
@@ -94,26 +95,7 @@ func cmdDump(args []string) error {
 		return err
 	}
 	opt := pim.Options{Lanes: *lanes, Rows: *rows, PresetOutputs: true, NANDBasis: true}
-	var bench *pim.Benchmark
-	var err error
-	switch *benchName {
-	case "mult":
-		bench, err = pim.NewParallelMult(opt, *bits)
-	case "add":
-		bench, err = pim.NewVectorAdd(opt, *bits)
-	case "bnn":
-		bench, err = pim.NewBNNLayer(opt, *bits)
-	case "conv":
-		bench, err = pim.NewConvolution(opt, 4, 3, *bits)
-	case "dot":
-		n := 1
-		for n*2 <= *lanes {
-			n *= 2
-		}
-		bench, err = pim.NewDotProduct(opt, n, *bits)
-	default:
-		err = fmt.Errorf("unknown kernel %q", *benchName)
-	}
+	bench, _, err := pim.NewNamed(opt, *benchName, pim.KernelParams{Bits: *bits})
 	if err != nil {
 		return err
 	}

@@ -30,8 +30,8 @@ func main() {
 	log.SetPrefix("pimsim: ")
 
 	run := obs.NewRun("pimsim", flag.CommandLine)
-	benchName := flag.String("bench", "mult", "benchmark: mult, dot, conv, add")
-	bits := flag.Int("bits", 32, "operand precision (8 for conv by default)")
+	benchName := flag.String("bench", "mult", "kernel: "+strings.Join(pim.KernelNames(), ", "))
+	bits := flag.Int("bits", 0, "operand precision (0 = the kernel's default; bnn ignores it)")
 	lanes := flag.Int("lanes", 1024, "array lanes")
 	rows := flag.Int("rows", 1024, "array rows")
 	within := flag.String("within", "St", "within-lane strategy: St, Ra, Bs")
@@ -52,7 +52,7 @@ func main() {
 	}
 
 	opt := pim.Options{Lanes: *lanes, Rows: *rows, PresetOutputs: true, NANDBasis: true}
-	bench, err := makeBench(opt, *benchName, *bits)
+	bench, params, err := pim.NewNamed(opt, *benchName, pim.KernelParams{Bits: *bits})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,14 +66,9 @@ func main() {
 	}
 	strat := pim.Strategy{Within: w, Between: b, Hw: *hw}
 
-	var technology pim.Technology
-	for _, t := range pim.Technologies() {
-		if strings.EqualFold(t.Name, *tech) {
-			technology = t
-		}
-	}
-	if technology.Name == "" {
-		log.Fatalf("unknown technology %q", *tech)
+	technology, err := pim.LookupTechnology(*tech)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	res, err := pim.Run(bench, opt,
@@ -134,31 +129,10 @@ func main() {
 	}
 
 	if err := run.Finish(*manifestDir, map[string]any{
-		"bench": *benchName, "bits": *bits, "lanes": *lanes, "rows": *rows,
+		"bench": *benchName, "bits": params.Bits, "lanes": *lanes, "rows": *rows,
 		"within": *within, "between": *between, "hw": *hw,
 		"iters": *iters, "recompile": *recompile, "sample": *sample, "tech": *tech,
 	}, *seed, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func makeBench(opt pim.Options, name string, bits int) (*pim.Benchmark, error) {
-	switch name {
-	case "mult":
-		return pim.NewParallelMult(opt, bits)
-	case "dot":
-		n := 1
-		for n*2 <= opt.Lanes {
-			n *= 2
-		}
-		return pim.NewDotProduct(opt, n, bits)
-	case "conv":
-		if bits == 32 {
-			bits = 8 // the paper's convolution precision
-		}
-		return pim.NewConvolution(opt, 4, 3, bits)
-	case "add":
-		return pim.NewVectorAdd(opt, bits)
-	}
-	return nil, fmt.Errorf("unknown benchmark %q (want mult, dot, conv, add)", name)
 }

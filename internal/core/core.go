@@ -244,6 +244,29 @@ func (d *WriteDist) Release() {
 // At returns the write count of cell (row, lane).
 func (d *WriteDist) At(row, lane int) uint64 { return d.Counts[row*d.Lanes+lane] }
 
+// Checksum returns the FNV-64a hash of the per-cell counts, each hashed
+// as 8 little-endian bytes, formatted as 16 hex digits: the job server's
+// dist_fnv, the bit-identity witness for cached-vs-cold comparisons. The
+// bytes are hashed inline rather than through hash.Hash. bench/golden.go
+// keeps its own copy, because the benchmark's sources change only with
+// the benchmark, whose golden file (bench/golden/seed1.json) pins these
+// values.
+func (d *WriteDist) Checksum() string {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037) // FNV-64 offset basis
+	for _, c := range d.Counts {
+		h = (h ^ c&0xff) * prime
+		h = (h ^ c>>8&0xff) * prime
+		h = (h ^ c>>16&0xff) * prime
+		h = (h ^ c>>24&0xff) * prime
+		h = (h ^ c>>32&0xff) * prime
+		h = (h ^ c>>40&0xff) * prime
+		h = (h ^ c>>48&0xff) * prime
+		h = (h ^ c>>56) * prime
+	}
+	return fmt.Sprintf("%016x", h)
+}
+
 // Max returns the hottest cell's count — Eq. 4's max(WriteCount).
 func (d *WriteDist) Max() uint64 {
 	var m uint64

@@ -332,3 +332,21 @@ func TestBruteForceFunctional(t *testing.T) {
 		}
 	}
 }
+
+// Checksum is the serving layer's dist_fnv. The literals were produced by
+// a byte-slice FNV-64a (hash/fnv over each count's 8 little-endian
+// bytes), so bench/golden/seed1.json's recorded values stay valid.
+func TestWriteDistChecksumPinned(t *testing.T) {
+	for _, c := range []struct {
+		counts []uint64
+		want   string
+	}{
+		{nil, "cbf29ce484222325"},
+		{[]uint64{0, 1, 255, 256, 1<<40 + 7, 1<<64 - 1, 123456789, 0x0102030405060708}, "9543c1bf45800484"},
+	} {
+		d := &core.WriteDist{Rows: 1, Lanes: len(c.counts), Counts: c.counts}
+		if got := d.Checksum(); got != c.want {
+			t.Errorf("Checksum(%v) = %s, want %s", c.counts, got, c.want)
+		}
+	}
+}

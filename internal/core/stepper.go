@@ -195,6 +195,19 @@ func (s *Stepper) rowPeak(pr int) uint64 {
 	return m
 }
 
+// Release hands the stepper's scratch and counts buffer back to the
+// plan's arena without completing the distribution — the end of a
+// stepper whose caller only read MaxWrites (the wear-aware bank router).
+// It is an alternative to Finish, not a follow-up: the stepper must not
+// be used afterwards, and no writes are counted.
+func (s *Stepper) Release() {
+	if s.scr != nil {
+		s.plan.putScratch(s.scr)
+		s.scr = nil
+	}
+	s.dist.Release()
+}
+
 // Finish completes the accumulation (expanding the pending full-mask row
 // weights), returns the stepper's working scratch to the plan's arena,
 // and returns the distribution — cell-for-cell identical to Simulate over

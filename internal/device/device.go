@@ -6,7 +6,10 @@
 // so experiments can sweep them.
 package device
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Technology describes an NVM cell technology for endurance analysis.
 type Technology struct {
@@ -101,6 +104,22 @@ func ProjectedMRAM() Technology {
 // Technologies lists the models in a stable presentation order.
 func Technologies() []Technology {
 	return []Technology{MRAM(), RRAM(), PCM(), ProjectedMRAM()}
+}
+
+// Lookup returns the technology of Technologies whose name matches,
+// case-insensitively ("rram" finds RRAM). Its error lists the valid names.
+func Lookup(name string) (Technology, error) {
+	techs := Technologies()
+	for _, t := range techs {
+		if strings.EqualFold(t.Name, name) {
+			return t, nil
+		}
+	}
+	names := make([]string, len(techs))
+	for i, t := range techs {
+		names[i] = t.Name
+	}
+	return Technology{}, fmt.Errorf("unknown technology %q (want %s)", name, strings.Join(names, ", "))
 }
 
 // WithEndurance returns a copy of t with the nominal endurance replaced

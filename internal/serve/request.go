@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"strings"
 
 	"pimendure/internal/mapping"
@@ -16,11 +18,13 @@ import (
 type Request struct {
 	// Benchmark names the kernel: "mult"/"multiplication",
 	// "dot"/"dot-product", "conv"/"convolution", "add"/"vector-add",
-	// or "bnn".
+	// or "bnn", in any case (see pim.NewNamed).
 	Benchmark string `json:"benchmark"`
-	// Bits is the operand precision (default 32; convolution 8).
+	// Bits is the operand precision (default 32; convolution 8; the BNN
+	// layer ignores it).
 	Bits int `json:"bits,omitempty"`
-	// N is the dot-product length (default: the lane count).
+	// N is the dot-product length (default: the largest power of two
+	// that fits Lanes).
 	N int `json:"n,omitempty"`
 	// GroupLanes and MultsPerLane shape the convolution (default 4×3).
 	GroupLanes   int `json:"group_lanes,omitempty"`
@@ -64,46 +68,33 @@ type Request struct {
 	Technologies []string  `json:"technologies,omitempty"`
 }
 
-// normalized returns the request with every defaulted field filled in —
-// the canonical form behind coalescing fingerprints, so a request
-// relying on defaults and one spelling them out coalesce together.
+// decodeRequest reads a POST body into a Request: at most 1 MiB of JSON,
+// unknown fields rejected.
+func decodeRequest(w http.ResponseWriter, body io.ReadCloser) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
+// normalized returns the request in canonical form — the form behind
+// coalescing fingerprints. Defaulted fields are filled in, the kernel
+// name and its parameters are the kernel table's resolved ones (fields
+// the kernel ignores are zeroed), and technology names are canonical, so
+// an alias, a different case, an omitted default or an ignored parameter
+// does not split coalescing. A request naming no known kernel keeps its
+// name for validate to reject.
 func (r Request) normalized() Request {
-	switch strings.ToLower(r.Benchmark) {
-	case "mult", "multiplication":
-		r.Benchmark = "mult"
-	case "dot", "dot-product", "dotproduct":
-		r.Benchmark = "dot"
-	case "conv", "convolution":
-		r.Benchmark = "conv"
-	case "add", "vadd", "vector-add", "vectoradd":
-		r.Benchmark = "add"
-	case "bnn":
-		r.Benchmark = "bnn"
-	}
 	if r.Lanes <= 0 {
 		r.Lanes = 1024
 	}
 	if r.Rows <= 0 {
 		r.Rows = 1024
 	}
-	if r.Bits <= 0 {
-		if r.Benchmark == "conv" {
-			r.Bits = 8
-		} else {
-			r.Bits = 32
-		}
-	}
-	if r.N <= 0 {
-		r.N = r.Lanes
-	}
-	if r.GroupLanes <= 0 {
-		r.GroupLanes = 4
-	}
-	if r.MultsPerLane <= 0 {
-		r.MultsPerLane = 3
-	}
-	if r.Synapses <= 0 {
-		r.Synapses = 64
+	if name, p, err := pim.ResolveKernel(r.Benchmark, r.Lanes, r.kernelParams()); err == nil {
+		r.Benchmark = name
+		r.Bits, r.N, r.GroupLanes, r.MultsPerLane, r.Synapses = p.Bits, p.N, p.GroupLanes, p.MultsPerLane, p.Synapses
 	}
 	if r.Iterations <= 0 {
 		r.Iterations = 10000
@@ -114,6 +105,7 @@ func (r Request) normalized() Request {
 	if r.Technology == "" {
 		r.Technology = "MRAM"
 	}
+	r.Technology = canonicalTechnology(r.Technology)
 	if r.Devices <= 0 {
 		r.Devices = 100_000
 	}
@@ -122,20 +114,36 @@ func (r Request) normalized() Request {
 	}
 	if len(r.Technologies) == 0 {
 		r.Technologies = []string{r.Technology}
+	} else {
+		techs := make([]string, len(r.Technologies)) // the caller's slice stays as sent
+		for i, name := range r.Technologies {
+			techs[i] = canonicalTechnology(name)
+		}
+		r.Technologies = techs
 	}
 	return r
+}
+
+// canonicalTechnology returns the model's own spelling of a technology
+// name, or the name unchanged when no model matches (validate rejects it).
+func canonicalTechnology(name string) string {
+	if t, err := pim.LookupTechnology(name); err == nil {
+		return t.Name
+	}
+	return name
+}
+
+// kernelParams returns the request's kernel parameters.
+func (r Request) kernelParams() pim.KernelParams {
+	return pim.KernelParams{Bits: r.Bits, N: r.N, GroupLanes: r.GroupLanes, MultsPerLane: r.MultsPerLane, Synapses: r.Synapses}
 }
 
 // validate checks a normalized request against the server's admission
 // caps — the cheap rejection (400) that keeps a hostile or mistyped
 // request from ever reaching the compile/simulate pipeline.
 func (r Request) validate(cfg Config) error {
-	switch r.Benchmark {
-	case "mult", "dot", "conv", "add", "bnn":
-	case "":
-		return fmt.Errorf("missing benchmark (mult, dot, conv, add, bnn)")
-	default:
-		return fmt.Errorf("unknown benchmark %q (mult, dot, conv, add, bnn)", r.Benchmark)
+	if _, _, err := pim.ResolveKernel(r.Benchmark, r.Lanes, r.kernelParams()); err != nil {
+		return err
 	}
 	if r.Lanes > cfg.MaxLanes || r.Rows > cfg.MaxRows {
 		return fmt.Errorf("array %d×%d exceeds the server cap %d×%d", r.Lanes, r.Rows, cfg.MaxLanes, cfg.MaxRows)
@@ -176,12 +184,7 @@ const maxFleetSigmas = 16
 
 // technology resolves the named device model.
 func (r Request) technology() (pim.Technology, error) {
-	for _, t := range pim.Technologies() {
-		if strings.EqualFold(t.Name, r.Technology) {
-			return t, nil
-		}
-	}
-	return pim.Technology{}, fmt.Errorf("unknown technology %q (MRAM, RRAM, PCM, MRAM-projected)", r.Technology)
+	return pim.LookupTechnology(r.Technology)
 }
 
 // technologies resolves the fleet sweep's device-model list (normalized
@@ -189,17 +192,11 @@ func (r Request) technology() (pim.Technology, error) {
 func (r Request) technologies() ([]pim.Technology, error) {
 	out := make([]pim.Technology, 0, len(r.Technologies))
 	for _, name := range r.Technologies {
-		found := false
-		for _, t := range pim.Technologies() {
-			if strings.EqualFold(t.Name, name) {
-				out = append(out, t)
-				found = true
-				break
-			}
+		t, err := pim.LookupTechnology(name)
+		if err != nil {
+			return nil, err
 		}
-		if !found {
-			return nil, fmt.Errorf("unknown technology %q (MRAM, RRAM, PCM, MRAM-projected)", name)
-		}
+		out = append(out, t)
 	}
 	return out, nil
 }
@@ -264,18 +261,6 @@ func (r Request) options() pim.Options {
 // compile builds the named benchmark — the expensive half of request
 // construction, run on a queue worker rather than the request handler.
 func (r Request) compile() (*pim.Benchmark, error) {
-	opt := r.options()
-	switch r.Benchmark {
-	case "mult":
-		return pim.NewParallelMult(opt, r.Bits)
-	case "dot":
-		return pim.NewDotProduct(opt, r.N, r.Bits)
-	case "conv":
-		return pim.NewConvolution(opt, r.GroupLanes, r.MultsPerLane, r.Bits)
-	case "add":
-		return pim.NewVectorAdd(opt, r.Bits)
-	case "bnn":
-		return pim.NewBNNLayer(opt, r.Synapses)
-	}
-	return nil, fmt.Errorf("unknown benchmark %q", r.Benchmark)
+	b, _, err := pim.NewNamed(r.options(), r.Benchmark, r.kernelParams())
+	return b, err
 }

@@ -21,7 +21,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -271,10 +270,8 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string) {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(w, r.Body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -668,18 +665,6 @@ type WearSnapshot struct {
 	Samples [][]float64 `json:"samples"`
 }
 
-func distFNV(counts []uint64) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, c := range counts {
-		for i := range buf {
-			buf[i] = byte(c >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 func buildResult(j *job, results []*pim.Result, hit bool) *JobResult {
 	out := &JobResult{CacheHit: hit}
 	improvements := map[string]float64{}
@@ -699,7 +684,7 @@ func buildResult(j *job, results []*pim.Result, hit bool) *JobResult {
 			LifetimeSeconds:       r.Lifetime.Seconds,
 			MaxWrites:             r.Dist.Max(),
 			TotalWrites:           r.Dist.Total(),
-			DistFNV:               distFNV(r.Dist.Counts),
+			DistFNV:               r.Dist.Checksum(),
 			Improvement:           improvements[r.Strategy.Name()],
 		}
 		if r.Wear != nil {

@@ -136,7 +136,7 @@ func TestSweepEndToEndBitIdentical(t *testing.T) {
 		if row.Strategy != r.Strategy.Name() {
 			t.Fatalf("row %d is %s, want %s", i, row.Strategy, r.Strategy.Name())
 		}
-		if row.DistFNV != distFNV(r.Dist.Counts) {
+		if row.DistFNV != r.Dist.Checksum() {
 			t.Errorf("%s: served distribution differs from cold pim.Sweep", row.Strategy)
 		}
 		if row.MaxWrites != r.Dist.Max() || row.TotalWrites != r.Dist.Total() ||
@@ -340,7 +340,7 @@ func TestRunEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Result.Strategies[0].DistFNV != distFNV(want.Dist.Counts) {
+	if st.Result.Strategies[0].DistFNV != want.Dist.Checksum() {
 		t.Error("served /run distribution differs from direct pim.Run")
 	}
 }

@@ -421,6 +421,17 @@ func route(plan *core.WearPlan, sim core.SimConfig, strat core.StrategyConfig, c
 	var steppers []*core.Stepper
 	if cfg.Policy == WearAware {
 		steppers = make([]*core.Stepper, banks)
+		// The steppers only steer routing: when it ends, their scratch
+		// and counts buffers go back to the plan's arena. Release rather
+		// than Finish, so core.writes keeps counting only the returned
+		// per-bank distributions.
+		defer func() {
+			for _, st := range steppers {
+				if st != nil {
+					st.Release()
+				}
+			}
+		}()
 	}
 	liveMax := func(b int) uint64 {
 		m := prior(b)

@@ -7,6 +7,7 @@ import (
 	"pimendure/internal/core"
 	"pimendure/internal/device"
 	"pimendure/internal/mapping"
+	"pimendure/internal/obs"
 	"pimendure/internal/synth"
 	"pimendure/internal/system"
 	"pimendure/internal/workloads"
@@ -294,6 +295,44 @@ func TestStripeRejectsBadConfig(t *testing.T) {
 	for _, c := range cases {
 		if _, err := system.Stripe(plan, c.sim, swStrategy(), c.cfg); err == nil {
 			t.Errorf("%s: Stripe accepted the configuration", c.name)
+		}
+	}
+}
+
+// Wear-aware routing hands its per-bank steppers' scratch and counts
+// buffers back to the plan's arena, so a warm repeat of a stripe whose
+// results were released allocates nothing. (Not parallel: the obs
+// registry is process-wide.)
+func TestWearAwareRoutingReturnsBuffers(t *testing.T) {
+	obs.Reset()
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	plan := bankFixture(t)
+	sim := core.SimConfig{
+		Rows: 96, PresetOutputs: true,
+		Iterations: 80, RecompileEvery: 5, Seed: 1, Workers: 1,
+	}
+	for _, policy := range []system.Policy{system.RoundRobin, system.WearAware} {
+		stripe := func() {
+			res, err := system.Stripe(plan, sim, swStrategy(), system.BankConfig{
+				Org: device.FlatOrganization(4), Policy: policy, Endurance: 1e12,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, br := range res.Banks {
+				br.Dist.Release()
+			}
+		}
+		stripe() // cold: fills the arena
+		misses := obs.GetCounter("core.arena_misses")
+		before := misses.Value()
+		stripe()
+		if got := misses.Value() - before; got != 0 {
+			t.Errorf("%s: warm stripe missed the arena %d times, want 0", policy, got)
 		}
 	}
 }

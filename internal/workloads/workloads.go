@@ -416,27 +416,17 @@ func VectorAdd(cfg Config, bits int) (bench *Benchmark, err error) {
 	}, nil
 }
 
-// PaperSuite compiles the paper's three benchmarks at their §4 parameters
-// under the given array configuration: 32-bit parallel multiplication,
-// convolution (4 lanes × 3 mults, 8-bit), and a dot-product sized to the
-// lane count (1024 elements at the default configuration) of 32-bit
-// operands.
+// PaperSuite compiles the paper's three benchmarks — multiplication,
+// convolution and dot-product, in that order — at the kernel table's §4
+// defaults (see Params) under the given array configuration.
 func PaperSuite(cfg Config) ([]*Benchmark, error) {
-	mult, err := ParallelMult(cfg, 32)
-	if err != nil {
-		return nil, err
+	var out []*Benchmark
+	for _, name := range []string{"mult", "conv", "dot"} {
+		b, _, err := Named(cfg, name, Params{})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, b)
 	}
-	conv, err := Convolution(cfg, DefaultConv())
-	if err != nil {
-		return nil, err
-	}
-	n := 1
-	for n*2 <= cfg.Lanes {
-		n *= 2
-	}
-	dot, err := DotProduct(cfg, n, 32)
-	if err != nil {
-		return nil, err
-	}
-	return []*Benchmark{mult, conv, dot}, nil
+	return out, nil
 }

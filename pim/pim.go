@@ -104,13 +104,15 @@ const (
 	ByteShift = mapping.ByteShift
 )
 
-// Device models from the paper's §2.1 survey.
+// Device models from the paper's §2.1 survey; LookupTechnology finds one
+// of Technologies by name, case-insensitively.
 var (
-	MRAM          = device.MRAM
-	RRAM          = device.RRAM
-	PCM           = device.PCM
-	ProjectedMRAM = device.ProjectedMRAM
-	Technologies  = device.Technologies
+	MRAM             = device.MRAM
+	RRAM             = device.RRAM
+	PCM              = device.PCM
+	ProjectedMRAM    = device.ProjectedMRAM
+	Technologies     = device.Technologies
+	LookupTechnology = device.Lookup
 )
 
 // AllStrategies enumerates the paper's 18 configurations; StaticStrategy is
@@ -186,10 +188,34 @@ func NewBNNLayer(opt Options, synapses int) (*Benchmark, error) {
 }
 
 // PaperBenchmarks compiles the paper's three kernels at their §4
-// parameters.
+// parameters: multiplication, convolution and dot-product, in that order.
 func PaperBenchmarks(opt Options) ([]*Benchmark, error) {
 	return workloads.PaperSuite(opt.workloadConfig())
 }
+
+// KernelParams are the optional parameters of a kernel compiled by name;
+// a zero field takes the kernel's §4 default (see NewNamed).
+type KernelParams = workloads.Params
+
+// NewNamed compiles a kernel by name — "mult", "dot", "conv", "add" or
+// "bnn", case-insensitively, plus the job server's aliases such as
+// "multiplication" or "vector-add" — and returns it with the parameters
+// it was compiled with. Zero parameters take the §4 defaults: 32-bit
+// operands (8-bit for convolution), a dot-product as long as the largest
+// power of two that fits opt.Lanes, a 4×3 convolution and a 64-synapse
+// BNN neuron. Parameters the kernel ignores come back zero.
+func NewNamed(opt Options, name string, p KernelParams) (*Benchmark, KernelParams, error) {
+	return workloads.Named(opt.workloadConfig(), name, p)
+}
+
+// ResolveKernel is NewNamed without the compile: the kernel's canonical
+// name and the parameters it would compile with on a lanes-wide array.
+func ResolveKernel(name string, lanes int, p KernelParams) (string, KernelParams, error) {
+	return workloads.Resolve(name, lanes, p)
+}
+
+// KernelNames lists the canonical kernel names NewNamed accepts.
+func KernelNames() []string { return workloads.KernelNames() }
 
 // RunConfig controls an endurance simulation.
 type RunConfig struct {
