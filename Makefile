@@ -9,7 +9,7 @@ GO ?= go
 # API + instrumented engine layers). Enforced by `make doclint`.
 DOC_PKGS = ./pim ./pim/kernel ./internal/obs ./internal/core ./internal/pool ./internal/serve ./internal/system ./internal/device ./internal/fleet
 
-.PHONY: all build vet test race race-obs race-core race-serve race-system race-fleet bench bench-alloc bench-json bench-current benchdiff report report-diff ci doclint promlint fmt
+.PHONY: all build vet test race race-obs race-core race-serve race-system race-fleet bench bench-alloc bench-json bench-current benchdiff bench-module report report-diff ci doclint promlint fmt
 
 all: build
 
@@ -122,6 +122,14 @@ BENCHDIFF_FLAGS ?=
 benchdiff: bench-current
 	$(GO) run ./internal/tools/benchdiff -new out/bench_current.json $(BENCHDIFF_FLAGS)
 
+# The bench/ module has its own go.mod, so the root ./... neither builds
+# nor tests it; yet it compiles against obs, serve, pim and fleet. Vet
+# and test it on its own, offline and outside any workspace.
+BENCH_MODULE_ENV = GOPROXY=off GOFLAGS= GOWORK=off
+bench-module:
+	$(BENCH_MODULE_ENV) $(GO) -C bench vet ./...
+	$(BENCH_MODULE_ENV) $(GO) -C bench test ./...
+
 # Full paper reproduction (use -quick via REPORT_FLAGS for a fast pass).
 report:
 	$(GO) run ./cmd/endurance-report $(REPORT_FLAGS)
@@ -156,4 +164,5 @@ report-diff:
 # quartet included, timing and allocs/op both — against the committed
 # baseline: advisory locally, strict when BENCHDIFF_FLAGS=-strict.
 # `report-diff` checks that the report is identical across worker counts.
-ci: vet fmt doclint promlint race bench bench-alloc benchdiff report-diff
+# `bench-module` vets and tests the nested bench/ module.
+ci: vet fmt doclint promlint race bench bench-alloc benchdiff report-diff bench-module

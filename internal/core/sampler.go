@@ -81,13 +81,16 @@ type WearSampler struct {
 
 // NewWearSampler creates a sampler recording into a fresh obs.Series of
 // the given name (registered process-wide, so -serve's /series endpoint
-// and Run.Finish's series_<name>.{csv,json} artifacts see it).
+// and Run.Finish's series_<name>.{csv,json} artifacts see it) and
+// attaches its heatmap to the series, which /wear.png?name= serves.
 func NewWearSampler(name string, every int, endurance float64) *WearSampler {
-	return &WearSampler{
+	s := &WearSampler{
 		Every:     every,
 		Endurance: endurance,
 		series:    obs.NewSeries(name, WearSeriesColumns...),
 	}
+	s.series.SetPNG(s.WritePNG)
+	return s
 }
 
 // Series returns the trajectory recorded so far.

@@ -25,6 +25,9 @@ func (c *Counter) Add(n int64) {
 // Value returns the accumulated total.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
+func (c *Counter) kind() string { return "counter" }
+func (c *Counter) reset()       { c.v.Store(0) }
+
 // Gauge is a named max-watermark level: Observe proposes a value and the
 // gauge keeps the highest seen since the last Reset. The wear engine's
 // pool reports its queue depth through one — a sweep's manifest then
@@ -43,6 +46,10 @@ func (g *Gauge) Observe(v int64) {
 	if !enabled.Load() {
 		return
 	}
+	g.observe(v)
+}
+
+func (g *Gauge) observe(v int64) {
 	for {
 		cur := g.max.Load()
 		if v <= cur || g.max.CompareAndSwap(cur, v) {
@@ -53,3 +60,6 @@ func (g *Gauge) Observe(v int64) {
 
 // Value returns the highest observed value.
 func (g *Gauge) Value() int64 { return g.max.Load() }
+
+func (g *Gauge) kind() string { return "gauge" }
+func (g *Gauge) reset()       { g.max.Store(0) }

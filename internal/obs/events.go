@@ -41,19 +41,6 @@ type Event struct {
 	Trace string
 }
 
-// EventStats summarizes the ring for manifests and /metrics: how many
-// events were recorded in total, how many of those the bounded ring had
-// to drop (oldest first), and the ring capacity.
-type EventStats struct {
-	// Recorded counts every event ever pushed since EnableEvents.
-	Recorded uint64 `json:"recorded"`
-	// Dropped counts pushes that overwrote an event the ring no longer
-	// holds — the drop-oldest policy in action.
-	Dropped uint64 `json:"dropped"`
-	// Capacity is the ring size.
-	Capacity int `json:"capacity"`
-}
-
 // events is the process-wide span-event ring (see ring). Recording
 // happens at span (epoch / job) granularity, never in the per-op replay
 // loops, so contention on its mutex is negligible next to the work a
@@ -89,12 +76,9 @@ func EventsEnabled() bool {
 	return eventsOn.Load()
 }
 
-// CaptureEventStats returns the ring's recorded/dropped totals.
-func CaptureEventStats() EventStats {
-	var s EventStats
-	s.Recorded, s.Dropped, s.Capacity = events.stats()
-	return s
-}
+// CaptureEventStats returns the span-event ring's recorded/dropped
+// totals.
+func CaptureEventStats() RingStats { return events.stats() }
 
 // recordEvent pushes one begin/end mark onto the ring (drop-oldest).
 // Callers check EventsEnabled-style gating themselves via the tid they

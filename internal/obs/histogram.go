@@ -22,10 +22,11 @@ const histBuckets = 65
 // the per-op replay loops.
 //
 // The scale factor converts raw recorded integers into exported units:
-// duration histograms record nanoseconds and export seconds (scale 1e-9),
-// size histograms record and export raw counts (scale 1). Exposition
-// follows the Prometheus histogram convention — cumulative _bucket
-// samples with le labels, then _sum and _count.
+// duration histograms record nanoseconds and export seconds (scale 1e-9;
+// every stage timer keeps one), size histograms record and export raw
+// counts (scale 1). Exposition follows the Prometheus histogram
+// convention — cumulative _bucket samples with le labels, then _sum and
+// _count.
 type Histogram struct {
 	name    string
 	scale   float64
@@ -65,49 +66,24 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // (seconds for duration histograms).
 func (h *Histogram) Sum() float64 { return float64(h.sum.Load()) * h.scale }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) in exported units by
-// linear interpolation inside the log bucket holding the target rank —
-// exact to within one power-of-two bucket, which is the histogram's
-// resolution by design. An empty histogram returns 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total <= 0 {
-		return 0
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) in exported units; it
+// is HistogramSnapshot.Quantile on the current state. An empty histogram
+// returns 0.
+func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
+
+func (h *Histogram) kind() string { return "histogram" }
+
+func (h *Histogram) reset() {
+	h.count.Store(0)
+	h.sum.Store(0)
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := 0; i < histBuckets; i++ {
-		n := float64(h.buckets[i].Load())
-		if n == 0 {
-			continue
-		}
-		if cum+n >= rank {
-			lo, hi := bucketBounds(i)
-			frac := (rank - cum) / n
-			return (lo + frac*(hi-lo)) * h.scale
-		}
-		cum += n
-	}
-	_, hi := bucketBounds(histBuckets - 1)
-	return hi * h.scale
 }
 
-// bucketBounds returns bucket i's raw value range [lo, hi]: bucket 0 is
+// bucketLE returns bucket i's inclusive raw upper bound: bucket 0 holds
 // exactly 0, bucket i ≥ 1 covers 2^(i-1) .. 2^i - 1.
-func bucketBounds(i int) (lo, hi float64) {
-	if i == 0 {
-		return 0, 0
-	}
-	lo = math.Ldexp(1, i-1)
-	hi = math.Ldexp(1, i) - 1
-	return lo, hi
-}
+func bucketLE(i int) float64 { return math.Ldexp(1, i) - 1 }
 
 // HistogramBucket is one non-empty bucket in a snapshot: the bucket's
 // inclusive upper bound in exported units and its (non-cumulative)
@@ -137,16 +113,18 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{Name: h.name, Count: h.count.Load(), Sum: h.Sum()}
 	for i := 0; i < histBuckets; i++ {
 		if n := h.buckets[i].Load(); n != 0 {
-			_, hi := bucketBounds(i)
-			s.Buckets = append(s.Buckets, HistogramBucket{LE: hi * h.scale, Count: n})
+			s.Buckets = append(s.Buckets, HistogramBucket{LE: bucketLE(i) * h.scale, Count: n})
 		}
 	}
 	return s
 }
 
-// Quantile estimates the q-quantile of a snapshot, mirroring
-// Histogram.Quantile — the client-side counterpart used by tools that
-// read histograms back from a manifest or the /metrics exposition.
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of a snapshot by linear
+// interpolation inside the log bucket holding the target rank — exact to
+// within one power-of-two bucket, which is the histogram's resolution by
+// design. It serves live histograms (Histogram.Quantile), the -metrics
+// table and tools that read histograms back from a manifest or the
+// /metrics exposition. An empty snapshot returns 0.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count <= 0 {
 		return 0
@@ -165,34 +143,9 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 			// The snapshot keeps only the upper bound; approximate the lower
 			// bound as half of it (the log-bucket geometry).
 			lo := b.LE / 2
-			if b.LE == 0 {
-				lo = 0
-			}
 			return lo + (rank-cum)/n*(b.LE-lo)
 		}
 		cum += n
 	}
 	return s.Buckets[len(s.Buckets)-1].LE
-}
-
-// GetHistogram returns the process-wide raw-value histogram with the
-// given name (scale 1: sizes, counts), creating and registering it on
-// first use. Registering a name already held by another kind panics.
-func GetHistogram(name string) *Histogram { return getHistogram(name, 1) }
-
-// GetDurationHistogram returns the process-wide duration histogram with
-// the given name: values are recorded in nanoseconds (ObserveDuration)
-// and exported in seconds. The exposition family is "<name>_seconds".
-func GetDurationHistogram(name string) *Histogram { return getHistogram(name, 1e-9) }
-
-func getHistogram(name string, scale float64) *Histogram {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	h, ok := registry.histograms[name]
-	if !ok {
-		claimName(name, "histogram")
-		h = &Histogram{name: name, scale: scale}
-		registry.histograms[name] = h
-	}
-	return h
 }

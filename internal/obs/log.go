@@ -29,19 +29,6 @@ type LogRecord struct {
 	Fields map[string]any `json:"fields,omitempty"`
 }
 
-// LogStats summarizes the log ring for manifests and /metrics, mirroring
-// EventStats: total records accepted, records the bounded ring dropped
-// (oldest first), and the ring capacity.
-type LogStats struct {
-	// Recorded counts every record ever pushed since EnableLog.
-	Recorded uint64 `json:"recorded"`
-	// Dropped counts pushes that overwrote a record the ring no longer
-	// holds.
-	Dropped uint64 `json:"dropped"`
-	// Capacity is the ring size.
-	Capacity int `json:"capacity"`
-}
-
 // logRing is the process-wide structured-event log — the same bounded
 // drop-oldest ring as the span events, but carrying wall-clock JSONL
 // records at request granularity instead of span marks at stage
@@ -75,11 +62,7 @@ func LogEnabled() bool {
 func resetLog() { logRing.reset() }
 
 // CaptureLogStats returns the log ring's recorded/dropped totals.
-func CaptureLogStats() LogStats {
-	var s LogStats
-	s.Recorded, s.Dropped, s.Capacity = logRing.stats()
-	return s
-}
+func CaptureLogStats() RingStats { return logRing.stats() }
 
 // LogEvent records one structured event. Disabled, it is one atomic
 // load and returns before evaluating anything else, so call sites can

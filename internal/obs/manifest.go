@@ -49,8 +49,8 @@ type Manifest struct {
 	// Events summarizes the span-event ring (recorded/dropped/capacity)
 	// when event recording was on during the run; Log does the same for
 	// the structured JSONL event log.
-	Events *EventStats `json:"events,omitempty"`
-	Log    *LogStats   `json:"log,omitempty"`
+	Events *RingStats `json:"events,omitempty"`
+	Log    *RingStats `json:"log,omitempty"`
 }
 
 // NewManifest starts a manifest for the named command, stamping the

@@ -57,11 +57,16 @@ func promLE(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// histFamily converts a histogram snapshot into its exposition family —
-// one HELP/TYPE histogram block covering the cumulative le-labeled
-// _bucket series (always closed by le="+Inf" carrying the total count),
-// then _sum and _count, per the Prometheus text-format convention.
-func histFamily(s HistogramSnapshot, help string) promMetric {
+// family converts the histogram into its exposition family — one
+// HELP/TYPE histogram block covering the cumulative le-labeled _bucket
+// series (always closed by le="+Inf" carrying the total count), then
+// _sum and _count, per the Prometheus text-format convention. Duration
+// histograms export seconds under "<name>_seconds".
+func (h *Histogram) family(help string) promMetric {
+	s := h.Snapshot()
+	if h.scale != 1 {
+		s.Name += "_seconds"
+	}
 	fam := promMetric{name: promName(s.Name), help: help, typ: "histogram"}
 	var cum int64
 	for _, b := range s.Buckets {
@@ -78,37 +83,31 @@ func histFamily(s HistogramSnapshot, help string) promMetric {
 	return fam
 }
 
-// WritePrometheus renders every registered counter, gauge, timer and
-// histogram in the Prometheus text exposition format (version 0.0.4) —
-// the payload behind the -serve /metrics endpoint. Unlike Capture it
-// includes zero-valued metrics, so a scrape early in a run already shows
-// the full metric set. Each timer exports a "<name>_seconds" duration
-// histogram (cumulative le buckets, _sum, _count) plus the
-// "<name>_max_seconds" outlier gauge; histograms registered through
-// GetHistogram/GetDurationHistogram export the same shape under their
-// own family name.
+// WritePrometheus renders every registered metric in the Prometheus text
+// exposition format (version 0.0.4) — the payload behind the -serve
+// /metrics endpoint. Unlike Capture it includes zero-valued metrics, so
+// a scrape early in a run already shows the full metric set. Each stage
+// timer exports its "<name>_seconds" duration histogram (cumulative le
+// buckets, _sum, _count) plus the "<name>_max_seconds" outlier gauge;
+// histograms registered through GetHistogram/GetDurationHistogram
+// export the same shape under their own family name.
 func WritePrometheus(w io.Writer) error {
 	registry.mu.Lock()
-	metrics := make([]promMetric, 0,
-		len(registry.counters)+len(registry.gauges)+4*len(registry.timers)+3*len(registry.histograms))
-	for name, c := range registry.counters {
-		metrics = append(metrics, scalar(promName(name), name+" (counter)", "counter", float64(c.v.Load())))
-	}
-	for name, g := range registry.gauges {
-		metrics = append(metrics, scalar(promName(name), name+" (max watermark gauge)", "gauge", float64(g.max.Load())))
-	}
-	for name, t := range registry.timers {
-		metrics = append(metrics,
-			histFamily(t.Histogram(), name+" span duration (timer histogram)"),
-			scalar(promName(name)+"_max_seconds",
-				name+" longest single span (timer)", "gauge", time.Duration(t.maxNS.Load()).Seconds()))
-	}
-	for name, h := range registry.histograms {
-		snap := h.Snapshot()
-		if h.scale != 1 {
-			snap.Name = name + "_seconds"
+	metrics := make([]promMetric, 0, len(registry.metrics)+4)
+	for name, m := range registry.metrics {
+		switch m := m.(type) {
+		case *Counter:
+			metrics = append(metrics, scalar(promName(name), name+" (counter)", "counter", float64(m.Value())))
+		case *Gauge:
+			metrics = append(metrics, scalar(promName(name), name+" (max watermark gauge)", "gauge", float64(m.Value())))
+		case *timer:
+			metrics = append(metrics,
+				m.hist.family(name+" span duration (timer histogram)"),
+				scalar(promName(name)+"_max_seconds",
+					name+" longest single span (timer)", "gauge", time.Duration(m.max.Value()).Seconds()))
+		case *Histogram:
+			metrics = append(metrics, m.family(name+" (histogram)"))
 		}
-		metrics = append(metrics, histFamily(snap, name+" (histogram)"))
 	}
 	registry.mu.Unlock()
 

@@ -8,108 +8,89 @@ import (
 	"time"
 )
 
-// registry is the process-wide home of every counter, gauge and timer.
-// Lookup/creation takes the mutex; the recording fast paths touch only
-// the returned struct's atomics.
-var registry = struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	timers     map[string]*Timer
-	histograms map[string]*Histogram
-	kinds      map[string]string // name -> "counter" | "gauge" | "timer" | "histogram"
-}{
-	counters:   map[string]*Counter{},
-	gauges:     map[string]*Gauge{},
-	timers:     map[string]*Timer{},
-	histograms: map[string]*Histogram{},
-	kinds:      map[string]string{},
+// metric is one registry entry: a Counter, Gauge, Histogram or stage
+// timer. Capture and WritePrometheus switch on the concrete kind.
+type metric interface {
+	// kind names the metric kind in the registry's name-clash panic.
+	kind() string
+	// reset zeroes the recorded values; the registration survives.
+	reset()
 }
 
-// claimName records a name's kind, panicking when the name is already
-// registered as a different kind. Without the guard a counter and a
-// gauge sharing one name would silently diverge into two manifest
-// entries; the registry refuses instead, loudly, at registration time.
-func claimName(name, kind string) {
-	if prev, ok := registry.kinds[name]; ok && prev != kind {
-		panic(fmt.Sprintf("obs: metric name %q already registered as a %s, cannot re-register as a %s", name, prev, kind))
+// registry is the process-wide home of every metric, one name→metric
+// map for all kinds. Lookup/creation takes the mutex; the recording fast
+// paths touch only the returned struct's atomics.
+var registry = struct {
+	mu      sync.Mutex
+	metrics map[string]metric
+}{metrics: map[string]metric{}}
+
+// register returns the metric registered under name, creating it with
+// mk on first use. A name already held by a different kind panics:
+// without the guard a counter and a gauge sharing one name would
+// silently diverge into two manifest entries; the registry refuses
+// instead, loudly, at registration time.
+func register[M metric](name string, mk func() M) M {
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	prev, ok := registry.metrics[name]
+	if !ok {
+		m := mk()
+		registry.metrics[name] = m
+		return m
 	}
-	registry.kinds[name] = kind
+	m, same := prev.(M)
+	if !same {
+		panic(fmt.Sprintf("obs: metric name %q already registered as a %s, cannot re-register as a %s", name, prev.kind(), mk().kind()))
+	}
+	return m
 }
 
 // GetCounter returns the process-wide counter with the given name,
 // creating and registering it on first use. Typically called once at
-// package init and kept in a var. Registering a name already held by a
-// gauge or timer panics.
+// package init and kept in a var. Registering a name already held by
+// another kind panics.
 func GetCounter(name string) *Counter {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	c, ok := registry.counters[name]
-	if !ok {
-		claimName(name, "counter")
-		c = &Counter{name: name}
-		registry.counters[name] = c
-	}
-	return c
+	return register(name, func() *Counter { return &Counter{name: name} })
 }
 
 // GetGauge returns the process-wide max-watermark gauge with the given
-// name, creating it on first use. Registering a name already held by a
-// counter or timer panics.
+// name, creating it on first use. Registering a name already held by
+// another kind panics.
 func GetGauge(name string) *Gauge {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	g, ok := registry.gauges[name]
-	if !ok {
-		claimName(name, "gauge")
-		g = &Gauge{name: name}
-		registry.gauges[name] = g
-	}
-	return g
+	return register(name, func() *Gauge { return &Gauge{name: name} })
+}
+
+// GetHistogram returns the process-wide raw-value histogram with the
+// given name (scale 1: sizes, counts), creating and registering it on
+// first use. Registering a name already held by another kind panics.
+func GetHistogram(name string) *Histogram {
+	return register(name, func() *Histogram { return &Histogram{name: name, scale: 1} })
+}
+
+// GetDurationHistogram returns the process-wide duration histogram with
+// the given name: values are recorded in nanoseconds (ObserveDuration)
+// and exported in seconds. The exposition family is "<name>_seconds".
+func GetDurationHistogram(name string) *Histogram {
+	return register(name, func() *Histogram { return &Histogram{name: name, scale: 1e-9} })
 }
 
 // getTimer returns the stage timer with the given name, creating it on
 // first use. Timers are reached through StartSpan rather than directly.
-func getTimer(name string) *Timer {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	t, ok := registry.timers[name]
-	if !ok {
-		claimName(name, "timer")
-		t = &Timer{name: name}
-		registry.timers[name] = t
-	}
-	return t
+func getTimer(name string) *timer {
+	return register(name, func() *timer { return &timer{hist: Histogram{name: name, scale: 1e-9}} })
 }
 
-// Reset zeroes every registered counter, gauge and timer (the
-// registrations themselves survive, so package-level handles stay
-// valid). Tests and benchmark harnesses use it to isolate measurement
-// regions; CLIs never need it.
+// Reset zeroes every registered metric and empties the series registry
+// and the event log (the metric registrations themselves survive, so
+// package-level handles stay valid). Tests and benchmark harnesses use
+// it to isolate measurement regions; CLIs never need it.
 func Reset() {
 	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	for _, c := range registry.counters {
-		c.v.Store(0)
+	for _, m := range registry.metrics {
+		m.reset()
 	}
-	for _, g := range registry.gauges {
-		g.max.Store(0)
-	}
-	for _, t := range registry.timers {
-		t.count.Store(0)
-		t.ns.Store(0)
-		t.maxNS.Store(0)
-		for i := range t.buckets {
-			t.buckets[i].Store(0)
-		}
-	}
-	for _, h := range registry.histograms {
-		h.count.Store(0)
-		h.sum.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-	}
+	registry.mu.Unlock()
 	resetSeries()
 	resetLog()
 }
@@ -133,37 +114,38 @@ type Snapshot struct {
 	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Capture snapshots every registered counter, gauge and stage timer.
-// Zero-valued entries are omitted so a snapshot reflects what the run
-// actually exercised. Stages are sorted by name, which groups nested
-// "parent/child" stages under their parent.
+// Capture snapshots every registered metric. Zero-valued entries are
+// omitted so a snapshot reflects what the run actually exercised. Stage
+// timers are listed as Stages, apart from the histograms; stages are
+// sorted by name, which groups nested "parent/child" stages under their
+// parent.
 func Capture() Snapshot {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	s := Snapshot{Counters: map[string]int64{}, Gauges: map[string]int64{}}
-	for name, c := range registry.counters {
-		if v := c.v.Load(); v != 0 {
-			s.Counters[name] = v
-		}
-	}
-	for name, g := range registry.gauges {
-		if v := g.max.Load(); v != 0 {
-			s.Gauges[name] = v
-		}
-	}
-	for name, t := range registry.timers {
-		if n := t.count.Load(); n != 0 {
-			s.Stages = append(s.Stages, Stage{
-				Name:       name,
-				Count:      n,
-				Seconds:    time.Duration(t.ns.Load()).Seconds(),
-				MaxSeconds: time.Duration(t.maxNS.Load()).Seconds(),
-			})
-		}
-	}
-	for _, h := range registry.histograms {
-		if h.count.Load() != 0 {
-			s.Histograms = append(s.Histograms, h.Snapshot())
+	for name, m := range registry.metrics {
+		switch m := m.(type) {
+		case *Counter:
+			if v := m.Value(); v != 0 {
+				s.Counters[name] = v
+			}
+		case *Gauge:
+			if v := m.Value(); v != 0 {
+				s.Gauges[name] = v
+			}
+		case *timer:
+			if n := m.hist.Count(); n != 0 {
+				s.Stages = append(s.Stages, Stage{
+					Name:       name,
+					Count:      n,
+					Seconds:    m.hist.Sum(),
+					MaxSeconds: time.Duration(m.max.Value()).Seconds(),
+				})
+			}
+		case *Histogram:
+			if m.Count() != 0 {
+				s.Histograms = append(s.Histograms, m.Snapshot())
+			}
 		}
 	}
 	sort.Slice(s.Stages, func(i, j int) bool { return s.Stages[i].Name < s.Stages[j].Name })

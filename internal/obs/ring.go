@@ -70,16 +70,29 @@ func (r *ring[T]) newest(n int) ([]T, time.Time) {
 	return out, r.born
 }
 
-// stats returns the entries pushed since enable, how many of them the
-// ring has dropped, and its capacity.
-func (r *ring[T]) stats() (recorded, dropped uint64, capacity int) {
+// RingStats summarizes a bounded ring — the span-event ring or the
+// structured log — for manifests and /metrics: the entries pushed since
+// it was enabled, how many of those it had to drop (oldest first), and
+// its capacity.
+type RingStats struct {
+	// Recorded counts every entry pushed since the ring was enabled.
+	Recorded uint64 `json:"recorded"`
+	// Dropped counts pushes that overwrote an entry the ring no longer
+	// holds — the drop-oldest policy in action.
+	Dropped uint64 `json:"dropped"`
+	// Capacity is the ring size.
+	Capacity int `json:"capacity"`
+}
+
+// stats returns the ring's totals.
+func (r *ring[T]) stats() RingStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	recorded, capacity = r.head, len(r.buf)
-	if n := uint64(capacity); recorded > n {
-		dropped = recorded - n
+	s := RingStats{Recorded: r.head, Capacity: len(r.buf)}
+	if n := uint64(s.Capacity); s.Recorded > n {
+		s.Dropped = s.Recorded - n
 	}
-	return recorded, dropped, capacity
+	return s
 }
 
 // reset clears the contents and totals, keeping the enabled state.

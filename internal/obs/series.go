@@ -13,6 +13,8 @@ import (
 // telemetry shape behind per-epoch wear trajectories. Unlike counters
 // and spans it is not gated on the enabled flag: a series only exists
 // because a caller explicitly asked for sampling, so every Add records.
+// A series may carry a heatmap renderer (SetPNG), served at
+// /wear.png?name=<series> for as long as the series is registered.
 // All methods are safe for concurrent use.
 type Series struct {
 	name string
@@ -20,6 +22,7 @@ type Series struct {
 
 	mu      sync.Mutex
 	samples [][]float64
+	png     func(io.Writer) error
 }
 
 // seriesRegistry holds every live series so the /series endpoint and
@@ -54,8 +57,9 @@ func NewSeries(name string, cols ...string) *Series {
 
 // RemoveSeries unregisters the named series, freeing the name for
 // reuse. The handle itself stays usable; it is just no longer exported
-// by AllSeries (/series, Run.Finish artifacts). Serving layers call it
-// when a job's per-request telemetry is folded into the job result.
+// by AllSeries (/series, /wear.png, Run.Finish artifacts). Serving
+// layers call it when a job's per-request telemetry is folded into the
+// job result.
 func RemoveSeries(name string) {
 	seriesRegistry.mu.Lock()
 	delete(seriesRegistry.byName, name)
@@ -97,6 +101,50 @@ func (s *Series) Name() string { return s.name }
 
 // Columns returns the column names.
 func (s *Series) Columns() []string { return append([]string(nil), s.cols...) }
+
+// SetPNG attaches the renderer behind /wear.png?name=<series> — the wear
+// sampler attaches its heatmap snapshot. obs itself stays free of image
+// and stats dependencies. A nil fn detaches it.
+func (s *Series) SetPNG(fn func(io.Writer) error) {
+	s.mu.Lock()
+	s.png = fn
+	s.mu.Unlock()
+}
+
+// WritePNG renders the series' heatmap to w, erroring when no renderer
+// is attached.
+func (s *Series) WritePNG(w io.Writer) error {
+	fn := s.renderer()
+	if fn == nil {
+		return fmt.Errorf("obs: series %q has no heatmap", s.name)
+	}
+	return fn(w)
+}
+
+func (s *Series) renderer() func(io.Writer) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.png
+}
+
+// heatmapSeries resolves a /wear.png request: the named series if it
+// carries a heatmap, or for an empty name the smallest-named series that
+// does (so a sweep's live view doesn't depend on registration order).
+// It returns nil when no registered series matches.
+func heatmapSeries(name string) *Series {
+	if name != "" {
+		if s := FindSeries(name); s != nil && s.renderer() != nil {
+			return s
+		}
+		return nil
+	}
+	for _, s := range AllSeries() {
+		if s.renderer() != nil {
+			return s
+		}
+	}
+	return nil
+}
 
 // Add appends one sample. The value count must match the column count.
 func (s *Series) Add(vals ...float64) {

@@ -8,97 +8,10 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 )
-
-// wearPNG is the pluggable renderer registry behind /wear.png. The
-// sampling layer (internal/core's WearSampler, wired by pim.Run)
-// registers a closure per series that renders its latest histogram
-// snapshot; obs itself stays free of image and stats dependencies.
-// Sources are keyed by name so a concurrent sweep's 18 sampled runs
-// coexist instead of racing over a single slot.
-var wearPNG struct {
-	mu      sync.Mutex
-	def     func(io.Writer) error
-	sources map[string]func(io.Writer) error
-}
-
-// SetWearPNG installs the unnamed default renderer behind the /wear.png
-// endpoint — the source served when no ?name= selector is given. Pass
-// nil to uninstall. Concurrent runs that each own a series should use
-// RegisterWearPNG instead.
-func SetWearPNG(fn func(io.Writer) error) {
-	wearPNG.mu.Lock()
-	wearPNG.def = fn
-	wearPNG.mu.Unlock()
-}
-
-// RegisterWearPNG installs a named renderer served at /wear.png?name=N.
-// Each concurrently sampled run registers under its own series name, so
-// no run overwrites another's live view. Passing a nil fn removes the
-// name.
-func RegisterWearPNG(name string, fn func(io.Writer) error) {
-	wearPNG.mu.Lock()
-	defer wearPNG.mu.Unlock()
-	if fn == nil {
-		delete(wearPNG.sources, name)
-		return
-	}
-	if wearPNG.sources == nil {
-		wearPNG.sources = map[string]func(io.Writer) error{}
-	}
-	wearPNG.sources[name] = fn
-}
-
-// WearPNGSources returns the sorted names of the registered wear-PNG
-// renderers (the unnamed SetWearPNG default excluded).
-func WearPNGSources() []string {
-	wearPNG.mu.Lock()
-	defer wearPNG.mu.Unlock()
-	names := make([]string, 0, len(wearPNG.sources))
-	for n := range wearPNG.sources {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// WriteWearPNG renders a wear-PNG source to w, resolving name exactly
-// like a /wear.png?name= request (empty name selects the default; see
-// lookupWearPNG). It errors when no source matches.
-func WriteWearPNG(w io.Writer, name string) error {
-	fn := lookupWearPNG(name)
-	if fn == nil {
-		return fmt.Errorf("obs: no wear-PNG source registered for %q", name)
-	}
-	return fn(w)
-}
-
-// lookupWearPNG resolves the renderer for a /wear.png request. An empty
-// name selects deterministically: the SetWearPNG default if installed,
-// else the lexicographically smallest registered name (so a sweep's
-// live view doesn't depend on registration order).
-func lookupWearPNG(name string) func(io.Writer) error {
-	wearPNG.mu.Lock()
-	defer wearPNG.mu.Unlock()
-	if name != "" {
-		return wearPNG.sources[name]
-	}
-	if wearPNG.def != nil {
-		return wearPNG.def
-	}
-	var first string
-	var fn func(io.Writer) error
-	for n, f := range wearPNG.sources {
-		if fn == nil || n < first {
-			first, fn = n, f
-		}
-	}
-	return fn
-}
 
 // extraHandlers is the dynamic route registry behind Handle: serving
 // layers (internal/serve's job endpoints) mount themselves here and the
@@ -201,9 +114,9 @@ func jsonError(w http.ResponseWriter, msg string, code int) {
 //	            count (default 1000, ≤ 0 for everything held)
 //	/dashboard  self-contained live HTML dashboard (polls /metrics
 //	            and /series; no external assets)
-//	/wear.png   latest wear-distribution heatmap; ?name= selects among
-//	            RegisterWearPNG sources (404 until a sampled run
-//	            registers one via SetWearPNG/RegisterWearPNG)
+//	/wear.png   latest wear-distribution heatmap of the series named
+//	            by ?name=, or of the smallest-named series carrying one
+//	            (404 until a sampled run attaches one via Series.SetPNG)
 func startTelemetryServer(addr string) (*telemetryServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -249,12 +162,12 @@ func startTelemetryServer(addr string) (*telemetryServer, error) {
 		_, _ = io.WriteString(w, dashboardHTML)
 	})
 	mux.HandleFunc("/wear.png", func(w http.ResponseWriter, r *http.Request) {
-		fn := lookupWearPNG(r.URL.Query().Get("name"))
-		if fn == nil {
+		s := heatmapSeries(r.URL.Query().Get("name"))
+		if s == nil {
 			http.Error(w, "no wear sampler active (run with sampling enabled)", http.StatusNotFound)
 			return
 		}
-		buffered(w, "image/png", fn)
+		buffered(w, "image/png", s.WritePNG)
 	})
 	// Static endpoints win; anything else consults the dynamic Handle
 	// registry so serving layers can mount work endpoints at any time.

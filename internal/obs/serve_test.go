@@ -44,7 +44,6 @@ func TestTelemetryServer(t *testing.T) {
 	obs.Reset()
 	defer func() {
 		obs.Disable()
-		obs.SetWearPNG(nil)
 		obs.Reset()
 	}()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -80,7 +79,8 @@ func TestTelemetryServer(t *testing.T) {
 		t.Errorf("/healthz = %d %q", code, body)
 	}
 
-	obs.NewSeries("serve.series", "v").Add(42)
+	plain := obs.NewSeries("serve.series", "v")
+	plain.Add(42)
 	code, ctype, body = get(t, addr, "/series")
 	if code != http.StatusOK || !strings.HasPrefix(ctype, "application/json") {
 		t.Fatalf("/series = %d %q", code, ctype)
@@ -100,21 +100,19 @@ func TestTelemetryServer(t *testing.T) {
 	if code != http.StatusNotFound {
 		t.Errorf("/wear.png before a sampler = %d, want 404", code)
 	}
-	obs.SetWearPNG(func(w io.Writer) error {
+	plain.SetPNG(func(w io.Writer) error {
 		_, err := fmt.Fprint(w, "\x89PNG fake")
 		return err
 	})
 	code, ctype, body = get(t, addr, "/wear.png")
 	if code != http.StatusOK || ctype != "image/png" || !bytes.HasPrefix(body, []byte("\x89PNG")) {
-		t.Errorf("/wear.png after SetWearPNG = %d %q %q", code, ctype, body)
+		t.Errorf("/wear.png after SetPNG = %d %q %q", code, ctype, body)
 	}
-	// Named per-series sources coexist with the default and are selected
-	// with ?name=.
-	obs.RegisterWearPNG("serve.named", func(w io.Writer) error {
+	// Each series carries its own heatmap, selected with ?name=.
+	obs.NewSeries("serve.named", "v").SetPNG(func(w io.Writer) error {
 		_, err := fmt.Fprint(w, "\x89PNG named")
 		return err
 	})
-	defer obs.RegisterWearPNG("serve.named", nil)
 	code, _, body = get(t, addr, "/wear.png?name=serve.named")
 	if code != http.StatusOK || !bytes.HasSuffix(body, []byte("named")) {
 		t.Errorf("/wear.png?name=serve.named = %d %q", code, body)
@@ -259,13 +257,13 @@ func TestWearPNGHandlerErrorPath(t *testing.T) {
 	obs.Reset()
 	defer func() {
 		obs.Disable()
-		obs.SetWearPNG(nil)
 		obs.Reset()
 	}()
 	addr, run := startServer(t)
 	defer run.Close()
 
-	obs.SetWearPNG(func(w io.Writer) error {
+	series := obs.NewSeries("wear.failing", "v")
+	series.SetPNG(func(w io.Writer) error {
 		fmt.Fprint(w, "\x89PNG partial garbage")
 		return fmt.Errorf("render exploded mid-image")
 	})
@@ -281,7 +279,7 @@ func TestWearPNGHandlerErrorPath(t *testing.T) {
 	}
 
 	// A successful render advertises its exact length.
-	obs.SetWearPNG(func(w io.Writer) error {
+	series.SetPNG(func(w io.Writer) error {
 		_, err := fmt.Fprint(w, "\x89PNG ok")
 		return err
 	})
@@ -361,12 +359,19 @@ func TestTelemetryServerDynamicHandlers(t *testing.T) {
 	}
 }
 
-// The wear-PNG registry contract without a server: per-name
-// registration and removal, sorted source listing, and deterministic
-// default resolution — an explicit SetWearPNG default wins, otherwise
-// the lexicographically smallest registered name serves the unnamed
-// request regardless of registration order.
+// Heatmaps live on their series: ?name= selects a series' heatmap, a
+// bare /wear.png resolves deterministically to the lexicographically
+// smallest series carrying one regardless of registration order, a
+// series without a heatmap is never served, and RemoveSeries and Reset
+// retire a heatmap together with its series.
 func TestWearPNGRegistry(t *testing.T) {
+	obs.Reset()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	addr, run := startServer(t)
+	defer run.Close()
 	render := func(tag string) func(io.Writer) error {
 		return func(w io.Writer) error {
 			_, err := io.WriteString(w, tag)
@@ -374,43 +379,48 @@ func TestWearPNGRegistry(t *testing.T) {
 		}
 	}
 	resolve := func(name string) string {
-		var buf bytes.Buffer
-		if err := obs.WriteWearPNG(&buf, name); err != nil {
+		path := "/wear.png"
+		if name != "" {
+			path += "?name=" + name
+		}
+		code, _, body := get(t, addr, path)
+		if code != http.StatusOK {
 			return "ERR"
 		}
-		return buf.String()
+		return string(body)
 	}
-	defer func() {
-		obs.SetWearPNG(nil)
-		obs.RegisterWearPNG("z.series", nil)
-		obs.RegisterWearPNG("a.series", nil)
-	}()
 
 	if got := resolve(""); got != "ERR" {
 		t.Fatalf("empty registry resolved to %q", got)
 	}
-	obs.RegisterWearPNG("z.series", render("z"))
-	obs.RegisterWearPNG("a.series", render("a"))
-	if got := obs.WearPNGSources(); len(got) != 2 || got[0] != "a.series" || got[1] != "z.series" {
-		t.Errorf("WearPNGSources = %v, want [a.series z.series]", got)
-	}
+	plain := obs.NewSeries("0.plain", "v")
+	obs.NewSeries("z.series", "v").SetPNG(render("z"))
+	obs.NewSeries("a.series", "v").SetPNG(render("a"))
 	if got := resolve("z.series"); got != "z" {
 		t.Errorf("named lookup = %q, want z", got)
 	}
 	if got := resolve(""); got != "a" {
-		t.Errorf("unnamed lookup = %q, want a (smallest registered name)", got)
+		t.Errorf("unnamed lookup = %q, want a (smallest series with a heatmap)", got)
 	}
-	obs.SetWearPNG(render("default"))
-	if got := resolve(""); got != "default" {
-		t.Errorf("unnamed lookup with default installed = %q, want default", got)
+	if got := resolve("0.plain"); got != "ERR" {
+		t.Errorf("series without a heatmap resolved to %q", got)
 	}
-	obs.SetWearPNG(nil)
-	obs.RegisterWearPNG("a.series", nil)
+	if err := plain.WritePNG(io.Discard); err == nil {
+		t.Error("WritePNG on a series without a heatmap did not error")
+	}
+	obs.RemoveSeries("a.series")
 	if got := resolve(""); got != "z" {
 		t.Errorf("unnamed lookup after removing a.series = %q, want z", got)
 	}
 	if got := resolve("a.series"); got != "ERR" {
-		t.Errorf("removed name still resolves: %q", got)
+		t.Errorf("removed series' heatmap still resolves: %q", got)
+	}
+	obs.Reset()
+	if got := resolve("z.series"); got != "ERR" {
+		t.Errorf("Reset left the heatmap of z.series behind: %q", got)
+	}
+	if got := resolve(""); got != "ERR" {
+		t.Errorf("unnamed lookup after Reset = %q, want none", got)
 	}
 }
 

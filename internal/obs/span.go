@@ -1,63 +1,32 @@
 package obs
 
-import (
-	"math/bits"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// Timer accumulates completed spans for one stage name: a count, the
-// summed wall time, the longest single span (a max watermark, so a
-// 10-second outlier epoch stays visible inside an hour-long total), and
-// a log-bucketed duration histogram — the same powers-of-two bucket
-// array as Histogram, so stage timings export as full distributions
-// (p50/p99 of an epoch, not just mean and max). Timers are created
-// implicitly by StartSpan and read back through Capture/WriteTable;
-// concurrent spans (pool workers timing the same stage) accumulate
-// atomically.
-type Timer struct {
-	name    string
-	count   atomic.Int64
-	ns      atomic.Int64
-	maxNS   atomic.Int64
-	buckets [histBuckets]atomic.Int64
+// timer accumulates the completed spans of one stage name: a duration
+// histogram (span count, summed nanoseconds and the log buckets, so
+// stage timings export as full distributions — p50/p99 of an epoch, not
+// just mean and max) and the longest single span as a max watermark, so
+// a 10-second outlier epoch stays visible inside an hour-long total.
+// Timers are created implicitly by StartSpan and read back through
+// Capture/WriteTable; concurrent spans (pool workers timing the same
+// stage) accumulate atomically.
+type timer struct {
+	hist Histogram // nanosecond-scaled, named after the stage
+	max  Gauge     // longest single span in nanoseconds
 }
 
-// Name returns the stage name the timer accumulates under.
-func (t *Timer) Name() string { return t.name }
+func (t *timer) kind() string { return "timer" }
 
-// Count returns how many spans have completed on this timer.
-func (t *Timer) Count() int64 { return t.count.Load() }
-
-// Total returns the summed wall time of completed spans.
-func (t *Timer) Total() time.Duration { return time.Duration(t.ns.Load()) }
-
-// Max returns the longest single completed span.
-func (t *Timer) Max() time.Duration { return time.Duration(t.maxNS.Load()) }
-
-// Histogram snapshots the timer's span-duration distribution in seconds
-// — count, sum, and the non-empty log buckets, under the exposition
-// family name "<name>_seconds".
-func (t *Timer) Histogram() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Name:  t.name + "_seconds",
-		Count: t.count.Load(),
-		Sum:   time.Duration(t.ns.Load()).Seconds(),
-	}
-	for i := 0; i < histBuckets; i++ {
-		if n := t.buckets[i].Load(); n != 0 {
-			_, hi := bucketBounds(i)
-			s.Buckets = append(s.Buckets, HistogramBucket{LE: hi * 1e-9, Count: n})
-		}
-	}
-	return s
+func (t *timer) reset() {
+	t.hist.reset()
+	t.max.reset()
 }
 
 // Span is one in-flight timing of a named stage. The zero Span (what
 // StartSpan returns while the layer is disabled) is valid: End and Child
 // on it are no-ops, so call sites need no enabled-checks of their own.
 type Span struct {
-	t     *Timer
+	t     *timer
 	start time.Time
 	tid   int64 // goroutine id for event emission; 0 = events off at start
 }
@@ -79,27 +48,20 @@ func StartSpan(name string) Span {
 	return sp
 }
 
-// End stops the span and accumulates its wall time under the stage name,
-// raising the stage's max-single-span watermark when this span is the
-// longest seen. End on the zero Span is a no-op; spans started while
-// enabled record even if the layer was disabled in between (the run is
-// winding down).
+// End stops the span and records its wall time on the stage's duration
+// histogram, raising the stage's max-single-span watermark when this
+// span is the longest seen. End on the zero Span is a no-op; spans
+// started while enabled record even if the layer was disabled in
+// between (the run is winding down).
 func (s Span) End() {
 	if s.t == nil {
 		return
 	}
 	d := int64(time.Since(s.start))
-	s.t.count.Add(1)
-	s.t.ns.Add(d)
-	s.t.buckets[bits.Len64(uint64(d))].Add(1)
-	for {
-		cur := s.t.maxNS.Load()
-		if d <= cur || s.t.maxNS.CompareAndSwap(cur, d) {
-			break
-		}
-	}
+	s.t.hist.observe(d)
+	s.t.max.observe(d)
 	if s.tid != 0 {
-		recordEvent(EventEnd, s.t.name, s.tid)
+		recordEvent(EventEnd, s.t.hist.name, s.tid)
 	}
 }
 
@@ -111,10 +73,5 @@ func (s Span) Child(name string) Span {
 	if s.t == nil {
 		return Span{}
 	}
-	sp := Span{t: getTimer(s.t.name + "/" + name), start: time.Now()}
-	if tid := eventTID(); tid != 0 {
-		sp.tid = tid
-		recordEvent(EventBegin, sp.t.name, tid)
-	}
-	return sp
+	return StartSpan(s.t.hist.name + "/" + name)
 }

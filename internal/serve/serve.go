@@ -360,8 +360,13 @@ func (s *Server) accepted(w http.ResponseWriter, j *job, coalesced bool) {
 }
 
 // exec runs one job on a queue worker: compile the benchmark, fetch or
-// build the WearPlan through the cache, simulate, then unregister the
-// job's scoped telemetry.
+// build the WearPlan through the cache, simulate, then retire the job's
+// scoped telemetry — every series (and the heatmap it carries) under
+// the job's "serve.<id>." prefix, whether the job succeeded, failed or
+// panicked. The samples live on in the JobResult, so the registry stays
+// bounded no matter how many jobs the server has run. Retiring comes
+// before finish publishes the terminal state: a poller that sees the
+// job done or failed never sees its series.
 func (s *Server) exec(j *job) {
 	j.mu.Lock()
 	j.state = "running"
@@ -369,14 +374,30 @@ func (s *Server) exec(j *job) {
 	j.mu.Unlock()
 
 	result, err := s.contained(j)
+	for _, series := range jobSeries(j.id) {
+		obs.RemoveSeries(series.Name())
+	}
 	s.finish(j, result, err, "")
+}
+
+// jobSeries lists the live series a job registered under its
+// "serve.<id>." prefix (the SeriesPrefix its runs are given).
+func jobSeries(id string) []*obs.Series {
+	prefix := "serve." + id + "."
+	var out []*obs.Series
+	for _, series := range obs.AllSeries() {
+		if strings.HasPrefix(series.Name(), prefix) {
+			out = append(out, series)
+		}
+	}
+	return out
 }
 
 // contained runs the job, turning a panic anywhere under it — including
 // one the worker pool carried over from an engine goroutine — into the
 // job's error, so one bad job fails alone instead of taking the server
-// and every other in-flight job down. The panic is counted, logged as a
-// serve.panic event with its stack, and the job's scoped series retired.
+// and every other in-flight job down. The panic is counted and logged as
+// a serve.panic event with its stack.
 func (s *Server) contained(j *job) (result *JobResult, err error) {
 	defer func() {
 		v := recover()
@@ -391,13 +412,6 @@ func (s *Server) contained(j *job) (result *JobResult, err error) {
 			obs.LogEvent("serve.panic", j.trace, map[string]any{
 				"job": j.id, "fp": j.fp, "panic": msg, "stack": string(debug.Stack()),
 			})
-		}
-		prefix := "serve." + j.id + "."
-		for _, series := range obs.AllSeries() {
-			if name := series.Name(); strings.HasPrefix(name, prefix) {
-				obs.RemoveSeries(name)
-				obs.RegisterWearPNG(name, nil)
-			}
 		}
 	}()
 	if s.testBeforeRun != nil {
@@ -465,8 +479,15 @@ func (s *Server) run(j *job) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer releaseTelemetry(results)
-	return buildResult(j, results, hit), nil
+	out := buildResult(j, results, hit)
+	// The JobResult keeps only summaries and a checksum, so the per-cell
+	// write distributions go back to their plan's arena: steady-state
+	// traffic against a cached plan recycles counts buffers instead of
+	// allocating 8 MB per strategy.
+	for _, r := range results {
+		r.Dist.Release()
+	}
+	return out, nil
 }
 
 // runFleet executes a POST /fleet job: a fleet-survival study through
@@ -480,7 +501,6 @@ func (s *Server) runFleet(j *job, bench *pim.Benchmark, rc pim.RunConfig, strate
 		return nil, false, err
 	}
 	series := obs.NewSeries("serve."+j.id+".fleet", "devices")
-	defer obs.RemoveSeries(series.Name())
 	fc := pim.FleetConfig{
 		Devices: req.Devices,
 		Sigmas:  req.Sigmas,
@@ -510,27 +530,6 @@ func (s *Server) runFleet(j *job, bench *pim.Benchmark, rc pim.RunConfig, strate
 		})
 	}
 	return out, hit, nil
-}
-
-// releaseTelemetry retires a finished job's per-run state: the per-cell
-// write distributions go back to their plan's arena (the JobResult keeps
-// only summaries and a checksum, so steady-state traffic against a cached
-// plan recycles counts buffers instead of allocating 8 MB per strategy),
-// and the job's scoped series and wear-PNG sources are unregistered — the
-// samples live on in the JobResult, and the registry stays bounded no
-// matter how many jobs the server has run.
-func releaseTelemetry(results []*pim.Result) {
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		r.Dist.Release()
-		if r.Wear == nil {
-			continue
-		}
-		obs.RemoveSeries(r.Wear.Name())
-		obs.RegisterWearPNG(r.Wear.Name(), nil)
-	}
 }
 
 // finish moves a job to its terminal state and retires it from the
@@ -784,11 +783,7 @@ func (s *Server) getJob(w http.ResponseWriter, r *http.Request, rest string) {
 	running := j.state == "running"
 	j.mu.Unlock()
 	if running {
-		prefix := "serve." + id + "."
-		for _, series := range obs.AllSeries() {
-			if !strings.HasPrefix(series.Name(), prefix) {
-				continue
-			}
+		for _, series := range jobSeries(id) {
 			st.Progress = append(st.Progress, progressEntry{
 				Series:  series.Name(),
 				Columns: series.Columns(),

@@ -55,47 +55,5 @@ func PercentileRadixFloat(samples []float64, q, min, max float64, work []float64
 			work = append(work, v)
 		}
 	}
-	return quickselectFloat(work, k-cum), work
-}
-
-// quickselectFloat partitions work in place until its k-th smallest
-// element (0-based) is at index k, and returns it — the float64 twin of
-// quickselect.
-func quickselectFloat(work []float64, k int) float64 {
-	lo, hi := 0, len(work)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if work[mid] < work[lo] {
-			work[mid], work[lo] = work[lo], work[mid]
-		}
-		if work[hi] < work[lo] {
-			work[hi], work[lo] = work[lo], work[hi]
-		}
-		if work[hi] < work[mid] {
-			work[hi], work[mid] = work[mid], work[hi]
-		}
-		pivot := work[mid]
-		i, j := lo, hi
-		for i <= j {
-			for work[i] < pivot {
-				i++
-			}
-			for work[j] > pivot {
-				j--
-			}
-			if i <= j {
-				work[i], work[j] = work[j], work[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			break
-		}
-	}
-	return work[k]
+	return quickselect(work, k-cum), work
 }

@@ -1,24 +1,15 @@
 // Package stats provides the distribution summaries and grid operations
-// the evaluation uses: max/mean, coefficient of variation and Gini index
-// of write-count imbalance, and mean-pooling downsampling for heatmaps.
+// the evaluation uses: the fused max/mean/CoV Summary, exact
+// percentiles, the Gini index of write-count imbalance, and mean-pooling
+// downsampling for heatmaps.
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
 )
-
-// Max returns the largest count.
-func Max(counts []uint64) uint64 {
-	var m uint64
-	for _, c := range counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
 
 // Mean returns the arithmetic mean.
 func Mean(counts []uint64) float64 {
@@ -30,16 +21,6 @@ func Mean(counts []uint64) float64 {
 		s += float64(c)
 	}
 	return s / float64(len(counts))
-}
-
-// MaxOverMean is the imbalance factor that directly determines lifetime
-// loss: a perfectly balanced distribution has factor 1.
-func MaxOverMean(counts []uint64) float64 {
-	m := Mean(counts)
-	if m == 0 {
-		return math.NaN()
-	}
-	return float64(Max(counts)) / m
 }
 
 // CoV returns the coefficient of variation (σ/µ).
@@ -227,8 +208,10 @@ func quantileRank(q float64, n int) int {
 }
 
 // quickselect partitions work in place until its k-th smallest element
-// (0-based) is at index k, and returns it.
-func quickselect(work []uint64, k int) uint64 {
+// (0-based) is at index k, and returns it — the final select of
+// PercentileReuse, PercentileFromHist and PercentileRadixFloat. NaNs are
+// not supported.
+func quickselect[T cmp.Ordered](work []T, k int) T {
 	lo, hi := 0, len(work)-1
 	for lo < hi {
 		// Median-of-three pivot guards against the sorted/constant

@@ -8,25 +8,25 @@ import (
 
 func TestMaxMean(t *testing.T) {
 	c := []uint64{1, 5, 3}
-	if Max(c) != 5 {
+	if Summarize(c).Max != 5 {
 		t.Error("max wrong")
 	}
 	if Mean(c) != 3 {
 		t.Error("mean wrong")
 	}
-	if Max(nil) != 0 || Mean(nil) != 0 {
+	if Summarize(nil).Max != 0 || Mean(nil) != 0 {
 		t.Error("empty handling wrong")
 	}
 }
 
 func TestMaxOverMean(t *testing.T) {
-	if got := MaxOverMean([]uint64{2, 2, 2}); got != 1 {
+	if got := Summarize([]uint64{2, 2, 2}).MaxOverMean(); got != 1 {
 		t.Errorf("balanced = %v, want 1", got)
 	}
-	if got := MaxOverMean([]uint64{0, 0, 6}); got != 3 {
+	if got := Summarize([]uint64{0, 0, 6}).MaxOverMean(); got != 3 {
 		t.Errorf("concentrated = %v, want 3", got)
 	}
-	if !math.IsNaN(MaxOverMean([]uint64{0, 0})) {
+	if !math.IsNaN(Summarize([]uint64{0, 0}).MaxOverMean()) {
 		t.Error("zero distribution should be NaN")
 	}
 }

@@ -323,7 +323,6 @@ func Stripe(plan *core.WearPlan, sim core.SimConfig, strat core.StrategyConfig, 
 			name := fmt.Sprintf("%ssystem.%s.bank%03d", cfg.SeriesPrefix, cfg.Policy, b)
 			sampler = core.NewWearSampler(name, cfg.SampleEvery, endur[b])
 			bs.Sampler = sampler
-			obs.RegisterWearPNG(sampler.Series().Name(), sampler.WritePNG)
 		}
 		dist, err := plan.Simulate(bs, strat)
 		if err != nil {

@@ -234,14 +234,16 @@ type RunConfig struct {
 	// SampleEvery, when > 0, records wear telemetry every SampleEvery
 	// recompile epochs (plus always the final epoch) into
 	// Result.Wear — live per-epoch max/mean/p99/CoV and lifetime
-	// projections. Sampling switches the +Hw path to the epoch-ordered
-	// sampled engine; the final distribution stays bit-identical.
+	// projections, with the series' heatmap served at
+	// /wear.png?name=<series>. Sampling only ends the wear walker's
+	// segments at the sampled epochs; the final distribution stays
+	// bit-identical.
 	SampleEvery int
 	// SeriesPrefix scopes the wear-telemetry names a sampled run
 	// registers ("<prefix>wear.<benchmark>.<strategy>"): a serving layer
-	// sets a per-job prefix so concurrent requests' series and /wear.png
-	// sources are discoverable — and removable — as a group. Telemetry
-	// names have no effect on simulation results.
+	// sets a per-job prefix so concurrent requests' series, and the
+	// heatmaps they carry, are discoverable — and removable — as a group.
+	// Telemetry names have no effect on simulation results.
 	SeriesPrefix string
 }
 
@@ -295,15 +297,14 @@ func runPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, s Strategy, tec
 		name := rc.SeriesPrefix + "wear." + b.Name + "." + s.Name()
 		sampler = core.NewWearSampler(name, rc.SampleEvery, tech.Endurance)
 		sim.Sampler = sampler
-		// Per-series registration: concurrent sampled runs in a sweep each
-		// get their own /wear.png?name= source instead of racing over one
-		// global hook. The sampler's series may have been renamed with a
-		// uniquifying suffix on collision, so register under the name the
-		// registry actually assigned.
-		obs.RegisterWearPNG(sampler.Series().Name(), sampler.WritePNG)
 	}
 	dist, err := plan.Simulate(sim, s)
 	if err != nil {
+		// The caller gets no Result, so nothing else could retire the
+		// run's series (and the heatmap it carries).
+		if sampler != nil {
+			obs.RemoveSeries(sampler.Series().Name())
+		}
 		return nil, err
 	}
 	st := plan.Stats()

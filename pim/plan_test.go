@@ -2,6 +2,7 @@ package pim_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"pimendure/internal/obs"
@@ -73,9 +74,8 @@ func TestImprovementsFirstBaselineWins(t *testing.T) {
 	}
 }
 
-// A sampled Sweep used to funnel all 18 runs through the single global
-// SetWearPNG hook, each overwriting the last nondeterministically. Runs
-// must now register per-series sources, every one of which stays
+// Every run of a sampled Sweep carries its heatmap on its own series, so
+// concurrent runs never overwrite each other's live view: each one stays
 // addressable (and renderable) after the sweep.
 func TestSampledSweepRegistersPerSeriesWearPNG(t *testing.T) {
 	opt := pim.Options{Lanes: 8, Rows: 96, PresetOutputs: true, NANDBasis: true}
@@ -88,23 +88,20 @@ func TestSampledSweepRegistersPerSeriesWearPNG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registered := map[string]bool{}
-	for _, name := range obs.WearPNGSources() {
-		registered[name] = true
-	}
-	defer func() {
-		for name := range registered {
-			obs.RegisterWearPNG(name, nil)
+	for _, r := range results {
+		if r.Wear != nil {
+			defer obs.RemoveSeries(r.Wear.Name())
 		}
-	}()
+	}
 	for _, r := range results {
 		name := "wear." + bench.Name + "." + r.Strategy.Name()
-		if !registered[name] {
-			t.Errorf("no wear-PNG source registered for %s", name)
+		series := obs.FindSeries(name)
+		if series == nil {
+			t.Errorf("no wear series registered for %s", name)
 			continue
 		}
 		var buf bytes.Buffer
-		if err := obs.WriteWearPNG(&buf, name); err != nil {
+		if err := series.WritePNG(&buf); err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
@@ -113,6 +110,31 @@ func TestSampledSweepRegistersPerSeriesWearPNG(t *testing.T) {
 		}
 		if r.Wear == nil || r.Wear.Len() == 0 {
 			t.Errorf("%s: no wear series recorded", r.Strategy.Name())
+		}
+	}
+}
+
+// A sampled Run or Sweep that fails returns no Result, so the caller
+// holds no handle to the wear series the run registered; the run must
+// retire them (and the heatmaps they carry) itself.
+func TestFailedSampledRunRetiresSeries(t *testing.T) {
+	opt := pim.Options{Lanes: 8, Rows: 96, PresetOutputs: true, NANDBasis: true}
+	bench, err := pim.NewParallelMult(opt, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "failed-run."
+	rc := pim.RunConfig{Iterations: 0, RecompileEvery: 4, SampleEvery: 1, SeriesPrefix: prefix}
+	if _, err := pim.Run(bench, opt, rc, pim.StaticStrategy, pim.MRAM()); err == nil {
+		t.Fatal("Run with zero iterations did not fail")
+	}
+	if _, err := pim.Sweep(bench, opt, rc, nil, pim.MRAM()); err == nil {
+		t.Fatal("Sweep with zero iterations did not fail")
+	}
+	for _, series := range obs.AllSeries() {
+		if strings.HasPrefix(series.Name(), prefix) {
+			t.Errorf("failed run left series %s registered", series.Name())
+			obs.RemoveSeries(series.Name())
 		}
 	}
 }
