@@ -137,19 +137,30 @@ report:
 # Report determinism: the quick report at -workers 1 and at -workers 2,
 # into two temporary directories, must write the same files byte for
 # byte. Only the run manifest (args, timings) and the trace timeline may
-# differ.
+# differ. With BASE=<rev>, the same quick report is also built from a
+# temporary export of <rev> (local git only, removed on exit) and must
+# match this tree's — the check for a change that must leave every
+# result unchanged.
 REPORT_DIFF_FLAGS = -quick -lanes 64 -iters 400 -trials 20
 report-diff:
-	@set -e; bin=$$(mktemp -d); w1=$$(mktemp -d); w2=$$(mktemp -d); \
-	trap 'rm -rf "$$bin" "$$w1" "$$w2"' EXIT; \
-	$(GO) build -o "$$bin/endurance-report" ./cmd/endurance-report; \
-	for w in 1 2; do \
-		out=$$w1; [ $$w = 2 ] && out=$$w2; \
-		"$$bin/endurance-report" $(REPORT_DIFF_FLAGS) -workers $$w -out "$$out" >"$$bin/log" 2>&1 \
-			|| { cat "$$bin/log"; echo "report-diff: the report failed at -workers $$w"; exit 1; }; \
-	done; \
-	diff -r -x 'manifest_*' -x 'trace_*' "$$w1" "$$w2"; \
-	echo "report-diff: -workers 1 and 2 wrote the same $$(ls "$$w1" | wc -l) files"
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	report() { \
+		"$$1" $(REPORT_DIFF_FLAGS) -workers $$2 -out "$$tmp/$$3" >"$$tmp/log" 2>&1 \
+			|| { cat "$$tmp/log"; echo "report-diff: the $$3 report failed"; exit 1; }; \
+	}; \
+	$(GO) build -o "$$tmp/endurance-report" ./cmd/endurance-report; \
+	report "$$tmp/endurance-report" 1 w1; \
+	report "$$tmp/endurance-report" 2 w2; \
+	diff -r -x 'manifest_*' -x 'trace_*' "$$tmp/w1" "$$tmp/w2"; \
+	echo "report-diff: -workers 1 and 2 wrote the same $$(ls "$$tmp/w1" | wc -l) files"; \
+	if [ -n "$(BASE)" ]; then \
+		mkdir "$$tmp/src"; \
+		git archive "$(BASE)" | tar -x -C "$$tmp/src"; \
+		$(GO) -C "$$tmp/src" build -o "$$tmp/base-report" ./cmd/endurance-report; \
+		report "$$tmp/base-report" 1 base; \
+		diff -r -x 'manifest_*' -x 'trace_*' "$$tmp/base" "$$tmp/w1"; \
+		echo "report-diff: $(BASE) and this tree wrote the same $$(ls "$$tmp/w1" | wc -l) files"; \
+	fi
 
 # `race` runs every package under the race detector exactly once; the
 # per-layer race-obs/core/serve/system/fleet targets race subsets of the
@@ -163,6 +174,7 @@ report-diff:
 # serving-throughput pair and BenchmarkFleet's draws/cold/cached/speedup
 # quartet included, timing and allocs/op both — against the committed
 # baseline: advisory locally, strict when BENCHDIFF_FLAGS=-strict.
-# `report-diff` checks that the report is identical across worker counts.
+# `report-diff` checks that the report is identical across worker counts
+# (`make report-diff BASE=<rev>` also checks it against <rev>).
 # `bench-module` vets and tests the nested bench/ module.
 ci: vet fmt doclint promlint race bench bench-alloc benchdiff report-diff bench-module

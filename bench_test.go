@@ -1002,7 +1002,7 @@ func BenchmarkServeSweep(b *testing.B) {
 				obs.Disable()
 				obs.Reset()
 			}()
-			srv := serve.New(serve.Config{Workers: 2, QueueDepth: 64, CacheSize: mode.cacheSize})
+			srv := serve.New(serve.Config{Workers: 2, QueueDepth: 64, Cache: pim.NewPlanCache(mode.cacheSize)})
 			defer srv.Close()
 			ts := httptest.NewServer(srv)
 			defer ts.Close()

@@ -31,6 +31,7 @@ import (
 
 	"pimendure/internal/obs"
 	"pimendure/internal/serve"
+	"pimendure/pim"
 )
 
 func main() {
@@ -40,7 +41,7 @@ func main() {
 	run := obs.NewRun("pimserve", flag.CommandLine)
 	workers := flag.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "max queued jobs before shedding with 429")
-	cacheSize := flag.Int("cache", 32, "WearPlan LRU capacity (negative disables caching)")
+	cacheSize := flag.Int("cache", 32, "WearPlan LRU capacity (0 or negative disables caching)")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed requests")
 	maxLanes := flag.Int("max-lanes", 4096, "largest lane count a request may ask for")
 	maxRows := flag.Int("max-rows", 4096, "largest row count a request may ask for")
@@ -59,7 +60,7 @@ func main() {
 	srv := serve.New(serve.Config{
 		Workers:       *workers,
 		QueueDepth:    *queue,
-		CacheSize:     *cacheSize,
+		Cache:         pim.NewPlanCache(*cacheSize),
 		RetryAfter:    *retryAfter,
 		MaxLanes:      *maxLanes,
 		MaxRows:       *maxRows,

@@ -5,7 +5,7 @@
 // Every simulation against a plan needs the same working set — a
 // rows×lanes accumulation buffer per worker, per-row weight and
 // per-(mask, row) histogram scratch, renamer/cycle replay state, and a
-// permutation-generation kit (two scratch permutation pairs plus a
+// permutation-generation kit (one scratch permutation pair plus a
 // reusable rng) — and all of it is sized by plan constants alone
 // (rows, lanes, mask count, op count). The arena keeps free lists of
 // exactly those shapes, guarded by one mutex: a Simulate/Sweep/serve
@@ -56,16 +56,12 @@ type arena struct {
 }
 
 // permGen regenerates a schedule's epoch permutations into reusable
-// scratch: a primary (within, between) pair for the permutations a
-// caller is actively using, a secondary pair for equality checks against
-// other epochs (memo-collision resolution), and one re-seedable rng.
-// A permGen is single-goroutine state; each worker owns its own.
+// scratch: one (within, between) pair and one re-seedable rng. A permGen
+// is single-goroutine state; each worker owns its own.
 type permGen struct {
 	sched           mapping.Schedule
 	rng             *rand.Rand
 	within, between *mapping.Perm
-	within2         *mapping.Perm
-	between2        *mapping.Perm
 }
 
 // reset binds the generator to a schedule. Scratch carries over; only
@@ -77,9 +73,8 @@ func (g *permGen) reset(sched mapping.Schedule) {
 	}
 }
 
-// withinAt fills the primary within-lane scratch with epoch's
-// permutation and returns it. The result is invalidated by the next
-// withinAt call.
+// withinAt fills the within-lane scratch with epoch's permutation and
+// returns it. The result is invalidated by the next withinAt call.
 func (g *permGen) withinAt(epoch int) *mapping.Perm {
 	g.within = g.sched.EpochWithinInto(epoch, g.within, g.rng)
 	return g.within
@@ -89,19 +84,6 @@ func (g *permGen) withinAt(epoch int) *mapping.Perm {
 func (g *permGen) betweenAt(epoch int) *mapping.Perm {
 	g.between = g.sched.EpochBetweenInto(epoch, g.between, g.rng)
 	return g.between
-}
-
-// within2At fills the secondary within-lane scratch — safe to compare
-// against a live withinAt result.
-func (g *permGen) within2At(epoch int) *mapping.Perm {
-	g.within2 = g.sched.EpochWithinInto(epoch, g.within2, g.rng)
-	return g.within2
-}
-
-// between2At is within2At for the between-lane permutation.
-func (g *permGen) between2At(epoch int) *mapping.Perm {
-	g.between2 = g.sched.EpochBetweenInto(epoch, g.between2, g.rng)
-	return g.between2
 }
 
 // engineScratch bundles one worker's reusable simulation state. Fields

@@ -146,9 +146,10 @@ func TestPlanRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
-// swCounters runs one planned software simulation under an enabled obs
-// registry and returns the (groups, memo_hits) counters it recorded.
-func swCounters(t *testing.T, tr *program.Trace, sim core.SimConfig, strat core.StrategyConfig) (groups, hits int64) {
+// simCounters runs one planned simulation under an enabled obs registry,
+// checks it against SimulateReference and returns the counters it
+// recorded.
+func simCounters(t *testing.T, tr *program.Trace, sim core.SimConfig, strat core.StrategyConfig) map[string]int64 {
 	t.Helper()
 	obs.Reset()
 	obs.Enable()
@@ -167,8 +168,60 @@ func swCounters(t *testing.T, tr *program.Trace, sim core.SimConfig, strat core.
 	if !d.Equal(ref) {
 		t.Errorf("%s: grouped engine diverges from reference", strat.Name())
 	}
-	s := obs.Capture()
-	return s.Counters["core.sw.groups"], s.Counters["core.sw.memo_hits"]
+	return obs.Capture().Counters
+}
+
+// swCounters is simCounters' software (groups, memo_hits) pair.
+func swCounters(t *testing.T, tr *program.Trace, sim core.SimConfig, strat core.StrategyConfig) (groups, hits int64) {
+	t.Helper()
+	c := simCounters(t, tr, sim, strat)
+	return c["core.sw.groups"], c["core.sw.memo_hits"]
+}
+
+// The walker's epoch grouping, pinned per configuration: 2050 iterations
+// recompiled every 100 make 21 epochs, the last one 50 long. Software
+// epochs collapse by between map, then by within map inside a unit: St×St
+// into one group and St×Bs into the 8-epoch rotation period of 64 lanes.
+// +Hw epochs collapse by (within map, length): an St within map makes one
+// job per length. Every other configuration keeps its 21 epochs apart —
+// Bs within maps over 256 (or 255 +Hw) rows only repeat after 32 (255)
+// epochs, and Ra never repeats. (Not parallel: the obs registry is
+// process-wide.)
+func TestGroupingCounters(t *testing.T) {
+	cfg := workloads.Config{Lanes: 64, Rows: 256, Basis: synth.NAND}
+	mult, err := workloads.ParallelMult(cfg, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dot, err := workloads.DotProduct(cfg, 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := core.SimConfig{Rows: 256, PresetOutputs: true, Iterations: 2050, RecompileEvery: 100, Seed: 3, Workers: 2}
+	for _, b := range []*workloads.Benchmark{mult, dot} {
+		for _, strat := range core.AllConfigs() {
+			units, hits := int64(21), int64(0)
+			switch {
+			case strat.Hw:
+				if strat.Within == mapping.Static {
+					units, hits = 2, 19
+				}
+			case strat == core.Static:
+				units, hits = 1, 20
+			case strat == core.StrategyConfig{Within: mapping.Static, Between: mapping.ByteShift}:
+				units, hits = 8, 13
+			}
+			c := simCounters(t, b.Trace, sim, strat)
+			got := [4]int64{c["core.sw.groups"], c["core.sw.memo_hits"], c["core.hw.replays"], c["core.hw.memo_hits"]}
+			want := [4]int64{units, hits, 0, 0}
+			if strat.Hw {
+				want = [4]int64{0, 0, units, hits}
+			}
+			if got != want {
+				t.Errorf("%s %s: sw groups/memo_hits, hw replays/memo_hits = %v, want %v", b.Name, strat.Name(), got, want)
+			}
+		}
+	}
 }
 
 // Bs epoch grouping edge cases: with 96 software rows and the default

@@ -219,49 +219,17 @@ func (s *WearSampler) Sample(epoch, iterations int, dist *WriteDist) {
 }
 
 // snapshot rebuilds the published /wear.png grid from the current
-// distribution: mean-pooled straight from the count matrix down to the
-// snapshot cap (same block boundaries as stats.Downsample, without
-// staging a full-resolution float grid first), normalized in place, and
-// published under the lock. A fresh grid is built each time so readers
-// holding the previous snapshot never see it mutate.
+// distribution — mean-pooled down to the snapshot cap and normalized by
+// stats.Heatmap — and publishes it under the lock. A fresh grid is built
+// each time so readers holding the previous snapshot never see it
+// mutate.
 func (s *WearSampler) snapshot(dist *WriteDist) {
-	rows, cols := dist.Rows, dist.Lanes
-	if rows <= 0 || cols <= 0 || rows*cols != len(dist.Counts) {
+	g, err := stats.Heatmap(dist.Counts, dist.Rows, dist.Lanes, wearSnapshotDim)
+	if err != nil {
 		return
 	}
-	outR, outC := rows, cols
-	if outR > wearSnapshotDim {
-		outR = wearSnapshotDim
-	}
-	if outC > wearSnapshotDim {
-		outC = wearSnapshotDim
-	}
-	out := stats.NewGrid(outR, outC)
-	var max float64
-	for or := 0; or < outR; or++ {
-		r0, r1 := or*rows/outR, (or+1)*rows/outR
-		for oc := 0; oc < outC; oc++ {
-			c0, c1 := oc*cols/outC, (oc+1)*cols/outC
-			var sum uint64
-			for r := r0; r < r1; r++ {
-				for _, v := range dist.Counts[r*cols+c0 : r*cols+c1] {
-					sum += v
-				}
-			}
-			v := float64(sum) / float64((r1-r0)*(c1-c0))
-			out.Data[or*outC+oc] = v
-			if v > max {
-				max = v
-			}
-		}
-	}
-	if max > 0 {
-		for i := range out.Data {
-			out.Data[i] /= max
-		}
-	}
 	s.mu.Lock()
-	s.grid = out
+	s.grid = g
 	s.mu.Unlock()
 }
 

@@ -62,10 +62,10 @@ type Stepper struct {
 	// folds in when it updates curMax).
 	scr *engineScratch
 
-	// One-entry +Hw histogram memo key: scr.hist holds the histogram of
-	// epoch histEpoch run for histN iterations (-1 = no entry).
-	histEpoch int
-	histN     int
+	// One-entry +Hw histogram memo key: scr.hist holds the replay of an
+	// epoch with within key histKey run for histN iterations (histN 0 =
+	// no entry).
+	histKey, histN int
 
 	curMax uint64
 }
@@ -82,11 +82,10 @@ func (p *WearPlan) NewStepper(cfg SimConfig, strat StrategyConfig) (*Stepper, er
 		return nil, err
 	}
 	s := &Stepper{
-		plan:      p,
-		strat:     strat,
-		sched:     cfg.schedule(p.trace.Lanes, strat),
-		dist:      p.newDist(),
-		histEpoch: -1,
+		plan:  p,
+		strat: strat,
+		sched: cfg.schedule(p.trace.Lanes, strat),
+		dist:  p.newDist(),
 	}
 	s.dist.StepsPerIteration = p.stats.Steps
 	s.scr = p.getScratch()
@@ -149,18 +148,18 @@ func (s *Stepper) Step(iters int) {
 
 // replay fills scr.hist with the epoch's closed-cycle +Hw histogram, or
 // keeps the memoized one when the previous replay had the same within
-// permutation and length (the renamer resets every epoch, so the
-// histogram is identical).
+// key and length (the renamer resets every epoch, so the histogram is
+// identical).
 func (s *Stepper) replay(iters int) {
-	gen := &s.scr.gen
-	if s.histEpoch >= 0 && s.histN == iters && gen.within2At(s.histEpoch).Equal(gen.withinAt(s.epoch)) {
+	key := s.sched.WithinKey(s.epoch)
+	if s.histN == iters && s.histKey == key {
 		obsHwMemoHits.Add(1)
 		obsHwReplayItersSaved.Add(int64(iters))
 		return
 	}
 	s.plan.replayJobHist(s.scr, s.epoch, iters, uint64(iters), s.scr.hist)
 	obsHwReplays.Add(1)
-	s.histEpoch, s.histN = s.epoch, iters
+	s.histKey, s.histN = key, iters
 }
 
 // touches reports whether any of the masks' histogram rows puts writes on

@@ -65,24 +65,23 @@ type epochGroup struct {
 	iters   uint64 // summed iterations of the members
 	count   int    // member count
 	members []int  // member epochs, in input order
-	next    int32  // next group in the same fingerprint bucket (-1 ends)
 }
 
-// grouper partitions epoch lists into epochGroups: fingerprint buckets,
-// collisions resolved by exact permutation equality. Permutations are
-// regenerated into a permGen's scratch on demand, so groups hold only
-// integers, and the storage survives across calls, so steady-state
-// grouping is allocation-free.
+// grouper partitions epoch lists into epochGroups by the schedule's
+// epoch keys (mapping.Schedule.WithinKey/BetweenKey), which name each
+// epoch's maps without generating them. Groups hold only integers, and
+// the storage survives across calls, so steady-state grouping is
+// allocation-free.
 type grouper struct {
 	groups []epochGroup
 	of     []int32 // group of each input epoch
 	flat   []int   // backing array of the member lists
-	index  map[[3]uint64]int32
+	index  map[[3]int]int32
 }
 
 // group partitions epochs by key, in first-seen order. The result aliases
 // g's storage and is valid until the next call.
-func (g *grouper) group(gen *permGen, cfg SimConfig, epochs []int, key groupKey) []epochGroup {
+func (g *grouper) group(sched mapping.Schedule, cfg SimConfig, epochs []int, key groupKey) []epochGroup {
 	if cap(g.of) < len(epochs) {
 		g.groups = make([]epochGroup, 0, len(epochs))
 		g.of = make([]int32, 0, len(epochs))
@@ -90,38 +89,26 @@ func (g *grouper) group(gen *permGen, cfg SimConfig, epochs []int, key groupKey)
 	}
 	g.groups, g.of = g.groups[:0], g.of[:0]
 	if g.index == nil {
-		g.index = make(map[[3]uint64]int32, len(epochs))
+		g.index = make(map[[3]int]int32, len(epochs))
 	} else {
 		clear(g.index)
 	}
 	for _, e := range epochs {
-		// A lone epoch forms its own group: skip regenerating its maps.
-		var k [3]uint64
-		if len(epochs) > 1 {
-			if key&byWithin != 0 {
-				k[0] = gen.withinAt(e).Fingerprint()
-			}
-			if key&byBetween != 0 {
-				k[1] = gen.betweenAt(e).Fingerprint()
-			}
-			if key&byLength != 0 {
-				k[2] = uint64(cfg.epochLen(e))
-			}
+		var k [3]int
+		if key&byWithin != 0 {
+			k[0] = sched.WithinKey(e)
+		}
+		if key&byBetween != 0 {
+			k[1] = sched.BetweenKey(e)
+		}
+		if key&byLength != 0 {
+			k[2] = cfg.epochLen(e)
 		}
 		id, ok := g.index[k]
 		if !ok {
-			id = g.add(e)
+			id = int32(len(g.groups))
+			g.groups = append(g.groups, epochGroup{epoch0: e})
 			g.index[k] = id
-		}
-		for ok && !gen.same(g.groups[id].epoch0, key) {
-			// True fingerprint collision: walk the bucket's chain, ending it
-			// with a new group when no member matches.
-			if next := g.groups[id].next; next >= 0 {
-				id = next
-				continue
-			}
-			g.groups[id].next = int32(len(g.groups))
-			id, ok = g.add(e), false
 		}
 		g.groups[id].count++
 		g.groups[id].iters += uint64(cfg.epochLen(e))
@@ -140,18 +127,6 @@ func (g *grouper) group(gen *permGen, cfg SimConfig, epochs []int, key groupKey)
 		grp.members = append(grp.members, e)
 	}
 	return g.groups
-}
-
-func (g *grouper) add(epoch int) int32 {
-	g.groups = append(g.groups, epochGroup{epoch0: epoch, next: -1})
-	return int32(len(g.groups) - 1)
-}
-
-// same reports whether epoch0's permutations selected by key equal the
-// ones last filled into the primary scratch.
-func (g *permGen) same(epoch0 int, key groupKey) bool {
-	return (key&byWithin == 0 || g.within2At(epoch0).Equal(g.within)) &&
-		(key&byBetween == 0 || g.between2At(epoch0).Equal(g.between))
 }
 
 // walker is the state of one Simulate call.
@@ -189,7 +164,7 @@ func (p *WearPlan) walk(cfg SimConfig, sched mapping.Schedule, hw bool, dist *Wr
 	}
 	obsEpochs.Add(int64(total))
 	if hw {
-		w.jobs = w.scr[0].units.group(&w.scr[0].gen, cfg, all, byWithin|byLength)
+		w.jobs = w.scr[0].units.group(sched, cfg, all, byWithin|byLength)
 		w.landed = make([]int, len(w.jobs))
 		w.hists = make([][]uint64, len(w.jobs))
 		obsHwReplays.Add(int64(len(w.jobs)))
@@ -260,11 +235,11 @@ func (w *walker) shard(units int, land func(s *engineScratch, counts []uint64, u
 // distinct within map among them — that lands once.
 func (w *walker) landSw(seg []int) {
 	p := w.p
-	units := w.scr[0].units.group(&w.scr[0].gen, w.cfg, seg, byBetween)
+	units := w.scr[0].units.group(w.sched, w.cfg, seg, byBetween)
 	w.shard(len(units), func(s *engineScratch, counts []uint64, u int) {
 		unit := &units[u]
 		clear(s.hist)
-		pairs := s.lands.group(&s.gen, w.cfg, unit.members, byWithin)
+		pairs := s.lands.group(w.sched, w.cfg, unit.members, byWithin)
 		for _, g := range pairs {
 			p.addSwHist(s.gen.withinAt(g.epoch0), g.iters, s.hist)
 		}
@@ -308,7 +283,7 @@ func (w *walker) landHw(seg []int) {
 		}
 		p.landFullHist(hist, uint64(m), s.rowW)
 		if len(p.partMasks) > 0 {
-			for _, g := range s.lands.group(&s.gen, w.cfg, rest[:m], byBetween) {
+			for _, g := range s.lands.group(w.sched, w.cfg, rest[:m], byBetween) {
 				p.landPartialHist(s, hist, s.gen.betweenAt(g.epoch0), uint64(g.count), counts)
 			}
 		}

@@ -97,11 +97,14 @@ func (p *Perm) SetIdentity() {
 // SetShift fills p with the rotation i → (i + k) mod n in place.
 func (p *Perm) SetShift(k int) {
 	n := len(p.l2p)
-	k = ((k % n) + n) % n
+	k = rotation(k, n)
 	for i := range p.l2p {
 		p.l2p[i] = int32((i + k) % n)
 	}
 }
+
+// rotation reduces a shift of k addresses to its rotation in [0, n).
+func rotation(k, n int) int { return ((k % n) + n) % n }
 
 // SetRandom fills p with a uniform permutation drawn from rng in place —
 // the same Fisher–Yates sequence as RandomPerm, so a reused scratch
@@ -115,11 +118,8 @@ func (p *Perm) SetRandom(rng *rand.Rand) {
 
 // ShiftPerm returns the rotation i → (i + k) mod n.
 func ShiftPerm(n, k int) *Perm {
-	p := &Perm{l2p: make([]int32, n)}
-	k = ((k % n) + n) % n
-	for i := range p.l2p {
-		p.l2p[i] = int32((i + k) % n)
-	}
+	p := NewPerm(n)
+	p.SetShift(k)
 	return p
 }
 
@@ -152,23 +152,6 @@ func (p *Perm) Equal(o *Perm) bool {
 		}
 	}
 	return true
-}
-
-// Fingerprint returns a 64-bit FNV-1a hash of the mapping. The wear
-// engine keys its per-epoch histogram cache on it; equal permutations
-// share a fingerprint, and colliding fingerprints must be resolved with
-// Equal before a cached result is reused.
-func (p *Perm) Fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range p.l2p {
-		h ^= uint64(uint32(v))
-		h *= prime64
-	}
-	return h
 }
 
 // IsBijection verifies the permutation hits every address exactly once.
@@ -243,6 +226,32 @@ func (s Schedule) EpochWithinInto(epoch int, p *Perm, rng *rand.Rand) *Perm {
 // same reuse and bit-identity contract as EpochWithinInto.
 func (s Schedule) EpochBetweenInto(epoch int, p *Perm, rng *rand.Rand) *Perm {
 	return epochPermInto(s.Between, s.Lanes, epoch, s.Seed, saltBetween, s.step(), p, rng)
+}
+
+// WithinKey names the within-lane permutation of a recompile epoch:
+// epochs with equal keys get equal permutations, so the wear engine
+// groups epochs by key instead of comparing maps. St and Bs keys are
+// exact — distinct keys mean distinct maps, so a Bs rotation period
+// collapses to one key per rotation. An Ra key is the epoch itself:
+// every Ra epoch draws afresh, and a draw that happens to repeat an
+// earlier map keeps its own key.
+func (s Schedule) WithinKey(epoch int) int { return epochKey(s.Within, s.Rows, epoch, s.step()) }
+
+// BetweenKey is WithinKey for the between-lane permutation.
+func (s Schedule) BetweenKey(epoch int) int { return epochKey(s.Between, s.Lanes, epoch, s.step()) }
+
+// epochKey names the permutation epochPermInto builds for the same
+// arguments.
+func epochKey(st Strategy, n, epoch, step int) int {
+	switch st {
+	case Static:
+		return 0
+	case Random:
+		return epoch
+	case ByteShift:
+		return rotation(epoch*step, n)
+	}
+	panic(fmt.Sprintf("mapping: unknown strategy %d", st))
 }
 
 func epochPermInto(st Strategy, n, epoch int, seed, salt int64, step int, p *Perm, rng *rand.Rand) *Perm {

@@ -270,28 +270,46 @@ func TestPermEqual(t *testing.T) {
 	}
 }
 
-func TestPermFingerprint(t *testing.T) {
-	a := ShiftPerm(64, 8)
-	b := ShiftPerm(64, 8+64)
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Error("equal perms have different fingerprints")
-	}
-	// All 64 rotations of a 64-address domain must fingerprint uniquely
-	// (no collision in the exact family the Bs memoization relies on).
-	seen := map[uint64]int{}
-	for k := 0; k < 64; k++ {
-		fp := ShiftPerm(64, k).Fingerprint()
-		if prev, ok := seen[fp]; ok {
-			t.Errorf("rotation %d collides with rotation %d", k, prev)
-		}
-		seen[fp] = k
-	}
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		p := RandomPerm(32, rng)
-		q := RandomPerm(32, rng)
-		if p.Equal(q) != (p.Fingerprint() == q.Fingerprint()) && p.Equal(q) {
-			t.Error("equal perms must share fingerprints")
+// Schedule keys name epoch permutations: equal keys must give equal
+// maps (Equal is the oracle), St and Bs keys must be exact, and Ra keys
+// distinct per epoch — over domains from one address to 1024, the
+// default step and steps that do and do not divide the domain.
+func TestScheduleKeys(t *testing.T) {
+	const epochs = 40
+	for _, st := range Strategies() {
+		for _, n := range []int{1, 2, 8, 95, 96, 1024} {
+			for _, step := range []int{0, 1, 3, 8} {
+				s := Schedule{Rows: n, Lanes: n, Within: st, Between: st, Seed: 11, ShiftStep: step}
+				for _, side := range []struct {
+					name string
+					key  func(int) int
+					perm func(int) *Perm
+				}{
+					{"within", s.WithinKey, s.EpochWithin},
+					{"between", s.BetweenKey, s.EpochBetween},
+				} {
+					keys := make([]int, epochs)
+					perms := make([]*Perm, epochs)
+					for e := range perms {
+						keys[e], perms[e] = side.key(e), side.perm(e)
+					}
+					for a := 0; a < epochs; a++ {
+						for b := a + 1; b < epochs; b++ {
+							same := perms[a].Equal(perms[b])
+							switch {
+							case keys[a] == keys[b] && !same:
+								t.Fatalf("%v n=%d step=%d %s: epochs %d and %d share key %d but not their map",
+									st, n, step, side.name, a, b, keys[a])
+							case st != Random && same && keys[a] != keys[b]:
+								t.Fatalf("%v n=%d step=%d %s: epochs %d and %d share a map but not a key (%d, %d)",
+									st, n, step, side.name, a, b, keys[a], keys[b])
+							case st == Random && keys[a] == keys[b]:
+								t.Fatalf("n=%d step=%d %s: Ra epochs %d and %d share key %d", n, step, side.name, a, b, keys[a])
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

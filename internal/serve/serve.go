@@ -71,13 +71,11 @@ type Config struct {
 	// QueueDepth bounds jobs accepted but not yet running (default 64).
 	// Beyond it, requests are shed with 429 + Retry-After.
 	QueueDepth int
-	// CacheSize bounds the WearPlan LRU (default 32 plans; 0 keeps the
-	// default — use a negative value to disable caching).
-	CacheSize int
-	// Cache, when non-nil, is used instead of a server-owned PlanCache
-	// (CacheSize is then ignored). Embedders that already hold a cache
-	// share plans — and therefore per-plan scratch arenas — between
-	// their own direct simulations and the jobs this server runs.
+	// Cache is the WearPlan cache jobs build their plans through (nil
+	// selects pim.NewPlanCache(32); pim.NewPlanCache(0) disables
+	// caching). Embedders that already hold a cache share plans — and
+	// therefore per-plan scratch arenas — between their own direct
+	// simulations and the jobs this server runs.
 	Cache *pim.PlanCache
 	// History bounds how many finished jobs stay pollable before the
 	// oldest are forgotten (default 16384).
@@ -103,8 +101,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 32
+	if c.Cache == nil {
+		c.Cache = pim.NewPlanCache(32)
 	}
 	if c.History <= 0 {
 		c.History = 16384
@@ -131,7 +129,6 @@ func (c Config) withDefaults() Config {
 // it directly as an http.Handler), stop with Close.
 type Server struct {
 	cfg   Config
-	cache *pim.PlanCache
 	queue *pool.Queue[*job]
 
 	mu       sync.Mutex
@@ -192,13 +189,8 @@ func (j *job) breakdownLocked() (queueWait, compute, total time.Duration) {
 // New creates a Server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	cache := cfg.Cache
-	if cache == nil {
-		cache = pim.NewPlanCache(cfg.CacheSize)
-	}
 	s := &Server{
 		cfg:      cfg,
-		cache:    cache,
 		jobs:     map[string]*job{},
 		inflight: map[string]*job{},
 	}
@@ -461,14 +453,14 @@ func (s *Server) run(j *job) (*JobResult, error) {
 		}
 		return out, err
 	case "sweep":
-		results, hit, err = s.cache.Sweep(bench, req.options(), rc, strategies, tech)
+		results, hit, err = s.cfg.Cache.Sweep(bench, req.options(), rc, strategies, tech)
 	default:
 		var res *pim.Result
 		strat := pim.StaticStrategy
 		if len(strategies) > 0 {
 			strat = strategies[0]
 		}
-		res, hit, err = s.cache.Run(bench, req.options(), rc, strat, tech)
+		res, hit, err = s.cfg.Cache.Run(bench, req.options(), rc, strat, tech)
 		results = []*pim.Result{res}
 	}
 	if hit {
@@ -507,7 +499,7 @@ func (s *Server) runFleet(j *job, bench *pim.Benchmark, rc pim.RunConfig, strate
 		Seed:    req.Seed,
 		Series:  series,
 	}
-	points, hit, err := s.cache.Fleet(bench, req.options(), rc, strategies, techs, fc)
+	points, hit, err := s.cfg.Cache.Fleet(bench, req.options(), rc, strategies, techs, fc)
 	if err != nil {
 		return nil, hit, err
 	}

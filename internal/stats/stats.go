@@ -315,66 +315,41 @@ func (g *Grid) Max() float64 {
 	return m
 }
 
-// FromCounts converts a count matrix into a grid.
-func FromCounts(counts []uint64, rows, cols int) (*Grid, error) {
-	if rows*cols != len(counts) {
+// Heatmap turns a rows×cols count matrix (row-major) into a grid
+// normalized so its maximum is 1 — the paper's heatmaps are normalized to
+// maximum utilization = 1 — mean-pooled to at most maxDim cells on each
+// axis (maxDim ≤ 0 keeps every cell). Block boundaries are distributed
+// evenly when sizes do not divide; each block is summed as integers and
+// divided once. An all-zero matrix stays zero.
+func Heatmap(counts []uint64, rows, cols, maxDim int) (*Grid, error) {
+	if rows < 0 || cols < 0 || rows*cols != len(counts) {
 		return nil, fmt.Errorf("stats: %d counts do not fill %dx%d", len(counts), rows, cols)
 	}
-	g := NewGrid(rows, cols)
-	for i, c := range counts {
-		g.Data[i] = float64(c)
+	outR, outC := rows, cols
+	if maxDim > 0 {
+		outR, outC = min(outR, maxDim), min(outC, maxDim)
 	}
-	return g, nil
-}
-
-// Normalized returns the grid scaled so its maximum is 1 (the paper's
-// heatmaps are normalized to maximum utilization = 1). A zero grid is
-// returned unchanged.
-func (g *Grid) Normalized() *Grid {
-	out := NewGrid(g.Rows, g.Cols)
-	m := g.Max()
-	if m <= 0 {
-		copy(out.Data, g.Data)
-		return out
-	}
-	for i, v := range g.Data {
-		out.Data[i] = v / m
-	}
-	return out
-}
-
-// Downsample mean-pools the grid to outRows×outCols. Output dimensions
-// must not exceed the input's; block boundaries are distributed evenly
-// when sizes do not divide.
-func (g *Grid) Downsample(outRows, outCols int) (*Grid, error) {
-	if outRows <= 0 || outCols <= 0 || outRows > g.Rows || outCols > g.Cols {
-		return nil, fmt.Errorf("stats: cannot downsample %dx%d to %dx%d", g.Rows, g.Cols, outRows, outCols)
-	}
-	out := NewGrid(outRows, outCols)
-	for or := 0; or < outRows; or++ {
-		r0, r1 := or*g.Rows/outRows, (or+1)*g.Rows/outRows
-		for oc := 0; oc < outCols; oc++ {
-			c0, c1 := oc*g.Cols/outCols, (oc+1)*g.Cols/outCols
-			var sum float64
+	g := NewGrid(outR, outC)
+	var m float64
+	for or := 0; or < outR; or++ {
+		r0, r1 := or*rows/outR, (or+1)*rows/outR
+		for oc := 0; oc < outC; oc++ {
+			c0, c1 := oc*cols/outC, (oc+1)*cols/outC
+			var sum uint64
 			for r := r0; r < r1; r++ {
-				for c := c0; c < c1; c++ {
-					sum += g.At(r, c)
+				for _, v := range counts[r*cols+c0 : r*cols+c1] {
+					sum += v
 				}
 			}
-			out.Set(or, oc, sum/float64((r1-r0)*(c1-c0)))
+			v := float64(sum) / float64((r1-r0)*(c1-c0))
+			g.Data[or*outC+oc] = v
+			m = max(m, v)
 		}
 	}
-	return out, nil
-}
-
-// Transpose returns the grid with axes swapped (for row-parallel
-// presentation).
-func (g *Grid) Transpose() *Grid {
-	out := NewGrid(g.Cols, g.Rows)
-	for r := 0; r < g.Rows; r++ {
-		for c := 0; c < g.Cols; c++ {
-			out.Set(c, r, g.At(r, c))
+	if m > 0 {
+		for i := range g.Data {
+			g.Data[i] /= m
 		}
 	}
-	return out
+	return g, nil
 }

@@ -68,78 +68,73 @@ func TestGridBasics(t *testing.T) {
 	if g.At(1, 2) != 7 || g.Max() != 7 {
 		t.Error("grid accessors wrong")
 	}
-	fromCounts, err := FromCounts([]uint64{1, 2, 3, 4, 5, 6}, 2, 3)
+	h, err := Heatmap([]uint64{1, 2, 3, 4, 5, 6}, 2, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromCounts.At(1, 0) != 4 {
-		t.Error("FromCounts layout wrong")
+	if h.Rows != 2 || h.Cols != 3 || h.At(1, 0) != 4.0/6 || h.At(1, 2) != 1 {
+		t.Error("Heatmap layout wrong")
 	}
-	if _, err := FromCounts([]uint64{1, 2}, 2, 3); err == nil {
+	if _, err := Heatmap([]uint64{1, 2}, 2, 3, 0); err == nil {
 		t.Error("size mismatch accepted")
 	}
 }
 
 func TestNormalized(t *testing.T) {
-	g := NewGrid(1, 4)
-	copy(g.Data, []float64{0, 1, 2, 4})
-	n := g.Normalized()
+	n, err := Heatmap([]uint64{0, 1, 2, 4}, 1, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []float64{0, 0.25, 0.5, 1}
 	for i := range want {
 		if n.Data[i] != want[i] {
 			t.Errorf("normalized[%d] = %v, want %v", i, n.Data[i], want[i])
 		}
 	}
-	// Zero grid unchanged, no division by zero.
-	z := NewGrid(2, 2).Normalized()
+	// Zero matrix stays zero, no division by zero.
+	z, err := Heatmap(make([]uint64, 4), 2, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, v := range z.Data {
 		if v != 0 {
-			t.Error("zero grid should stay zero")
+			t.Error("zero matrix should stay zero")
 		}
 	}
 }
 
 func TestDownsample(t *testing.T) {
-	g := NewGrid(4, 4)
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			g.Set(r, c, float64(r*4+c))
+	counts := make([]uint64, 16)
+	for i := range counts {
+		counts[i] = uint64(i)
+	}
+	d, err := Heatmap(counts, 4, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Block means of {0,1,4,5}, {2,3,6,7}, {8,9,12,13}, {10,11,14,15},
+	// normalized by the largest.
+	for i, mean := range []float64{2.5, 4.5, 10.5, 12.5} {
+		if d.Data[i] != mean/12.5 {
+			t.Errorf("block %d = %v, want %v/12.5", i, d.Data[i], mean)
 		}
 	}
-	d, err := g.Downsample(2, 2)
+	// Non-dividing sizes still cover everything: row and column blocks
+	// of 1, 1 and 2.
+	d3, err := Heatmap(counts, 4, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Top-left block {0,1,4,5} means 2.5.
-	if d.At(0, 0) != 2.5 {
-		t.Errorf("block mean = %v, want 2.5", d.At(0, 0))
+	if d3.Rows != 3 || d3.Cols != 3 || d3.At(0, 0) != 0 || d3.At(0, 1) != 1/12.5 || d3.At(2, 2) != 1 {
+		t.Errorf("3x3 pooling wrong: %v", d3.Data)
 	}
-	if d.At(1, 1) != 12.5 {
-		t.Errorf("block mean = %v, want 12.5", d.At(1, 1))
-	}
-	// Total mass preserved (means of equal blocks).
-	if _, err := g.Downsample(8, 2); err == nil {
-		t.Error("upsample accepted")
-	}
-	if _, err := g.Downsample(0, 2); err == nil {
-		t.Error("zero dims accepted")
-	}
-	// Non-dividing sizes still cover everything.
-	d2, err := g.Downsample(3, 3)
+	// A cap above the shape keeps every cell; it never upsamples.
+	up, err := Heatmap(counts, 4, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Rows != 3 || d2.Cols != 3 {
-		t.Error("output shape wrong")
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	g := NewGrid(2, 3)
-	g.Set(0, 2, 9)
-	tr := g.Transpose()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 0) != 9 {
-		t.Error("transpose wrong")
+	if up.Rows != 4 || up.Cols != 4 || up.At(3, 3) != 1 || up.At(1, 2) != 6.0/15 {
+		t.Errorf("maxDim above the shape resampled: %dx%d", up.Rows, up.Cols)
 	}
 }
 

@@ -99,13 +99,5 @@ func bankStripePlanned(plan *core.WearPlan, rc RunConfig, s Strategy, tech Techn
 	if cfg.SeriesPrefix == "" {
 		cfg.SeriesPrefix = rc.SeriesPrefix
 	}
-	sim := core.SimConfig{
-		Rows:           plan.Rows(),
-		PresetOutputs:  plan.PresetOutputs(),
-		Iterations:     rc.Iterations,
-		RecompileEvery: rc.RecompileEvery,
-		Seed:           rc.Seed,
-		Workers:        rc.Workers,
-	}
-	return system.Stripe(plan, sim, s, cfg)
+	return system.Stripe(plan, rc.simConfig(plan), s, cfg)
 }

@@ -156,15 +156,7 @@ func fleetPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []
 	points := make([]FleetPoint, 0, len(strategies)*len(techs)*len(sigmas))
 	var seriesBase float64
 	for _, s := range strategies {
-		sim := core.SimConfig{
-			Rows:           plan.Rows(),
-			PresetOutputs:  plan.PresetOutputs(),
-			Iterations:     rc.Iterations,
-			RecompileEvery: rc.RecompileEvery,
-			Seed:           rc.Seed,
-			Workers:        rc.Workers,
-		}
-		dist, err := plan.Simulate(sim, s)
+		dist, err := plan.Simulate(rc.simConfig(plan), s)
 		if err != nil {
 			return nil, err
 		}

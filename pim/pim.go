@@ -247,6 +247,18 @@ type RunConfig struct {
 	SeriesPrefix string
 }
 
+// simConfig is the wear engine's configuration of a run against plan.
+func (rc RunConfig) simConfig(plan *core.WearPlan) core.SimConfig {
+	return core.SimConfig{
+		Rows:           plan.Rows(),
+		PresetOutputs:  plan.PresetOutputs(),
+		Iterations:     rc.Iterations,
+		RecompileEvery: rc.RecompileEvery,
+		Seed:           rc.Seed,
+		Workers:        rc.Workers,
+	}
+}
+
 // Result is the outcome of one endurance run.
 type Result struct {
 	Benchmark string
@@ -284,14 +296,7 @@ func runPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, s Strategy, tec
 	sp := obs.StartSpan("pim.run")
 	defer sp.End()
 	obsRuns.Add(1)
-	sim := core.SimConfig{
-		Rows:           plan.Rows(),
-		PresetOutputs:  plan.PresetOutputs(),
-		Iterations:     rc.Iterations,
-		RecompileEvery: rc.RecompileEvery,
-		Seed:           rc.Seed,
-		Workers:        rc.Workers,
-	}
+	sim := rc.simConfig(plan)
 	var sampler *core.WearSampler
 	if rc.SampleEvery > 0 {
 		name := rc.SeriesPrefix + "wear." + b.Name + "." + s.Name()
@@ -374,6 +379,16 @@ func sweepPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []
 	})
 	for _, err := range errs {
 		if err != nil {
+			// The caller gets no results, so nothing else could retire
+			// the finished runs' series or release their distributions.
+			for _, r := range results {
+				if r != nil {
+					if r.Wear != nil {
+						obs.RemoveSeries(r.Wear.Name())
+					}
+					r.Dist.Release()
+				}
+			}
 			return nil, err
 		}
 	}
@@ -419,23 +434,7 @@ type Improvement struct {
 // downsampled to at most maxDim cells on each axis — the rendering behind
 // Figs. 14–16.
 func Heatmap(d *WriteDist, maxDim int) (*Grid, error) {
-	g, err := stats.FromCounts(d.Counts, d.Rows, d.Lanes)
-	if err != nil {
-		return nil, err
-	}
-	rows, cols := d.Rows, d.Lanes
-	if maxDim > 0 {
-		if rows > maxDim {
-			rows = maxDim
-		}
-		if cols > maxDim {
-			cols = maxDim
-		}
-		if g, err = g.Downsample(rows, cols); err != nil {
-			return nil, err
-		}
-	}
-	return g.Normalized(), nil
+	return stats.Heatmap(d.Counts, d.Rows, d.Lanes, maxDim)
 }
 
 // WriteHeatmapPNG renders a normalized grid to PNG.

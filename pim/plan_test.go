@@ -138,3 +138,41 @@ func TestFailedSampledRunRetiresSeries(t *testing.T) {
 		}
 	}
 }
+
+// A sweep that fails for only some strategies returns no results either,
+// so the strategies that finished must retire their series too: at 95
+// rows the software strategies fit the 95 bit addresses, but +Hw keeps
+// one row free and fails.
+func TestPartlyFailedSweepRetiresSeries(t *testing.T) {
+	opt := pim.Options{Lanes: 8, Rows: 96, PresetOutputs: true, NANDBasis: true}
+	bench, err := pim.NewParallelMult(opt, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Rows = 95
+	const prefix = "partly-failed-sweep."
+	rc := pim.RunConfig{Iterations: 8, RecompileEvery: 4, SampleEvery: 1, SeriesPrefix: prefix}
+	for _, sweep := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Sweep", func() error {
+			_, err := pim.Sweep(bench, opt, rc, nil, pim.MRAM())
+			return err
+		}},
+		{"PlanCache.Sweep", func() error {
+			_, _, err := pim.NewPlanCache(1).Sweep(bench, opt, rc, nil, pim.MRAM())
+			return err
+		}},
+	} {
+		if err := sweep.run(); err == nil {
+			t.Fatalf("%s: +Hw at 95 rows did not fail", sweep.name)
+		}
+		for _, series := range obs.AllSeries() {
+			if strings.HasPrefix(series.Name(), prefix) {
+				t.Errorf("%s: failed sweep left series %s registered", sweep.name, series.Name())
+				obs.RemoveSeries(series.Name())
+			}
+		}
+	}
+}
