@@ -134,32 +134,42 @@ bench-module:
 report:
 	$(GO) run ./cmd/endurance-report $(REPORT_FLAGS)
 
-# Report determinism: the quick report at -workers 1 and at -workers 2,
-# into two temporary directories, must write the same files byte for
+# Report determinism: the quick report and a small fleet study (all 18
+# strategies × 4 technologies × 2 σ), each at -workers 1 and at -workers
+# 2 into temporary directories, must write the same files byte for
 # byte. Only the run manifest (args, timings) and the trace timeline may
-# differ. With BASE=<rev>, the same quick report is also built from a
-# temporary export of <rev> (local git only, removed on exit) and must
-# match this tree's — the check for a change that must leave every
-# result unchanged.
-REPORT_DIFF_FLAGS = -quick -lanes 64 -iters 400 -trials 20
+# differ. With BASE=<rev>, both are also built from a temporary export
+# of <rev> (local git only, removed on exit) and must match this tree's
+# — the check for a change that must leave every result unchanged.
+REPORT_DIFF_FLAGS = -quick -lanes 64
 report-diff:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	report() { \
-		"$$1" $(REPORT_DIFF_FLAGS) -workers $$2 -out "$$tmp/$$3" >"$$tmp/log" 2>&1 \
-			|| { cat "$$tmp/log"; echo "report-diff: the $$3 report failed"; exit 1; }; \
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/bin"; \
+	build() { \
+		$(GO) -C "$$1" build -o "$$tmp/bin/$$2-report" ./cmd/endurance-report; \
+		$(GO) -C "$$1" build -o "$$tmp/bin/$$2-fleet" ./cmd/fleet; \
 	}; \
-	$(GO) build -o "$$tmp/endurance-report" ./cmd/endurance-report; \
-	report "$$tmp/endurance-report" 1 w1; \
-	report "$$tmp/endurance-report" 2 w2; \
-	diff -r -x 'manifest_*' -x 'trace_*' "$$tmp/w1" "$$tmp/w2"; \
-	echo "report-diff: -workers 1 and 2 wrote the same $$(ls "$$tmp/w1" | wc -l) files"; \
+	run() { \
+		"$$tmp/bin/$$1-report" $(REPORT_DIFF_FLAGS) -workers $$2 -out "$$tmp/$$3" >"$$tmp/log" 2>&1 \
+			|| { cat "$$tmp/log"; echo "report-diff: the $$3 report failed"; exit 1; }; \
+		"$$tmp/bin/$$1-fleet" -lanes 64 -rows 256 -bits 8 -iters 400 -devices 20000 -sigmas 0.3,0.6 \
+			-workers $$2 -out "$$tmp/$$3-fleet" >"$$tmp/log" 2>&1 \
+			|| { cat "$$tmp/log"; echo "report-diff: the $$3 fleet study failed"; exit 1; }; \
+	}; \
+	same() { \
+		diff -r -x 'manifest_*' -x 'trace_*' "$$tmp/$$1" "$$tmp/$$2"; \
+		diff -r -x 'manifest_*' -x 'trace_*' "$$tmp/$$1-fleet" "$$tmp/$$2-fleet"; \
+		echo "report-diff: $$3 wrote the same $$(ls "$$tmp/$$2" | wc -l) report files and $$(ls "$$tmp/$$2-fleet" | wc -l) fleet files"; \
+	}; \
+	build . head; \
+	run head 1 w1; \
+	run head 2 w2; \
+	same w1 w2 "-workers 1 and 2"; \
 	if [ -n "$(BASE)" ]; then \
 		mkdir "$$tmp/src"; \
 		git archive "$(BASE)" | tar -x -C "$$tmp/src"; \
-		$(GO) -C "$$tmp/src" build -o "$$tmp/base-report" ./cmd/endurance-report; \
-		report "$$tmp/base-report" 1 base; \
-		diff -r -x 'manifest_*' -x 'trace_*' "$$tmp/base" "$$tmp/w1"; \
-		echo "report-diff: $(BASE) and this tree wrote the same $$(ls "$$tmp/w1" | wc -l) files"; \
+		build "$$tmp/src" base; \
+		run base 1 base; \
+		same base w1 "$(BASE) and this tree"; \
 	fi
 
 # `race` runs every package under the race detector exactly once; the
@@ -174,7 +184,8 @@ report-diff:
 # serving-throughput pair and BenchmarkFleet's draws/cold/cached/speedup
 # quartet included, timing and allocs/op both — against the committed
 # baseline: advisory locally, strict when BENCHDIFF_FLAGS=-strict.
-# `report-diff` checks that the report is identical across worker counts
-# (`make report-diff BASE=<rev>` also checks it against <rev>).
+# `report-diff` checks that the report and a small fleet study are
+# identical across worker counts (`make report-diff BASE=<rev>` also
+# checks them against <rev>).
 # `bench-module` vets and tests the nested bench/ module.
 ci: vet fmt doclint promlint race bench bench-alloc benchdiff report-diff bench-module

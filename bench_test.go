@@ -853,9 +853,12 @@ func BenchmarkBankSweep(b *testing.B) {
 // worker; it gates the engine's floor of one million device draws per
 // second per core and its allocation budget (a fixed handful of
 // bookkeeping allocations per sweep point, no per-device or per-batch
-// churn). "cold" vs "cached" run the same study through pim.PlanCache —
-// a cache miss rebuilds the WearPlan from the trace, a hit pays only
-// simulation and draws. "speedup" compares lifetime.VarModel on the
+// churn). "study" draws the same groups for the four technologies × σ
+// {0.3, 0.6} through fleet.SurviveMedians at GOMAXPROCS workers — one
+// draw pass per σ serving every technology — and reports devices/sec
+// over all eight sweep points. "cold" vs "cached" run a one-point study
+// (MRAM, σ 0.3) through pim.PlanCache — a cache miss rebuilds the
+// WearPlan from the trace, a hit pays only simulation and draws. "speedup" compares lifetime.VarModel on the
 // fleet engine against the retained per-cell FirstFailureReference at
 // 100 000 trials and gates the ≥20× win the order-statistic collapse
 // must deliver.
@@ -908,6 +911,32 @@ func BenchmarkFleet(b *testing.B) {
 		}
 		b.ReportMetric(rate, "devices/sec")
 		b.ReportMetric(res.Quantiles[0], "b1_iterations")
+	})
+
+	b.Run("study", func(b *testing.B) {
+		var medians []float64
+		for _, tech := range pim.Technologies() {
+			medians = append(medians, tech.Endurance)
+		}
+		sigmas := []float64{0.3, 0.6}
+		p := fleet.Params{Devices: 1_000_000, Seed: 1}
+		// Build the σ tables outside the timer: this times the draws.
+		for _, sigma := range sigmas {
+			if _, err := fleet.SurviveMedians(groups, sigma, medians, fleet.Params{Devices: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		t0 := time.Now()
+		for i := 0; i < b.N; i++ {
+			for _, sigma := range sigmas {
+				if _, err := fleet.SurviveMedians(groups, sigma, medians, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		points := len(medians) * len(sigmas)
+		b.ReportMetric(float64(points*p.Devices*b.N)/time.Since(t0).Seconds(), "devices/sec")
 	})
 
 	rc := pim.RunConfig{Iterations: 2000, RecompileEvery: 100, Seed: 1, Workers: 1}

@@ -56,24 +56,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("endurance-report: ")
 
-	var cfg config
 	run := obs.NewRun("endurance-report", flag.CommandLine)
-	quick := flag.Bool("quick", false, "low-fidelity pass (2 000 iterations, 100 Monte Carlo trials)")
-	flag.StringVar(&cfg.out, "out", "out", "output directory")
-	flag.IntVar(&cfg.lanes, "lanes", 1024, "array lanes (columns)")
-	flag.IntVar(&cfg.rows, "rows", 1024, "array rows (bit addresses per lane)")
-	flag.IntVar(&cfg.iters, "iters", 100000, "benchmark iterations per configuration")
-	flag.IntVar(&cfg.recompile, "recompile", 100, "software re-mapping period in iterations")
-	flag.Int64Var(&cfg.seed, "seed", 1, "random-shuffle seed")
-	flag.IntVar(&cfg.trials, "trials", 1000, "Monte Carlo trials for fault experiments")
-	flag.IntVar(&cfg.heatDim, "heatdim", 128, "heatmap resolution cap per axis")
-	flag.IntVar(&cfg.heatScale, "heatscale", 4, "heatmap PNG pixels per cell")
-	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines for sweeps and the +Hw engine (0 = GOMAXPROCS); results are identical for any value")
-	flag.IntVar(&cfg.sample, "sample", 0, "record wear telemetry every N recompile epochs during the sweeps (0 disables; series exported on exit, live at -serve /series and /wear.png)")
-	flag.Parse()
-	if *quick {
-		cfg.iters = 2000
-		cfg.trials = 100
+	cfg, quick, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
 	}
 	if err := run.Start(); err != nil {
 		log.Fatal(err)
@@ -121,10 +107,42 @@ func main() {
 		"iters": cfg.iters, "recompile": cfg.recompile, "trials": cfg.trials,
 		"heatdim": cfg.heatDim, "heatscale": cfg.heatScale, "workers": cfg.workers,
 		"sample": cfg.sample,
-		"quick":  *quick,
+		"quick":  quick,
 	}, cfg.seed, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// parseFlags defines the report's flags on fs and parses args. -quick
+// lowers -iters and -trials to the low-fidelity pass, except where args
+// set them explicitly.
+func parseFlags(fs *flag.FlagSet, args []string) (cfg config, quick bool, err error) {
+	fs.BoolVar(&quick, "quick", false, "low-fidelity pass (2 000 iterations, 100 Monte Carlo trials, unless -iters or -trials is given)")
+	fs.StringVar(&cfg.out, "out", "out", "output directory")
+	fs.IntVar(&cfg.lanes, "lanes", 1024, "array lanes (columns)")
+	fs.IntVar(&cfg.rows, "rows", 1024, "array rows (bit addresses per lane)")
+	fs.IntVar(&cfg.iters, "iters", 100000, "benchmark iterations per configuration")
+	fs.IntVar(&cfg.recompile, "recompile", 100, "software re-mapping period in iterations")
+	fs.Int64Var(&cfg.seed, "seed", 1, "random-shuffle seed")
+	fs.IntVar(&cfg.trials, "trials", 1000, "Monte Carlo trials for fault experiments")
+	fs.IntVar(&cfg.heatDim, "heatdim", 128, "heatmap resolution cap per axis")
+	fs.IntVar(&cfg.heatScale, "heatscale", 4, "heatmap PNG pixels per cell")
+	fs.IntVar(&cfg.workers, "workers", 0, "worker goroutines for sweeps and the +Hw engine (0 = GOMAXPROCS); results are identical for any value")
+	fs.IntVar(&cfg.sample, "sample", 0, "record wear telemetry every N recompile epochs during the sweeps (0 disables; series exported on exit, live at -serve /series and /wear.png)")
+	if err := fs.Parse(args); err != nil {
+		return cfg, false, err
+	}
+	if quick {
+		given := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+		if !given["iters"] {
+			cfg.iters = 2000
+		}
+		if !given["trials"] {
+			cfg.trials = 100
+		}
+	}
+	return cfg, quick, nil
 }
 
 // writeFile creates a file under the output directory and streams fn to it.

@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/csv"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -81,5 +83,31 @@ func TestPaperTableSteps(t *testing.T) {
 	}
 	if ls := readCSV(t, cfg, "e13_lane_sets.csv"); len(ls) != 1+12 {
 		t.Errorf("e13 has %d lines, want header + 12", len(ls))
+	}
+}
+
+// -quick lowers only the flags the command line leaves unset.
+func TestQuickKeepsExplicitFlags(t *testing.T) {
+	parse := func(args ...string) (config, bool) {
+		t.Helper()
+		fs := flag.NewFlagSet("endurance-report", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		cfg, quick, err := parseFlags(fs, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg, quick
+	}
+	if cfg, quick := parse(); cfg.iters != 100000 || cfg.trials != 1000 || quick {
+		t.Errorf("defaults: iters %d trials %d quick %v", cfg.iters, cfg.trials, quick)
+	}
+	if cfg, quick := parse("-quick", "-lanes", "64"); cfg.iters != 2000 || cfg.trials != 100 || cfg.lanes != 64 || !quick {
+		t.Errorf("-quick -lanes 64: iters %d trials %d lanes %d, want 2000 / 100 / 64", cfg.iters, cfg.trials, cfg.lanes)
+	}
+	if cfg, _ := parse("-quick", "-iters", "400"); cfg.iters != 400 || cfg.trials != 100 {
+		t.Errorf("-quick -iters 400: iters %d trials %d, want 400 / 100", cfg.iters, cfg.trials)
+	}
+	if cfg, _ := parse("-trials", "20", "-quick"); cfg.iters != 2000 || cfg.trials != 20 {
+		t.Errorf("-trials 20 -quick: iters %d trials %d, want 2000 / 20", cfg.iters, cfg.trials)
 	}
 }

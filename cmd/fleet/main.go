@@ -41,42 +41,25 @@ func main() {
 	log.SetPrefix("fleet: ")
 
 	run := obs.NewRun("fleet", flag.CommandLine)
-	out := flag.String("out", "out", "output directory")
-	benchmark := flag.String("benchmark", "mult", "kernel: "+strings.Join(pim.KernelNames(), ", "))
-	bits := flag.Int("bits", 0, "operand precision (0 = the kernel's default; bnn ignores it)")
-	lanes := flag.Int("lanes", 1024, "array lanes (columns)")
-	rows := flag.Int("rows", 1024, "array rows")
-	iters := flag.Int("iters", 100000, "benchmark iterations per strategy")
-	recompile := flag.Int("recompile", 100, "software re-mapping period in iterations")
-	seed := flag.Int64("seed", 1, "simulation and draw seed")
-	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS); results are identical for any value")
-	devices := flag.Int("devices", 1_000_000, "fleet population per sweep point")
-	sigmaList := flag.String("sigmas", "0.3", "comma-separated lognormal endurance shapes")
-	quick := flag.Bool("quick", false, "low-fidelity pass (2 000 iterations, 100 000 devices)")
-	flag.Parse()
-	if *quick {
-		*iters = 2000
-		*devices = 100_000
-	}
-	sigmas, err := parseSigmas(*sigmaList)
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := run.Start(); err != nil {
 		log.Fatal(err)
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		log.Fatal(err)
 	}
 
 	opt := pim.DefaultOptions()
-	opt.Lanes, opt.Rows = *lanes, *rows
-	bench, params, err := pim.NewNamed(opt, *benchmark, pim.KernelParams{Bits: *bits})
+	opt.Lanes, opt.Rows = o.lanes, o.rows
+	bench, params, err := pim.NewNamed(opt, o.benchmark, pim.KernelParams{Bits: o.bits})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rc := pim.RunConfig{Iterations: *iters, RecompileEvery: *recompile, Seed: *seed, Workers: *workers}
-	fc := pim.FleetConfig{Devices: *devices, Sigmas: sigmas, Seed: *seed}
+	rc := pim.RunConfig{Iterations: o.iters, RecompileEvery: o.recompile, Seed: o.seed, Workers: o.workers}
+	fc := pim.FleetConfig{Devices: o.devices, Sigmas: o.sigmas, Seed: o.seed}
 
 	start := time.Now()
 	points, err := pim.Fleet(bench, opt, rc, nil, nil, fc)
@@ -84,18 +67,18 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("%d sweep points (%d strategies × %d technologies × %d σ), %s devices in %s",
-		len(points), 18, 4, len(sigmas),
-		report.Sci(float64(len(points))*float64(*devices)), time.Since(start).Round(time.Millisecond))
+		len(points), 18, 4, len(o.sigmas),
+		report.Sci(float64(len(points))*float64(o.devices)), time.Since(start).Round(time.Millisecond))
 
 	t := pointsTable(bench.Name, points)
 	if err := t.WriteMarkdown(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	if err := writeFile(*out, "fleet_survival.csv", t.WriteCSV); err != nil {
+	if err := writeFile(o.out, "fleet_survival.csv", t.WriteCSV); err != nil {
 		log.Fatal(err)
 	}
 
-	rankings := rankBySigma(points, sigmas)
+	rankings := rankBySigma(points, o.sigmas)
 	for _, r := range rankings {
 		agree := "agrees with"
 		if !r.SameWinner {
@@ -106,12 +89,12 @@ func main() {
 	}
 
 	doc := studyDoc{
-		Benchmark: bench.Name, Lanes: *lanes, Rows: *rows,
-		Iterations: *iters, RecompileEvery: *recompile,
-		Devices: *devices, Seed: *seed, Sigmas: sigmas,
+		Benchmark: bench.Name, Lanes: o.lanes, Rows: o.rows,
+		Iterations: o.iters, RecompileEvery: o.recompile,
+		Devices: o.devices, Seed: o.seed, Sigmas: o.sigmas,
 		Points: flatten(points), Rankings: rankings,
 	}
-	if err := writeFile(*out, "fleet_survival.json", func(w io.Writer) error {
+	if err := writeFile(o.out, "fleet_survival.json", func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(doc)
@@ -119,13 +102,57 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if err := run.Finish(*out, map[string]any{
-		"benchmark": *benchmark, "bits": params.Bits, "lanes": *lanes, "rows": *rows,
-		"iters": *iters, "recompile": *recompile, "devices": *devices,
-		"sigmas": *sigmaList, "workers": *workers, "quick": *quick,
-	}, *seed, os.Stdout); err != nil {
+	if err := run.Finish(o.out, map[string]any{
+		"benchmark": o.benchmark, "bits": params.Bits, "lanes": o.lanes, "rows": o.rows,
+		"iters": o.iters, "recompile": o.recompile, "devices": o.devices,
+		"sigmas": o.sigmaList, "workers": o.workers, "quick": o.quick,
+	}, o.seed, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// options are the command's parsed flags.
+type options struct {
+	out, benchmark, sigmaList                             string
+	bits, lanes, rows, iters, recompile, workers, devices int
+	seed                                                  int64
+	sigmas                                                []float64
+	quick                                                 bool
+}
+
+// parseFlags defines the command's flags on fs and parses args. -quick
+// lowers -iters and -devices to the low-fidelity pass, except where
+// args set them explicitly.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.out, "out", "out", "output directory")
+	fs.StringVar(&o.benchmark, "benchmark", "mult", "kernel: "+strings.Join(pim.KernelNames(), ", "))
+	fs.IntVar(&o.bits, "bits", 0, "operand precision (0 = the kernel's default; bnn ignores it)")
+	fs.IntVar(&o.lanes, "lanes", 1024, "array lanes (columns)")
+	fs.IntVar(&o.rows, "rows", 1024, "array rows")
+	fs.IntVar(&o.iters, "iters", 100000, "benchmark iterations per strategy")
+	fs.IntVar(&o.recompile, "recompile", 100, "software re-mapping period in iterations")
+	fs.Int64Var(&o.seed, "seed", 1, "simulation and draw seed")
+	fs.IntVar(&o.workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS); results are identical for any value")
+	fs.IntVar(&o.devices, "devices", 1_000_000, "fleet population per sweep point")
+	fs.StringVar(&o.sigmaList, "sigmas", "0.3", "comma-separated lognormal endurance shapes")
+	fs.BoolVar(&o.quick, "quick", false, "low-fidelity pass (2 000 iterations, 100 000 devices, unless -iters or -devices is given)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if o.quick {
+		given := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+		if !given["iters"] {
+			o.iters = 2000
+		}
+		if !given["devices"] {
+			o.devices = 100_000
+		}
+	}
+	var err error
+	o.sigmas, err = parseSigmas(o.sigmaList)
+	return o, err
 }
 
 // studyDoc is the fleet_survival.json document.

@@ -23,24 +23,33 @@
 //     variate pushed through H⁻¹ — O(1), independent of both cell and
 //     group count. H⁻¹ is tabulated once per (Groups, σ) on a
 //     log-spaced lifetime grid spanning the full reachable Exp(1)
-//     range and inverted by binary search with log-log interpolation
-//     (relative error ~1e−7, orders of magnitude below what the KS
-//     acceptance tests could detect); the measure-zero draws outside
-//     the grid fall back to exact bisection on H. The table is built
-//     for a median of 1 — changing median endurance only shifts ln x —
-//     so every technology in a sweep shares one table per σ.
+//     range, its points filled over the worker pool (bit-identical for
+//     any worker count). A draw finds its grid interval by a
+//     guide-indexed lower-bound search, which starts within about one
+//     grid point of the answer, and interpolates log-log; the lifetime
+//     is within 1e−6 relative of exact bisection for σ ∈ [0.01, 2]
+//     (FuzzSurvive), far below what the KS acceptance tests could
+//     detect. The measure-zero draws outside the grid fall back to
+//     exact bisection on H. The table is built for a median of 1, and
+//     a median only scales the lifetime (the paper's Eq. 4), so
+//     SurviveMedians inverts each device once and scales the draw for
+//     every technology of a sweep: one table and one draw pass per
+//     (Groups, σ).
 //
 //  3. Pool-parallel, allocation-free batching: devices are drawn in
 //     fixed 8192-device logical batches sharded over internal/pool,
 //     each batch owning a splitmix64 stream seeded from (Seed, batch) —
 //     so the sample vector is bit-identical for any worker count — with
 //     the sample buffer pooled on a package free list and quantiles
-//     extracted by stats.PercentileRadixFloat instead of a full sort.
+//     extracted once per call by stats.PercentileRadixFloat instead of
+//     a full sort, then scaled by each median.
 //
 // Correctness is enforced by Kolmogorov–Smirnov acceptance tests against
 // the per-cell reference sampler across σ values and distribution
-// shapes, a direct H(H⁻¹(E)) = E inversion-accuracy check, and exact
-// determinism tests across worker counts.
+// shapes, a direct H(H⁻¹(E)) = E inversion-accuracy check, exact
+// determinism tests across worker counts, and bit-identity tests of the
+// shared draws against a per-median oracle and of the guided search
+// against a plain binary search.
 package fleet
 
 import (
@@ -58,13 +67,14 @@ import (
 // Engine telemetry (no-ops until obs.Enable): population and work
 // counters plus the per-batch draw latency histogram.
 var (
-	// obsDevices counts simulated devices.
+	// obsDevices counts simulated devices: a call's population once
+	// per median.
 	obsDevices = obs.GetCounter("fleet.devices")
-	// obsDraws counts endurance quantile inversions — one per device on
-	// the table path; compare against devices × cells for the
-	// order-statistic collapse factor.
+	// obsDraws counts endurance quantile inversions — one per device
+	// per SurviveMedians call, however many medians share it; compare
+	// against devices × cells for the order-statistic collapse factor.
 	obsDraws = obs.GetCounter("fleet.draws")
-	// obsGroups counts distinct write-count groups per Survive call.
+	// obsGroups counts distinct write-count groups per draw call.
 	obsGroups = obs.GetCounter("fleet.groups")
 	// obsFallbacks counts draws that landed outside the hazard table
 	// and were solved by exact bisection (expected ≈ never: the grid
@@ -88,7 +98,7 @@ type Model struct {
 // leaves Quantiles nil: B1, B10 and B50.
 var DefaultQuantiles = []float64{0.01, 0.10, 0.50}
 
-// Params configures one Survive call.
+// Params configures one Survive or SurviveMedians call.
 type Params struct {
 	// Devices is the fleet population to simulate (must be positive).
 	Devices int
@@ -101,8 +111,9 @@ type Params struct {
 	// [0, 1]; nil selects DefaultQuantiles.
 	Quantiles []float64
 	// Series, when non-nil, receives one row per finished draw batch
-	// with the cumulative device count — the serving layer's progress
-	// feed. The series must have exactly one column.
+	// with the cumulative device count, counted once per median — the
+	// serving layer's progress feed. The series must have exactly one
+	// column.
 	Series *obs.Series
 	// SeriesBase is added to every cumulative count reported on Series,
 	// so a multi-point caller (pim.Fleet) can feed one series across a
@@ -111,8 +122,8 @@ type Params struct {
 	SeriesBase float64
 }
 
-// Result is the fleet-survival summary of one Survive call, in
-// benchmark iterations.
+// Result is the fleet-survival summary of one Survive call (or of one
+// median of a SurviveMedians call), in benchmark iterations.
 type Result struct {
 	// Devices is the simulated population size.
 	Devices int
@@ -120,8 +131,9 @@ type Result struct {
 	Groups int
 	// Cells is the number of written cells per device.
 	Cells int
-	// Draws is the number of endurance quantile inversions performed —
-	// compare against Devices×Cells for the collapse factor.
+	// Draws is the number of endurance quantile inversions behind the
+	// result (one per device, shared by every median of a SurviveMedians
+	// call) — compare against Devices×Cells for the collapse factor.
 	Draws int64
 	// Mean is the mean first-failure iteration count.
 	Mean float64
@@ -143,101 +155,148 @@ const drawBatch = 8192
 // Survive draws p.Devices iid devices against the grouped write
 // distribution and returns mean and quantiles of the first-failure
 // iteration count. The sample vector is a pure function of
-// (g, m, p.Seed, p.Devices) — bit-identical across worker counts.
+// (g, m, p.Seed, p.Devices) — bit-identical across worker counts. It
+// is the one-median case of SurviveMedians.
 func (m Model) Survive(g *Groups, p Params) (Result, error) {
-	if m.MedianEndurance <= 0 {
-		return Result{}, fmt.Errorf("fleet: non-positive median endurance %v", m.MedianEndurance)
+	res, err := SurviveMedians(g, m.Sigma, []float64{m.MedianEndurance}, p)
+	if err != nil {
+		return Result{}, err
 	}
-	if m.Sigma < 0 {
-		return Result{}, fmt.Errorf("fleet: negative sigma %v", m.Sigma)
+	return res[0], nil
+}
+
+// SurviveMedians is Survive for several median endurances at one σ —
+// the technologies of a fleet study. A median only scales a lifetime
+// (the paper's Eq. 4), so each device's Exp(1) variate is inverted once,
+// at median 1, and every median reuses the draw. The results, parallel
+// to medians, are bit-identical to one Survive call per median with the
+// same Params: each batch sums the same rounded products median·x in the
+// same device order, and nearest-rank selection commutes with scaling by
+// a positive constant, so a median's quantile is median × the median-1
+// quantile exactly. p.Series advances by devices × len(medians) per
+// batch; the devices counter counts every median's population, the
+// draws counter one inversion per device.
+func SurviveMedians(g *Groups, sigma float64, medians []float64, p Params) ([]Result, error) {
+	for _, med := range medians {
+		if med <= 0 {
+			return nil, fmt.Errorf("fleet: non-positive median endurance %v", med)
+		}
+	}
+	if sigma < 0 {
+		return nil, fmt.Errorf("fleet: negative sigma %v", sigma)
 	}
 	if p.Devices <= 0 {
-		return Result{}, fmt.Errorf("fleet: devices must be positive, got %d", p.Devices)
+		return nil, fmt.Errorf("fleet: devices must be positive, got %d", p.Devices)
 	}
 	if g == nil || len(g.Rate) == 0 {
-		return Result{}, fmt.Errorf("fleet: empty group set (use GroupCounts)")
+		return nil, fmt.Errorf("fleet: empty group set (use GroupCounts)")
+	}
+	if len(medians) == 0 {
+		return nil, nil
 	}
 	quantiles := p.Quantiles
 	if quantiles == nil {
 		quantiles = DefaultQuantiles
 	}
-	res := Result{
-		Devices:                 p.Devices,
-		Groups:                  len(g.Rate),
-		Cells:                   g.Cells,
-		Quantiles:               make([]float64, len(quantiles)),
-		DeterministicIterations: m.MedianEndurance / g.MaxRate(),
+	n := p.Devices
+	res := make([]Result, len(medians))
+	for j, med := range medians {
+		res[j] = Result{
+			Devices:                 n,
+			Groups:                  len(g.Rate),
+			Cells:                   g.Cells,
+			Quantiles:               make([]float64, len(quantiles)),
+			DeterministicIterations: med / g.MaxRate(),
+		}
 	}
-	obsDevices.Add(int64(p.Devices))
+	obsDevices.Add(int64(n * len(medians)))
 	obsGroups.Add(int64(len(g.Rate)))
 
-	if m.Sigma == 0 {
+	if sigma == 0 {
 		// Point mass: every device fails at the deterministic lifetime.
 		// No RNG is consumed and no sample buffer is needed. The
 		// exp(log) round trip mirrors what a zero-σ draw evaluates to,
 		// keeping the value consistent with the σ→0 limit of the
 		// sampled path.
-		v := math.Exp(math.Log(m.MedianEndurance)) / g.MaxRate()
-		res.Mean = v
-		for i := range res.Quantiles {
-			res.Quantiles[i] = v
+		for j, med := range medians {
+			v := math.Exp(math.Log(med)) / g.MaxRate()
+			res[j].Mean = v
+			for i := range res[j].Quantiles {
+				res[j].Quantiles[i] = v
+			}
 		}
 		if p.Series != nil {
-			p.Series.Add(p.SeriesBase + float64(p.Devices))
+			p.Series.Add(p.SeriesBase + float64(n*len(medians)))
 		}
 		return res, nil
 	}
 
-	tbl := g.table(m.Sigma)
-	n := p.Devices
+	tbl := g.table(sigma, p.Workers)
 	nBatches := (n + drawBatch - 1) / drawBatch
+	// samples holds each device's normalized (median 1) lifetime.
 	samples := getBuf(n)
 	defer putBuf(samples)
-	// Per-batch partials, combined in batch order below so the mean is
-	// as deterministic as the samples themselves.
-	sums := make([]float64, nBatches)
+	// Per-batch partials, combined in batch order below so the means are
+	// as deterministic as the samples themselves; sums is median-major.
+	sums := make([]float64, len(medians)*nBatches)
 	mins := make([]float64, nBatches)
 	maxs := make([]float64, nBatches)
-	var fallbacks, done atomic.Int64
+	var done atomic.Int64
 	pool.ForEachWorker(p.Workers, nBatches, func(_, b int) {
 		t0 := time.Now()
-		lo, hi := b*drawBatch, min((b+1)*drawBatch, n)
+		batch := samples[b*drawBatch : min((b+1)*drawBatch, n)]
 		rng := newBatchRNG(p.Seed, b)
-		bmin, bmax, bsum := math.Inf(1), math.Inf(-1), 0.0
+		bmin, bmax := math.Inf(1), math.Inf(-1)
 		var bfallbacks int64
-		for d := lo; d < hi; d++ {
-			life := tbl.draw(&rng, m.MedianEndurance, &bfallbacks)
-			samples[d] = life
-			bsum += life
-			if life < bmin {
-				bmin = life
+		for d := range batch {
+			x := tbl.invert(rng.exp(), &bfallbacks)
+			batch[d] = x
+			if x < bmin {
+				bmin = x
 			}
-			if life > bmax {
-				bmax = life
+			if x > bmax {
+				bmax = x
 			}
 		}
-		sums[b], mins[b], maxs[b] = bsum, bmin, bmax
-		fallbacks.Add(bfallbacks)
-		obsDraws.Add(int64(hi - lo))
+		for j, med := range medians {
+			var bsum float64
+			for _, x := range batch {
+				// The conversion rounds the product before the add (no
+				// fused multiply-add), so each term is the lifetime the
+				// quantiles report.
+				bsum += float64(med * x)
+			}
+			sums[j*nBatches+b] = bsum
+		}
+		mins[b], maxs[b] = bmin, bmax
+		obsDraws.Add(int64(len(batch)))
 		obsFallbacks.Add(bfallbacks)
 		obsDrawHist.ObserveDuration(time.Since(t0))
 		if p.Series != nil {
-			p.Series.Add(p.SeriesBase + float64(done.Add(int64(hi-lo))))
+			p.Series.Add(p.SeriesBase + float64(done.Add(int64(len(batch)*len(medians)))))
 		}
 	})
 
-	var sum float64
 	gmin, gmax := math.Inf(1), math.Inf(-1)
 	for b := 0; b < nBatches; b++ {
-		sum += sums[b]
 		gmin = math.Min(gmin, mins[b])
 		gmax = math.Max(gmax, maxs[b])
 	}
-	res.Mean = sum / float64(n)
-	res.Draws = int64(n)
+	for j := range res {
+		var sum float64
+		for _, s := range sums[j*nBatches : (j+1)*nBatches] {
+			sum += s
+		}
+		res[j].Mean = sum / float64(n)
+		res[j].Draws = int64(n)
+	}
 	work := getBuf(1024)[:0]
 	for i, q := range quantiles {
-		res.Quantiles[i], work = stats.PercentileRadixFloat(samples, q, gmin, gmax, work)
+		var x float64
+		x, work = stats.PercentileRadixFloat(samples, q, gmin, gmax, work)
+		for j, med := range medians {
+			res[j].Quantiles[i] = med * x
+		}
 	}
 	putBuf(work)
 	return res, nil
@@ -245,16 +304,21 @@ func (m Model) Survive(g *Groups, p Params) (Result, error) {
 
 // hazardGrid is the number of tabulated points of H⁻¹. 4096 log-spaced
 // lifetime points over the reachable Exp(1) range keep the log-log
-// interpolation error near 1e−7 relative while the two parallel grid
-// arrays stay a cache-friendly 64 KB.
+// interpolation error below 1e−6 relative for σ ≥ 0.01 while the grid
+// stays a cache-friendly 32 KB.
 const hazardGrid = 4096
+
+// guideBuckets is the number of equal-width ln H buckets of a table's
+// guide, about one grid point per bucket where draws land.
+const guideBuckets = 4096
 
 // hazardTable is the precomputed inverse of a grouped distribution's
 // cumulative hazard H(x) = Σⱼ −nⱼ·ln SF(x·rⱼ), normalized to median
-// endurance 1 (a different median shifts ln x by ln median, applied at
-// draw time). lnx is uniform in log-lifetime; lnH is strictly
-// increasing, so a draw is a binary search plus one interpolation.
-// Read-only after build; shared by every worker and every technology.
+// endurance 1 (a different median scales the lifetime, which the
+// caller applies). lnx is uniform in log-lifetime; lnH is
+// non-decreasing (strictly, below +Inf), so a draw is a guided lower
+// bound search plus one interpolation. Read-only after build; shared by
+// every worker and every technology.
 type hazardTable struct {
 	l     stats.Lognormal // median 1, the table's σ
 	g     *Groups
@@ -262,6 +326,14 @@ type hazardTable struct {
 	dlnx  float64 // grid spacing in ln lifetime
 	lnH   []float64
 	lnxHi float64 // ln lifetime at the last grid point
+
+	// guide[k] is the first grid index i with bucket(lnH[i]) ≥ k: the
+	// lower-bound search for an ln E in bucket k starts there and only
+	// scans forward. Buckets split [guideLo, guideLo + guideBuckets /
+	// guideScale] evenly.
+	guide      []uint16
+	guideLo    float64
+	guideScale float64 // buckets per unit of ln H
 }
 
 // hazardFloor and hazardCeil bound the tabulated hazard range. An
@@ -274,16 +346,17 @@ const (
 	hazardCeil  = 38
 )
 
-// table returns the per-σ hazard inverse, building and caching it on
-// first use. Tables depend only on (Groups, σ): a strategy's groups are
-// computed once and replayed across every technology × σ sweep point.
-func (g *Groups) table(sigma float64) *hazardTable {
+// table returns the per-σ hazard inverse, building it over at most
+// workers goroutines and caching it on first use. Tables depend only on
+// (Groups, σ): a strategy's groups are computed once and replayed across
+// every technology × σ sweep point.
+func (g *Groups) table(sigma float64, workers int) *hazardTable {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if t, ok := g.tables[sigma]; ok {
 		return t
 	}
-	t := buildTable(stats.Lognormal{Mu: 0, Sigma: sigma}, g)
+	t := buildTable(stats.Lognormal{Mu: 0, Sigma: sigma}, g, workers)
 	if g.tables == nil {
 		g.tables = map[float64]*hazardTable{}
 	}
@@ -305,8 +378,15 @@ func hazardAt(l stats.Lognormal, g *Groups, x float64) float64 {
 // hazardCeil] by doubling/halving from the deterministic lifetime
 // (H is monotone in x), then tabulates ln H on a log-spaced lifetime
 // grid. Cost is O(hazardGrid × groups) erfc evaluations — paid once
-// per (Groups, σ) and amortized over millions of draws.
-func buildTable(l stats.Lognormal, g *Groups) *hazardTable {
+// per (Groups, σ) and amortized over millions of draws. The grid
+// values are filled in blocks over the worker pool; each is the same
+// expression of its index, so the table is bit-identical for any
+// worker count. The upper end is not tightened: at σ ≤ 0.01 the last
+// doubling overshoots H = hazardCeil by so much that most grid points
+// sit above it, and tightening would move every grid point of every
+// table and with them every drawn sample, which bench/golden/seed1.json
+// pins.
+func buildTable(l stats.Lognormal, g *Groups, workers int) *hazardTable {
 	det := 1 / g.Rate[0] // deterministic lifetime at median 1
 	lo, hi := det, det
 	for i := 0; hazardAt(l, g, lo) > hazardFloor && i < 4000; i++ {
@@ -337,53 +417,92 @@ func buildTable(l stats.Lognormal, g *Groups) *hazardTable {
 		lnH:   make([]float64, hazardGrid),
 	}
 	t.dlnx = (t.lnxHi - t.lnx0) / (hazardGrid - 1)
+	pool.ForEachBlock(workers, hazardGrid, func(start, end int) {
+		for i := start; i < end; i++ {
+			t.lnH[i] = math.Log(hazardAt(l, g, math.Exp(t.lnx0+float64(i)*t.dlnx)))
+		}
+	})
+	// Enforce strict increase so the lower-bound search stays
+	// well-defined even where float rounding flattens the curve.
 	prev := math.Inf(-1)
-	for i := range t.lnH {
-		h := hazardAt(l, g, math.Exp(t.lnx0+float64(i)*t.dlnx))
-		v := math.Log(h)
-		// Enforce strict increase so the draw-time binary search stays
-		// well-defined even where float rounding flattens the curve.
+	for i, v := range t.lnH {
 		if v <= prev {
 			v = math.Nextafter(prev, math.Inf(1))
+			t.lnH[i] = v
 		}
-		t.lnH[i] = v
 		prev = v
 	}
+	t.buildGuide()
 	return t
 }
 
-// draw samples one device's first-failure lifetime: E ~ Exp(1), then
-// median·H⁻¹(E).
-func (t *hazardTable) draw(rng *drawRNG, median float64, fallbacks *int64) float64 {
-	return median * t.invert(rng.exp(), fallbacks)
+// buildGuide spans the guide over the reachable part of the table,
+// [max(lnH[0], ln hazardFloor), min(lnH[last], ln hazardCeil)]. The
+// ceiling matters: at small σ the grid's top runs to +Inf, and a span
+// ending there would put every draw in bucket 0.
+func (t *hazardTable) buildGuide() {
+	lo := math.Max(t.lnH[0], math.Log(hazardFloor))
+	hi := math.Min(t.lnH[len(t.lnH)-1], math.Log(hazardCeil))
+	t.guideLo = lo
+	if hi > lo {
+		t.guideScale = guideBuckets / (hi - lo)
+	}
+	t.guide = make([]uint16, guideBuckets)
+	k := 0
+	for i, v := range t.lnH {
+		for b := t.bucket(v); k <= b; k++ {
+			t.guide[k] = uint16(i)
+		}
+	}
+	// Buckets above the last grid value hold no in-range ln E.
+	for ; k < guideBuckets; k++ {
+		t.guide[k] = uint16(len(t.lnH) - 1)
+	}
+}
+
+// bucket returns the guide bucket of ln H value v, clamped to the
+// guide. It is non-decreasing in v, which is what lets a search start
+// at guide[bucket(v)].
+func (t *hazardTable) bucket(v float64) int {
+	f := (v - t.guideLo) * t.guideScale
+	if !(f > 0) {
+		return 0
+	}
+	if f >= guideBuckets-1 {
+		return guideBuckets - 1
+	}
+	return int(f)
 }
 
 // invert returns the normalized (median 1) lifetime H⁻¹(e) via the
-// table — binary search plus log-log interpolation — falling back to
-// exact bisection for the measure-zero draws outside the tabulated
-// range.
+// table — a guided lower-bound search plus log-log interpolation —
+// falling back to exact bisection for the measure-zero draws outside
+// the tabulated range.
 func (t *hazardTable) invert(e float64, fallbacks *int64) float64 {
 	le := math.Log(e)
 	if le < t.lnH[0] || le > t.lnH[len(t.lnH)-1] {
 		*fallbacks++
 		return t.solveExact(e)
 	}
-	lo, hi := 0, len(t.lnH)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.lnH[mid] < le {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	// The lower bound, the first i with lnH[i] ≥ le, is at or after the
+	// guide entry (bucket is monotone) and at or before the last grid
+	// point (le is in range).
+	i := int(t.guide[t.bucket(le)])
+	for t.lnH[i] < le {
+		i++
 	}
-	// le ∈ (lnH[lo−1], lnH[lo]]; lo = 0 only when le equals the first
-	// grid value exactly, which resolves to the grid edge.
-	if lo == 0 {
+	return t.interpolate(i, le)
+}
+
+// interpolate returns the lifetime for ln E = le given its lower bound
+// i in lnH: le ∈ (lnH[i−1], lnH[i]]. i = 0 only when le equals the
+// first grid value exactly, which resolves to the grid edge.
+func (t *hazardTable) interpolate(i int, le float64) float64 {
+	if i == 0 {
 		return math.Exp(t.lnx0)
 	}
-	w := (le - t.lnH[lo-1]) / (t.lnH[lo] - t.lnH[lo-1])
-	return math.Exp(t.lnx0 + (float64(lo-1)+w)*t.dlnx)
+	w := (le - t.lnH[i-1]) / (t.lnH[i] - t.lnH[i-1])
+	return math.Exp(t.lnx0 + (float64(i-1)+w)*t.dlnx)
 }
 
 // solveExact inverts the hazard by bisection for draws outside the

@@ -105,13 +105,13 @@ func engineSample(counts []uint64, iterations, trials int, m Model, seed int64) 
 	if err != nil {
 		panic(err)
 	}
-	tbl := g.table(m.Sigma)
+	tbl := g.table(m.Sigma, 1)
 	out := make([]float64, trials)
 	var fallbacks int64
 	for b := 0; b*drawBatch < trials; b++ {
 		rng := newBatchRNG(seed, b)
 		for d := b * drawBatch; d < min((b+1)*drawBatch, trials); d++ {
-			out[d] = tbl.draw(&rng, m.MedianEndurance, &fallbacks)
+			out[d] = m.MedianEndurance * tbl.invert(rng.exp(), &fallbacks)
 		}
 	}
 	return out
@@ -184,7 +184,7 @@ func TestInversionAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbl := g.table(sigma)
+		tbl := g.table(sigma, 1)
 		es := []float64{5.5e-17, 1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.5, 1, 2, 5, 10, 20, 30, 37}
 		rng := newBatchRNG(1, 0)
 		for i := 0; i < 200; i++ {
@@ -211,7 +211,7 @@ func TestSolveExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := g.table(0.3)
+	tbl := g.table(0.3, 1)
 	for _, e := range []float64{1e-20, 1e-17, 0.5, 37, 40} {
 		x := tbl.solveExact(e)
 		back := hazardAt(tbl.l, g, x)

@@ -16,10 +16,10 @@ import (
 // before screening shrinks it further.
 //
 // The group set is immutable after construction and safe to share
-// across concurrent Survive calls; pim caches one per (plan,
-// iterations) and replays it across every technology × σ point of a
-// fleet sweep. Hazard-inverse tables accumulate lazily per σ under the
-// internal mutex, which is why GroupCounts hands out a pointer.
+// across concurrent Survive calls; pim builds one per strategy and
+// draws every technology × σ point of a fleet sweep from it.
+// Hazard-inverse tables accumulate lazily per σ under the internal
+// mutex, which is why GroupCounts hands out a pointer.
 type Groups struct {
 	// Iterations is the simulated-iteration count the rates are
 	// normalized by.

@@ -15,13 +15,14 @@
 //     across calls via PlanCache.Fleet);
 //   - the simulated write distribution and its group collapse are
 //     per-strategy (technologies and σ never touch the simulator);
-//   - the hazard-inverse table is per-(strategy, σ), cached on the
-//     Groups and shared by every technology, whose median endurance is
-//     only a shift in log-lifetime.
+//   - the hazard-inverse table and the device draws are per-(strategy,
+//     σ), shared by every technology, whose median endurance only
+//     scales each drawn lifetime (fleet.SurviveMedians).
 //
-// So an 18-strategy × 4-technology × 3-σ study runs 18 simulations and
-// 54 table builds — not 216 of each — and every remaining unit of work
-// is O(devices) draws at millions of devices per second.
+// So an 18-strategy × 4-technology × 3-σ study runs 18 simulations, 54
+// table builds and 54 draw passes — not 216 of each — and each draw
+// pass costs one hazard inversion per device plus one multiply-add per
+// device and technology.
 package pim
 
 import (
@@ -51,14 +52,20 @@ type FleetConfig struct {
 	// Seed fixes the draw streams. Every sweep point reuses the same
 	// seed deliberately — common random numbers: all points see the same
 	// fleet of Exp(1) draws, so cross-point comparisons (the B1 ranking)
-	// are free of Monte Carlo noise between points.
+	// are free of Monte Carlo noise between points. The technologies of
+	// one strategy × σ go further and share the draws themselves: each
+	// device is inverted once and its lifetime scaled by each
+	// technology's median endurance, bit-identical to drawing each
+	// technology on its own.
 	Seed int64
 	// Quantiles are the survival probabilities to extract; nil selects
 	// B1/B10/B50 (fleet.DefaultQuantiles).
 	Quantiles []float64
 	// Series, when non-nil, receives per-draw-batch progress rows with
-	// the cumulative device count across the whole study — the serving
-	// layer's progress feed. Must have exactly one column.
+	// the cumulative device count across the whole study (a batch
+	// counts its devices once per technology, so the last row is points
+	// × devices) — the serving layer's progress feed. Must have exactly
+	// one column.
 	Series *WearSeries
 }
 
@@ -95,10 +102,10 @@ func (p FleetPoint) Seconds(iterations float64) float64 {
 
 // Fleet runs a fleet-survival study: it simulates the benchmark once per
 // strategy, collapses each write distribution into write-count groups,
-// and draws fc.Devices devices per technology × σ against each. A nil
-// strategy list means all 18; a nil technology list means the paper's
-// four device models. Points are ordered strategy-major, then
-// technology, then σ.
+// and draws fc.Devices devices per σ against each, every technology
+// scaling the same draws by its median endurance. A nil strategy list
+// means all 18; a nil technology list means the paper's four device
+// models. Points are ordered strategy-major, then technology, then σ.
 func Fleet(b *Benchmark, opt Options, rc RunConfig, strategies []Strategy, techs []Technology, fc FleetConfig) ([]FleetPoint, error) {
 	sp := obs.StartSpan("pim.fleet")
 	defer sp.End()
@@ -123,7 +130,7 @@ func (c *PlanCache) Fleet(b *Benchmark, opt Options, rc RunConfig, strategies []
 // the shared inner body of Fleet and PlanCache.Fleet.
 //
 // Strategies run sequentially, each handing the full rc.Workers budget
-// to its simulator and then to the draw engine: unlike Sweep's
+// to its simulator, its table builds and its draws: unlike Sweep's
 // strategy-sharded fan-out, the fleet draws inside one strategy already
 // parallelize perfectly, and holding one write distribution at a time
 // keeps the study's footprint at one histogram set regardless of how
@@ -153,9 +160,14 @@ func fleetPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []
 		}
 	}
 
-	points := make([]FleetPoint, 0, len(strategies)*len(techs)*len(sigmas))
+	medians := make([]float64, len(techs))
+	for i, tech := range techs {
+		medians[i] = tech.Endurance
+	}
+	perStrategy := len(techs) * len(sigmas)
+	points := make([]FleetPoint, len(strategies)*perStrategy)
 	var seriesBase float64
-	for _, s := range strategies {
+	for si, s := range strategies {
 		dist, err := plan.Simulate(rc.simConfig(plan), s)
 		if err != nil {
 			return nil, err
@@ -168,34 +180,35 @@ func fleetPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []
 		// The groups carry everything the draws need; the histogram goes
 		// back to the plan's arena before the next strategy simulates.
 		dist.Release()
-		for _, tech := range techs {
-			for _, sigma := range sigmas {
-				fm := fleet.Model{MedianEndurance: tech.Endurance, Sigma: sigma}
-				res, err := fm.Survive(g, fleet.Params{
-					Devices:    fc.Devices,
-					Seed:       fc.Seed,
-					Workers:    rc.Workers,
-					Quantiles:  fc.Quantiles,
-					Series:     fc.Series,
-					SeriesBase: seriesBase,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("pim: fleet %s/%s/%s: %w", b.Name, s.Name(), tech.Name, err)
-				}
-				seriesBase += float64(fc.Devices)
-				points = append(points, FleetPoint{
+		// One draw pass per σ serves every technology: a technology's
+		// median endurance only scales the drawn lifetimes.
+		for k, sigma := range sigmas {
+			res, err := fleet.SurviveMedians(g, sigma, medians, fleet.Params{
+				Devices:    fc.Devices,
+				Seed:       fc.Seed,
+				Workers:    rc.Workers,
+				Quantiles:  fc.Quantiles,
+				Series:     fc.Series,
+				SeriesBase: seriesBase,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("pim: fleet %s/%s: %w", b.Name, s.Name(), err)
+			}
+			seriesBase += float64(fc.Devices * len(techs))
+			for ti, r := range res {
+				points[si*perStrategy+ti*len(sigmas)+k] = FleetPoint{
 					Benchmark:               b.Name,
 					Strategy:                s,
-					Technology:              tech,
+					Technology:              techs[ti],
 					Sigma:                   sigma,
-					Devices:                 res.Devices,
-					Groups:                  res.Groups,
-					Cells:                   res.Cells,
-					MeanIterations:          res.Mean,
-					Quantiles:               res.Quantiles,
-					DeterministicIterations: res.DeterministicIterations,
+					Devices:                 r.Devices,
+					Groups:                  r.Groups,
+					Cells:                   r.Cells,
+					MeanIterations:          r.Mean,
+					Quantiles:               r.Quantiles,
+					DeterministicIterations: r.DeterministicIterations,
 					StepsPerIteration:       steps,
-				})
+				}
 			}
 		}
 	}

@@ -201,3 +201,34 @@ func TestFleetProgressSeries(t *testing.T) {
 		t.Errorf("only %d progress rows", series.Len())
 	}
 }
+
+// One draw pass per (strategy, σ) serves every technology: a study of
+// S strategies × T technologies × Σ nonzero σ × D devices inverts S·Σ·D
+// hazard draws and counts S·T·Σ·D simulated devices.
+func TestFleetSharesDrawsAcrossTechnologies(t *testing.T) {
+	obs.Reset()
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	opt := fleetOptions()
+	bench := fleetBench(t)
+	rc := pim.RunConfig{Iterations: 60, RecompileEvery: 30, Seed: 1, Workers: 2}
+	strategies := []pim.Strategy{pim.StaticStrategy, {Within: pim.Random, Between: pim.Random}}
+	fc := pim.FleetConfig{Devices: 10_000, Sigmas: []float64{0.3, 0.6}, Seed: 4}
+	points, err := pim.Fleet(bench, opt, rc, strategies, nil, fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, tech, sig, d := int64(len(strategies)), int64(len(pim.Technologies())), int64(len(fc.Sigmas)), int64(fc.Devices)
+	if len(points) != int(s*tech*sig) {
+		t.Fatalf("got %d points, want %d", len(points), s*tech*sig)
+	}
+	if got := obs.GetCounter("fleet.draws").Value(); got != s*sig*d {
+		t.Errorf("fleet.draws = %d, want S·Σ·D = %d", got, s*sig*d)
+	}
+	if got := obs.GetCounter("fleet.devices").Value(); got != s*tech*sig*d {
+		t.Errorf("fleet.devices = %d, want S·T·Σ·D = %d", got, s*tech*sig*d)
+	}
+}
