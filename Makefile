@@ -9,7 +9,7 @@ GO ?= go
 # API + instrumented engine layers). Enforced by `make doclint`.
 DOC_PKGS = ./pim ./pim/kernel ./internal/obs ./internal/core ./internal/pool ./internal/serve ./internal/system ./internal/device ./internal/fleet
 
-.PHONY: all build vet test race race-obs race-core race-serve race-system race-fleet bench bench-alloc bench-json bench-current benchdiff bench-module report report-diff ci doclint promlint fmt
+.PHONY: all build vet test race race-obs race-core race-serve race-system race-fleet bench bench-alloc bench-json bench-current benchdiff bench-module report report-diff abtest ci doclint promlint fmt
 
 all: build
 
@@ -171,6 +171,22 @@ report-diff:
 		run base 1 base; \
 		same base w1 "$(BASE) and this tree"; \
 	fi
+
+# Paired A/B measurement of this tree against BASE (default HEAD):
+# `make abtest BASE=<rev> BENCH=<regex> PAIRS=N` alternates the two
+# trees' `go test -c` binaries over the root package's benchmarks, and
+# `make abtest BASE=<rev> WORKLOAD=<name> PAIRS=N` alternates
+# `bash bench/run.sh -workload <name> -record` in the two trees. Either
+# prints each side's median and quartiles, the median ratio, the pairs
+# won and whether the change clears both the percentage threshold and
+# k×MAD; ABTEST_FLAGS passes more (-seed for a workload). BASE
+# is exported with `git archive` into a temporary directory, removed on
+# exit; nothing is downloaded.
+PAIRS ?= 10
+ABTEST_FLAGS ?=
+abtest:
+	$(GO) run ./internal/tools/abtest -base '$(or $(BASE),HEAD)' -pairs $(PAIRS) \
+		$(if $(WORKLOAD),-workload '$(WORKLOAD)',-bench '$(or $(BENCH),.)') $(ABTEST_FLAGS)
 
 # `race` runs every package under the race detector exactly once; the
 # per-layer race-obs/core/serve/system/fleet targets race subsets of the

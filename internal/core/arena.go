@@ -4,27 +4,28 @@
 //
 // Every simulation against a plan needs the same working set — a
 // rows×lanes accumulation buffer per worker, per-row weight and
-// per-(mask, row) histogram scratch, renamer/cycle replay state, and a
-// permutation-generation kit (one scratch permutation pair plus a
-// reusable rng) — and all of it is sized by plan constants alone
-// (rows, lanes, mask count, op count). The arena keeps free lists of
-// exactly those shapes, guarded by one mutex: a Simulate/Sweep/serve
-// call on a warm plan pops buffers instead of allocating them, and
-// pushes them back when it returns. WriteDist results participate too:
-// a distribution built by WearPlan.Simulate carries a release hook, so
-// callers that are done with the counts (benchmark loops, the serving
-// layer after summarizing a job) can hand the 8 MB buffer back with
-// WriteDist.Release instead of leaving it to the garbage collector.
+// per-(mask, row) histogram scratch, renamer/cycle replay state for the
+// +Hw replays, and a permutation-generation kit (one scratch
+// permutation pair plus a reusable rng) — and all of it is sized by plan
+// constants alone (rows, lanes, mask count, op count). The arena keeps
+// free lists of exactly those shapes, guarded by one mutex: a
+// Simulate/Sweep/serve call on a warm plan pops buffers instead of
+// allocating them, and pushes them back when it returns. WriteDist
+// results participate too: a distribution built by WearPlan.Simulate
+// carries a release hook, so callers that are done with the counts
+// (benchmark loops, the serving layer after summarizing a job) can hand
+// the 8 MB buffer back with WriteDist.Release instead of leaving it to
+// the garbage collector.
 //
 // Ownership discipline (see ARCHITECTURE.md "Memory discipline"):
 // buffers are owned exclusively between get and put; the arena never
 // hands the same buffer to two holders. Counts buffers are returned
-// zeroed from the arena; histogram and permutation scratch is returned
-// dirty and re-initialized by its consumer (replayJobHist overwrites the
-// whole histogram, a software landing clears it first, the permutation
-// fillers overwrite every slot). The
-// core.arena_hits / core.arena_misses counters record how often an
-// acquisition was served from a free list versus a fresh allocation.
+// zeroed from the arena; scratch bundles are returned as their holder
+// left them and re-initialized by their consumers (ensureRowW zeroes the
+// row weights, a landing clears the histogram before adding to it, the
+// permutation fillers overwrite every slot). The core.arena_hits /
+// core.arena_misses counters record how often an acquisition was served
+// from a free list versus a fresh allocation.
 package core
 
 import (
@@ -52,7 +53,6 @@ type arena struct {
 	mu      sync.Mutex
 	scratch []*engineScratch
 	counts  [][]uint64 // rows*lanes accumulation buffers, stored zeroed
-	hists   [][]uint64 // nMasks*rows histogram buffers, stored dirty
 }
 
 // permGen regenerates a schedule's epoch permutations into reusable
@@ -93,12 +93,11 @@ type engineScratch struct {
 	gen    permGen
 	rowW   []uint64 // per-physical-row weights (rank-1 full-mask part)
 	rowMax []uint64 // per-physical-row maxima (stepper live tracking)
-	hist   []uint64 // [mask*rows+physRow] epoch histogram (software sum or +Hw replay)
-	arch   []int32  // per-op within-mapped row
+	hist   []uint64 // [mask*rows+physRow] partial-mask histogram; dense output of a +Hw replay
 	hw     *mapping.HwRenamer
 	cyc    *cycleScratch
 	units  grouper // the walker's epoch units (worker 0 only)
-	lands  grouper // one unit's epochs: +Hw by between, software by within
+	lands  grouper // one between unit's epochs, by within map (and length)
 
 	// landPartialHist's lane sets under one between map: each partial
 	// mask's permuted lanes, sorted, at sorted[sortedOff[i]:sortedOff[i+1]],
@@ -139,7 +138,7 @@ func (p *WearPlan) getScratch() *engineScratch {
 
 // putScratch returns a worker scratch bundle to the plan's free list.
 // The bundle's buffers may be dirty; acquirers re-initialize what they
-// use (ensureRowW zeroes, replayJobHist overwrites the histogram, the
+// use (ensureRowW zeroes, a landing clears the histogram, the
 // permutation fillers overwrite every slot).
 func (p *WearPlan) putScratch(s *engineScratch) { give(&p.arena, &p.arena.scratch, s) }
 
@@ -159,9 +158,9 @@ func (p *WearPlan) zeroedRows(buf []uint64) []uint64 {
 	return buf
 }
 
-// ensureLand sizes the scratch every landing needs: the epoch histogram
-// (left dirty — software units clear it, replayJobHist overwrites it)
-// and landPartialHist's zeroed lane bitmap.
+// ensureLand sizes the scratch every landing needs: the histogram (left
+// dirty — a landing clears it first) and landPartialHist's zeroed lane
+// bitmap.
 func (p *WearPlan) ensureLand(s *engineScratch) {
 	if len(s.hist) != len(p.maskLanes)*p.rows {
 		s.hist = make([]uint64, len(p.maskLanes)*p.rows)
@@ -172,12 +171,9 @@ func (p *WearPlan) ensureLand(s *engineScratch) {
 	clear(s.laneBits)
 }
 
-// ensureHw sizes the scratch's +Hw replay state (per-op rows, renamer,
-// cycle decomposition).
+// ensureHw sizes the scratch's +Hw replay state (renamer, cycle
+// decomposition).
 func (p *WearPlan) ensureHw(s *engineScratch) {
-	if len(s.arch) != len(p.ops) {
-		s.arch = make([]int32, len(p.ops))
-	}
 	if s.hw == nil || s.hw.ArchRows() != p.rows-1 {
 		s.hw = mapping.NewHwRenamer(p.rows)
 	}
@@ -201,20 +197,6 @@ func (p *WearPlan) putCounts(buf []uint64) {
 	}
 	clear(buf)
 	give(&p.arena, &p.arena.counts, buf)
-}
-
-// getHist pops (or allocates) a nMasks×rows histogram buffer. Contents
-// are unspecified; replayJobHist overwrites them before any read.
-func (p *WearPlan) getHist() []uint64 {
-	return take(&p.arena, &p.arena.hists, func() []uint64 { return make([]uint64, len(p.maskLanes)*p.rows) })
-}
-
-// putHist returns a histogram buffer (dirty) to the free list.
-func (p *WearPlan) putHist(buf []uint64) {
-	if len(buf) != len(p.maskLanes)*p.rows {
-		return
-	}
-	give(&p.arena, &p.arena.hists, buf)
 }
 
 // newDist builds a WriteDist whose counts buffer is drawn from the

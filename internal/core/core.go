@@ -6,16 +6,18 @@
 // lifetime is estimated (Eq. 4).
 //
 // Simulate is the one fast engine. Every configuration reduces to one
-// computation: for each recompile epoch, land a write histogram through
-// that epoch's between-lane map — the one-iteration write matrix under
-// software re-mapping (sw_engine.go), the renamer replayed in closed
-// form within the epoch under +Hw (hw_engine.go). A segment-ordered
-// walker (walk.go) over a shared per-benchmark WearPlan (plan.go) groups
-// epochs with identical landings, shards the unique ones over a bounded
-// worker pool (SimConfig.Workers), and stops at the sampler's due epochs
-// so every sample is a true prefix. Results are bit-identical for every
-// worker count and sampling cadence. Stepper (stepper.go) lands the same
-// primitives one epoch per call.
+// computation: for each recompile epoch, relabel a base write histogram
+// by the epoch's within-lane map and land it through its between-lane map
+// (land.go). The base is the one-iteration write matrix times the epoch
+// length under software re-mapping, and under +Hw the renamer's
+// identity-map replay of an epoch of that length, built in closed form
+// once per length and run (hw_engine.go). A
+// segment-ordered walker (walk.go) over a shared per-benchmark WearPlan
+// (plan.go) groups epochs with identical landings, shards them over a
+// bounded worker pool (SimConfig.Workers), and stops at the sampler's due
+// epochs so every sample is a true prefix. Results are bit-identical for
+// every worker count and sampling cadence. Stepper (stepper.go) lands the
+// same primitives one epoch per call.
 //
 // Two oracles cross-validate it in the test suite: SimulateReference, the
 // serial epoch-by-epoch engine that replays every op of every +Hw
@@ -35,22 +37,23 @@ import (
 )
 
 // Observability handles (no-ops until obs.Enable). Recording happens at
-// run/epoch/job granularity only — never inside the per-op replay loop —
+// run/epoch/replay granularity only — never inside the per-op replay loop —
 // so a disabled build stays within BenchmarkHwEngine's <2% budget.
 var (
 	// obsEpochs counts recompile epochs simulated (software and +Hw).
 	obsEpochs = obs.GetCounter("core.epochs")
-	// obsHwReplays counts unique (within-permutation, length) replay
-	// jobs the memoized +Hw engine actually executed.
+	// obsHwReplays counts +Hw replays: one per distinct epoch length of
+	// each +Hw Simulate, and per change of length in a Stepper.
 	obsHwReplays = obs.GetCounter("core.hw.replays")
-	// obsHwMemoHits counts epochs served from an already-replayed job.
+	// obsHwMemoHits counts +Hw epochs landed from a replay already run;
+	// replays + memo_hits equals the +Hw epochs simulated.
 	obsHwMemoHits = obs.GetCounter("core.hw.memo_hits")
-	// obsHwReplayIters counts iterations actually replayed op-by-op
-	// after memoization and cycle acceleration.
+	// obsHwReplayIters counts iterations actually replayed op-by-op: one
+	// recording iteration per replay.
 	obsHwReplayIters = obs.GetCounter("core.hw.replay_iters")
 	// obsHwReplayItersSaved counts epoch-iterations NOT replayed thanks
-	// to memoization and cycle acceleration; replay_iters + this equals
-	// the total +Hw epoch-iterations simulated.
+	// to the shared replays and cycle acceleration; replay_iters + this
+	// equals the total +Hw epoch-iterations simulated.
 	obsHwReplayItersSaved = obs.GetCounter("core.hw.replay_iters_saved")
 	// obsHwCycleLen accumulates the analytic renamer period of each +Hw
 	// simulation (mapping.AnalyzeRenamerCycle) — the per-run cycle

@@ -1,54 +1,42 @@
-// How the walker lands one +Hw epoch.
+// How the walker gets a +Hw epoch's histogram.
 //
 // Epochs of a +Hw simulation are independent: the hardware renamer is
-// Reset() at every recompile boundary, so the per-epoch physical-row
-// histogram hist[mask][physRow] depends only on (a) the epoch's
-// within-lane permutation restricted to the trace's logical rows and
-// (b) the epoch length in iterations. The between-lane permutation only
-// relabels columns when the histogram lands in the distribution.
+// Reset() at every recompile boundary, so an epoch's per-(mask, physical
+// row) histogram depends only on (a) the epoch's within-lane permutation
+// restricted to the trace's logical rows and (b) the epoch length in
+// iterations. The between-lane permutation only relabels columns when the
+// histogram lands in the distribution.
 //
-// The walker (walk.go) exploits this three ways:
+// Two facts make every +Hw epoch cheap:
 //
-//   - Memoization: epochs are grouped into replay jobs by (within
-//     permutation, length). Under St-within every full-length epoch
-//     shares one job (one replay for the whole run); under Bs-within the
-//     rotation family cycles with period archRows/gcd(step, archRows), so
-//     jobs recur whenever the period divides into the epoch count;
-//     Ra-within epochs are (almost always) distinct. Each job is replayed
-//     once (replayJobHist) and landed into every member epoch.
+//   - One replay per epoch length: the renamer swaps each written row
+//     with the spare and never compares row addresses, so relabeling the
+//     architectural rows by the within map π relabels every physical
+//     write by π̂ (π with the spare row fixed). An epoch's histogram is
+//     therefore the identity-map histogram of its length with rows
+//     relabeled by π̂ — the same permuted landing a software epoch gets
+//     (land.go). A run has at most two epoch lengths (its recompile
+//     period and a short final epoch), so the walker replays each once
+//     when it starts and lands every epoch from those replays; a Stepper
+//     keeps the replay of the last length it stepped. Nothing is stored
+//     on the plan, which stays immutable.
 //
 //   - Closed-cycle replay: each iteration applies a fixed permutation σ
 //     to the renamer state (every full-mask write is a transposition of
 //     state slots sharing the free slot), so the physical row an op
-//     touches at iteration t is σ^t(u) for a fixed orbit start u. A job
-//     of n iterations replays exactly one iteration (recording each
+//     touches at iteration t is σ^t(u) for a fixed orbit start u. A
+//     replay of n iterations runs exactly one iteration (recording each
 //     op's u and σ itself) and reconstructs the full histogram in closed
 //     form: with n = q·L + s on an op's L-cycle, the op adds q laps to
 //     the whole cycle and one more visit to the s rows from its start,
 //     which are at most three contiguous ranges of the cycle — O(1)
 //     difference-array updates per op and one prefix pass per mask, so a
-//     job costs O(ops + masks × rows) whatever its length and cycle
-//     structure. This is what makes long recompile epochs (the paper's
-//     RecompileEvery=10 000 sweeps) cheap even under Ra-within, where
-//     memoization cannot group anything. The analytic period of σ
-//     (mapping.AnalyzeRenamerCycle) cross-checks every job's detected
-//     permutation at runtime.
-//
-//   - Rank-1 landing: a full lane mask is invariant under every
-//     between-lane permutation, so a histogram's full-mask rows land as
-//     per-physical-row weights (landFullHist) — scaled by the job's
-//     member count in the segment, with no lane dimension and no grouping
-//     by between map — that the walker expands into whole rows once per
-//     segment. Only the partial-mask rows are scattered, once per
-//     distinct between permutation among the job's members, through that
-//     map's sorted lane sets (landPartialHist). Software groups and the
-//     Stepper land their histograms through the same two primitives.
+//     replay costs O(ops + masks × rows) whatever its length and cycle
+//     structure. The analytic period of σ (mapping.AnalyzeRenamerCycle)
+//     cross-checks every replay's detected permutation at runtime.
 package core
 
 import (
-	"math/bits"
-
-	"pimendure/internal/mapping"
 	"pimendure/internal/obs"
 	"pimendure/internal/program"
 )
@@ -81,24 +69,21 @@ func flattenOps(tr *program.Trace, preset bool) (ops []wop, maskLanes [][]int) {
 	return ops, maskLanes
 }
 
-// replayJobHist writes into hist[mask*rows+physRow] the exact histogram
-// of one n-iteration epoch whose within-lane permutation is epoch0's, in
-// closed-cycle form: one op-by-op iteration is replayed to record the
-// orbit starts, and accumulateClosedCycle reconstructs the whole epoch
-// from them in O(ops + masks × rows), regardless of epoch length. mass is
-// the epoch-iterations the histogram stands for (replay accounting). s
-// supplies the replay scratch; every entry of hist is overwritten.
-func (p *WearPlan) replayJobHist(s *engineScratch, epoch0, n int, mass uint64, hist []uint64) {
+// replayJobHist returns the exact histogram of one n-iteration epoch
+// under the identity within map, in closed-cycle form: one op-by-op
+// iteration is replayed to record the orbit starts, and
+// accumulateClosedCycle reconstructs the whole epoch from them in
+// O(ops + masks × rows), regardless of epoch length. s supplies the
+// replay scratch and the dense histogram it packs. The replay counts as
+// one recorded iteration and n−1 saved ones; the callers count the
+// epochs it serves beyond the first as memo hits.
+func (p *WearPlan) replayJobHist(s *engineScratch, n int) histBase {
 	sp := obs.StartSpan("core.hw.job")
 	defer sp.End()
+	obsHwReplays.Add(1)
 	obsHwReplayIters.Add(1)
-	obsHwReplayItersSaved.Add(int64(mass) - 1)
-	// The within permutation is loop-invariant across the epoch's
-	// iterations: resolve each op's architectural row once.
-	within := s.gen.withinAt(epoch0)
-	for i, op := range p.ops {
-		s.arch[i] = int32(within.Apply(int(op.row)))
-	}
+	obsHwReplayItersSaved.Add(int64(n - 1))
+	p.ensureHw(s)
 	s.hw.Reset()
 	// Recording pass — iteration 0. Each op's physical row in this
 	// iteration is its orbit start u; the renamer then holds the
@@ -106,9 +91,9 @@ func (p *WearPlan) replayJobHist(s *engineScratch, epoch0, n int, mass uint64, h
 	// identified with the top physical row.
 	for i, op := range p.ops {
 		if op.full {
-			s.cyc.starts[i] = int32(s.hw.RenameOnWrite(int(s.arch[i])))
+			s.cyc.starts[i] = int32(s.hw.RenameOnWrite(int(op.row)))
 		} else {
-			s.cyc.starts[i] = int32(s.hw.Lookup(int(s.arch[i])))
+			s.cyc.starts[i] = int32(s.hw.Lookup(int(op.row)))
 		}
 	}
 	free := p.rows - 1
@@ -118,67 +103,13 @@ func (p *WearPlan) replayJobHist(s *engineScratch, epoch0, n int, mass uint64, h
 		}
 		return s.hw.Lookup(v)
 	})
-	// The job's permutation is the trace-level one conjugated by the
-	// within map, so its order must match the analytic period; a
-	// mismatch means the closed form would be wrong.
+	// The replay's permutation must match the analytic period; a mismatch
+	// means the closed form would be wrong.
 	if s.cyc.period != p.cycle.Period {
-		panic("core: +Hw job cycle period diverges from the analytic trace period")
+		panic("core: +Hw replay cycle period diverges from the analytic trace period")
 	}
-	accumulateClosedCycle(p.ops, s.cyc, uint64(n), p.rows, hist)
-}
-
-// landFullHist adds mult copies of a job histogram's full-mask rows to
-// the per-physical-row weights rowW — the rank-1 part of a +Hw landing,
-// the same for every between-lane permutation and expanded into whole
-// rows later by expandRowWeights.
-func (p *WearPlan) landFullHist(hist []uint64, mult uint64, rowW []uint64) {
-	for _, m := range p.fullMasks {
-		for r, c := range hist[int(m)*p.rows : int(m+1)*p.rows] {
-			rowW[r] += c * mult
-		}
-	}
-}
-
-// landPartialHist scatters mult copies of a histogram's partial-mask
-// rows over their lanes of counts, through one between-lane permutation.
-// Once per call it permutes each partial mask's lane set and sorts it
-// through a lane bitmap in s; it then walks the physical rows in order,
-// adding each row's count to its mask's sorted lanes, so the scatter runs
-// along each counts row in ascending lane order with no per-cell
-// permutation lookup.
-func (p *WearPlan) landPartialHist(s *engineScratch, hist []uint64, between *mapping.Perm, mult uint64, counts []uint64) {
-	if len(p.partMasks) == 0 {
-		return
-	}
-	s.sorted, s.sortedOff = s.sorted[:0], s.sortedOff[:0]
-	for _, m := range p.partMasks {
-		s.sortedOff = append(s.sortedOff, int32(len(s.sorted)))
-		for _, l := range p.maskLanes[m] {
-			t := between.Apply(l)
-			s.laneBits[t>>6] |= 1 << (t & 63)
-		}
-		for i, word := range s.laneBits {
-			s.laneBits[i] = 0
-			for ; word != 0; word &= word - 1 {
-				s.sorted = append(s.sorted, int32(i<<6|bits.TrailingZeros64(word)))
-			}
-		}
-	}
-	s.sortedOff = append(s.sortedOff, int32(len(s.sorted)))
-	lanes, rows := p.trace.Lanes, p.rows
-	for r := 0; r < rows; r++ {
-		dst := counts[r*lanes : (r+1)*lanes]
-		for i, m := range p.partMasks {
-			c := hist[int(m)*rows+r]
-			if c == 0 {
-				continue
-			}
-			c *= mult
-			for _, l := range s.sorted[s.sortedOff[i]:s.sortedOff[i+1]] {
-				dst[l] += c
-			}
-		}
-	}
+	accumulateClosedCycle(p.ops, s.cyc, uint64(n), p.rows, s.hist)
+	return p.packHist(s.hist, p.rows)
 }
 
 // cycleScratch is per-worker scratch for the closed-cycle reconstruction:
@@ -201,7 +132,7 @@ func (p *WearPlan) landPartialHist(s *engineScratch, hist []uint64, between *map
 // are one range of the cycle's block, or two when they wrap past its end,
 // so every op is a constant number of difference-array updates and one
 // prefix pass per mask turns the sums into the histogram — O(ops +
-// masks × rows) per job instead of the O(n × ops) op-by-op replay, and,
+// masks × rows) per replay instead of the O(n × ops) op-by-op one, and,
 // unlike scaling a whole-iteration period, free of the lcm blow-up
 // workspace reuse causes when σ splits into many coprime cycles.
 type cycleScratch struct {
@@ -210,7 +141,7 @@ type cycleScratch struct {
 	start  []int32  // per phys row: index in orbit where its cycle begins
 	length []int32  // per phys row: its cycle length
 	pos    []int32  // per phys row: offset within its cycle
-	laps   []uint64 // per cycle, at its start index: whole laps q of the job
+	laps   []uint64 // per cycle, at its start index: whole laps q of the replay
 	rest   []int32  // per cycle, at its start index: leftover steps s
 	diff   []uint64 // [mask*(rows+1)+orbit index] visit-count differences
 	seen   []bool

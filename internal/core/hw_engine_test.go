@@ -1,8 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"slices"
+	"sync"
 	"testing"
+
+	"pimendure/internal/mapping"
+	"pimendure/internal/program"
+	"pimendure/internal/synth"
+	"pimendure/internal/workloads"
 )
 
 // orbitWalkHist is the named oracle for accumulateClosedCycle: it walks
@@ -74,5 +81,68 @@ func TestAccumulateClosedCycleMatchesOrbitWalk(t *testing.T) {
 	cyc.decompose(func(v int) int { return sigma[v] })
 	if cyc.period != 4 {
 		t.Errorf("period = %d, want lcm(4, 2, 1, 1) = 4", cyc.period)
+	}
+}
+
+// One plan serves concurrent +Hw Simulate calls and Steppers whose runs
+// need epoch lengths 1 to 13 — RecompileEvery and Iterations varied, most
+// with a short final epoch — and every result equals SimulateReference:
+// each run replays its own lengths, and the shared plan is only read.
+func TestHwRunsShareOnePlan(t *testing.T) {
+	cfg := workloads.Config{Lanes: 8, Rows: 96, Basis: synth.NAND}
+	mult, err := workloads.ParallelMult(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dot, err := workloads.DotProduct(cfg, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := [][2]int{{3, 10}, {4, 11}, {5, 17}, {6, 20}, {7, 23}, {9, 31}, {10, 26}, {11, 30}, {12, 12}, {13, 14}}
+	strats := []StrategyConfig{
+		{Within: mapping.Random, Between: mapping.Random, Hw: true},
+		{Within: mapping.Static, Between: mapping.ByteShift, Hw: true},
+		{Within: mapping.ByteShift, Between: mapping.Static, Hw: true},
+	}
+	for _, tr := range []*program.Trace{mult.Trace, dot.Trace} {
+		plan := NewWearPlan(tr, 96, true)
+		var wg sync.WaitGroup
+		for _, run := range runs {
+			sim := SimConfig{Rows: 96, PresetOutputs: true, RecompileEvery: run[0], Iterations: run[1], Seed: 7, Workers: 2}
+			for _, strat := range strats {
+				ref, err := SimulateReference(tr, sim, strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%d ops, %d iterations every %d, %s", len(tr.Ops), run[1], run[0], strat.Name())
+				check := func(engine string, d *WriteDist, err error) {
+					if err != nil {
+						t.Errorf("%s: %s: %v", name, engine, err)
+					} else if !d.Equal(ref) {
+						t.Errorf("%s: %s diverges from SimulateReference", name, engine)
+					}
+				}
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					d, err := plan.Simulate(sim, strat)
+					check("Simulate", d, err)
+				}()
+				go func() {
+					defer wg.Done()
+					st, err := plan.NewStepper(sim, strat)
+					if err != nil {
+						check("Stepper", nil, err)
+						return
+					}
+					for left := sim.Iterations; left > 0; left -= sim.RecompileEvery {
+						st.Step(min(left, sim.RecompileEvery))
+					}
+					d, err := st.Finish()
+					check("Stepper", d, err)
+				}()
+			}
+		}
+		wg.Wait()
 	}
 }

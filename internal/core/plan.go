@@ -9,16 +9,16 @@
 // now pim.Sweep builds one WearPlan and every strategy consumes it
 // (pim.Run builds one on demand when called alone).
 //
-// The plan stores the one-iteration write matrix M0 once, as the table
-// the engines consume: one (mask, logical row, writes) entry per pair
-// some write op touches, sorted by row. An entry stands for its writes on
-// every lane of its mask, so the table is O(ops) however wide the masks
-// are, and a software epoch turns it into the same per-(mask, physical
-// row) histogram a +Hw replay produces (sw_engine.go) — one landing for
-// both. M0, FullRowWrites and PartialEntries are derived views of the
-// table, for cross-validation; M0[r][l] is the sum of the entries on row
-// r whose mask holds lane l, exactly the dense matrix the pre-plan engine
-// built per run (see planMatchesDense in plan_test.go).
+// The plan stores the one-iteration write matrix M0 once, as the sparse
+// histogram the engines consume: one (mask, logical row, writes) cell per
+// pair some write op touches. A cell stands for its writes on every lane
+// of its mask, so the table is O(ops) however wide the masks are. A +Hw
+// epoch's histogram has the same shape (the renamer's replay of its
+// length, hw_engine.go), so the walker lands both kinds through one loop. M0,
+// FullRowWrites and PartialEntries are derived views of the table, for
+// cross-validation; M0[r][l] is the sum of the cells on row r whose mask
+// holds lane l, exactly the dense matrix the pre-plan engine built per
+// run (see planMatchesDense in plan_test.go).
 package core
 
 import (
@@ -43,9 +43,8 @@ type WearPlan struct {
 	preset bool
 	stats  program.Stats
 
-	// The one-iteration write matrix: (mask, logical row, writes) entries,
-	// sorted by row (see wentry).
-	entries []wentry
+	// The one-iteration write matrix, the software epochs' histogram base.
+	sw histBase
 
 	// Replay and landing inputs: flattened write ops, per-mask lane sets,
 	// the masks the write ops use split into full (landed rank-1) and
@@ -65,15 +64,6 @@ type WearPlan struct {
 	arena arena
 }
 
-// wentry is one entry of the plan's write-matrix table: each iteration,
-// the write ops on logical row row under mask mask write every lane of
-// the mask w times.
-type wentry struct {
-	row  int32
-	mask int32
-	w    uint32
-}
-
 // NewWearPlan precomputes the shared simulation plan for one trace on a
 // rows-deep array with the given output-preset policy. The work is
 // O(trace size) and is recorded under the "core.simulate/plan" stage;
@@ -86,9 +76,9 @@ func NewWearPlan(tr *program.Trace, rows int, preset bool) *WearPlan {
 	p.ops, p.maskLanes = flattenOps(tr, preset)
 
 	// The write-matrix table: dense (mask, row) staging over the trace's
-	// (small) logical row footprint, compressed once in row order.
+	// (small) logical row footprint, packed once.
 	masks := len(p.maskLanes)
-	staged := make([]uint32, tr.LaneBits*masks)
+	staged := make([]uint64, masks*tr.LaneBits)
 	used := make([]bool, masks)
 	for _, op := range p.ops {
 		if !used[op.mask] {
@@ -102,13 +92,9 @@ func NewWearPlan(tr *program.Trace, rows int, preset bool) *WearPlan {
 		if op.full {
 			p.fullRows = append(p.fullRows, op.row)
 		}
-		staged[int(op.row)*masks+int(op.mask)] += uint32(op.w)
+		staged[int(op.mask)*tr.LaneBits+int(op.row)] += uint64(op.w)
 	}
-	for i, w := range staged {
-		if w != 0 {
-			p.entries = append(p.entries, wentry{row: int32(i / masks), mask: int32(i % masks), w: w})
-		}
-	}
+	p.sw = p.packHist(staged, tr.LaneBits)
 
 	// The renamer period is conjugation-invariant, so one trace-level
 	// analysis serves every +Hw epoch of every strategy. It only makes
@@ -145,16 +131,15 @@ func (p *WearPlan) Cycle() (mapping.RenamerCycle, bool) { return p.cycle, p.hwCy
 // writes, in ascending order, and the summed per-lane write count of
 // each.
 func (p *WearPlan) FullRowWrites() (rows []int32, writes []uint32) {
-	for _, e := range p.entries {
-		if !p.trace.Mask(program.MaskID(e.mask)).Full() {
-			continue
+	perRow := make([]uint32, p.trace.LaneBits)
+	for _, e := range p.sw.full {
+		perRow[e.row] += uint32(e.c)
+	}
+	for r, w := range perRow {
+		if w != 0 {
+			rows = append(rows, int32(r))
+			writes = append(writes, w)
 		}
-		if n := len(rows); n > 0 && rows[n-1] == e.row {
-			writes[n-1] += e.w
-			continue
-		}
-		rows = append(rows, e.row)
-		writes = append(writes, e.w)
 	}
 	return rows, writes
 }
@@ -165,10 +150,7 @@ func (p *WearPlan) PartialEntries() int {
 	lanes := p.trace.Lanes
 	part := make([]bool, p.trace.LaneBits*lanes)
 	n := 0
-	for _, e := range p.entries {
-		if p.trace.Mask(program.MaskID(e.mask)).Full() {
-			continue
-		}
+	for _, e := range p.sw.part {
 		for _, l := range p.maskLanes[e.mask] {
 			if c := int(e.row)*lanes + l; !part[c] {
 				part[c] = true
@@ -186,10 +168,12 @@ func (p *WearPlan) PartialEntries() int {
 func (p *WearPlan) M0() []uint32 {
 	lanes := p.trace.Lanes
 	m0 := make([]uint32, p.trace.LaneBits*lanes)
-	for _, e := range p.entries {
-		row := m0[int(e.row)*lanes:]
-		for _, l := range p.maskLanes[e.mask] {
-			row[l] += e.w
+	for _, cells := range [][]hcell{p.sw.full, p.sw.part} {
+		for _, e := range cells {
+			row := m0[int(e.row)*lanes:]
+			for _, l := range p.maskLanes[e.mask] {
+				row[l] += uint32(e.c)
+			}
 		}
 	}
 	return m0

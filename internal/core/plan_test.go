@@ -180,13 +180,17 @@ func swCounters(t *testing.T, tr *program.Trace, sim core.SimConfig, strat core.
 
 // The walker's epoch grouping, pinned per configuration: 2050 iterations
 // recompiled every 100 make 21 epochs, the last one 50 long. Software
-// epochs collapse by between map, then by within map inside a unit: St×St
-// into one group and St×Bs into the 8-epoch rotation period of 64 lanes.
-// +Hw epochs collapse by (within map, length): an St within map makes one
-// job per length. Every other configuration keeps its 21 epochs apart —
-// Bs within maps over 256 (or 255 +Hw) rows only repeat after 32 (255)
-// epochs, and Ra never repeats. (Not parallel: the obs registry is
-// process-wide.)
+// epochs collapse by within map, and with partial masks (dot) by between
+// map first: St×St into one landing, and dot's St×Bs into the 8-epoch
+// rotation period of 64 lanes. mult has no partial masks, so its
+// software epochs group by within map alone and every St-within
+// configuration is one landing. Every other software configuration keeps
+// its 21 epochs apart — Bs within maps over 256 rows only repeat after 32
+// epochs, and Ra never repeats. Every +Hw configuration replays each
+// epoch length (100 and 50) once and lands its other 19 epochs from
+// those replays; one recorded iteration per replay, so the other 2048 of
+// the 2050 epoch-iterations are saved. (Not parallel: the obs
+// registry is process-wide.)
 func TestGroupingCounters(t *testing.T) {
 	cfg := workloads.Config{Lanes: 64, Rows: 256, Basis: synth.NAND}
 	mult, err := workloads.ParallelMult(cfg, 8)
@@ -198,27 +202,28 @@ func TestGroupingCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := core.SimConfig{Rows: 256, PresetOutputs: true, Iterations: 2050, RecompileEvery: 100, Seed: 3, Workers: 2}
+	names := [6]string{"core.sw.groups", "core.sw.memo_hits", "core.hw.replays", "core.hw.memo_hits",
+		"core.hw.replay_iters", "core.hw.replay_iters_saved"}
 	for _, b := range []*workloads.Benchmark{mult, dot} {
 		for _, strat := range core.AllConfigs() {
-			units, hits := int64(21), int64(0)
+			landings, hits := int64(21), int64(0)
 			switch {
-			case strat.Hw:
-				if strat.Within == mapping.Static {
-					units, hits = 2, 19
-				}
-			case strat == core.Static:
-				units, hits = 1, 20
+			case strat.Within == mapping.Static && (b == mult || strat.Between == mapping.Static):
+				landings, hits = 1, 20
 			case strat == core.StrategyConfig{Within: mapping.Static, Between: mapping.ByteShift}:
-				units, hits = 8, 13
+				landings, hits = 8, 13
+			}
+			want := [6]int64{landings, hits, 0, 0, 0, 0}
+			if strat.Hw {
+				want = [6]int64{0, 0, 2, 19, 2, 2048}
 			}
 			c := simCounters(t, b.Trace, sim, strat)
-			got := [4]int64{c["core.sw.groups"], c["core.sw.memo_hits"], c["core.hw.replays"], c["core.hw.memo_hits"]}
-			want := [4]int64{units, hits, 0, 0}
-			if strat.Hw {
-				want = [4]int64{0, 0, units, hits}
+			var got [6]int64
+			for i, n := range names {
+				got[i] = c[n]
 			}
 			if got != want {
-				t.Errorf("%s %s: sw groups/memo_hits, hw replays/memo_hits = %v, want %v", b.Name, strat.Name(), got, want)
+				t.Errorf("%s %s: %v = %v, want %v", b.Name, strat.Name(), names, got, want)
 			}
 		}
 	}

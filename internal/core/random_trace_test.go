@@ -7,6 +7,7 @@ import (
 
 	"pimendure/internal/core"
 	"pimendure/internal/gates"
+	"pimendure/internal/mapping"
 	"pimendure/internal/obs"
 	"pimendure/internal/program"
 )
@@ -19,7 +20,16 @@ import (
 // the full mask, and its ops are gates (fresh or in-place outputs),
 // operand writes, reads, frees and moves whose source lanes stay inside
 // the array.
-func randomTrace(rng *rand.Rand) (*program.Trace, int) {
+func randomTrace(rng *rand.Rand) (*program.Trace, int) { return buildRandomTrace(rng, true) }
+
+// randomFullTrace is randomTrace with the full mask as its only mask:
+// every write lands on every lane, the shape of the paper's parallel
+// multiplication.
+func randomFullTrace(rng *rand.Rand) (*program.Trace, int) { return buildRandomTrace(rng, false) }
+
+// buildRandomTrace is randomTrace, with the random partial masks drawn
+// only when partial is set.
+func buildRandomTrace(rng *rand.Rand, partial bool) (*program.Trace, int) {
 	lanes := 6 + rng.Intn(35)
 	if rng.Intn(2) == 0 {
 		lanes = 65 + rng.Intn(66)
@@ -31,7 +41,10 @@ func randomTrace(rng *rand.Rand) (*program.Trace, int) {
 	if rng.Intn(2) == 0 {
 		b.SetAllocPolicy(program.LowestFirst)
 	}
-	masks := append([]*program.Mask{program.FullMask(lanes)}, randomMasks(rng, lanes)...)
+	masks := []*program.Mask{program.FullMask(lanes)}
+	if partial {
+		masks = append(masks, randomMasks(rng, lanes)...)
+	}
 	live, _ := b.WriteVector(2 + rng.Intn(3))
 	pick := func() program.Bit { return live[rng.Intn(len(live))] }
 	// other picks a live bit distinct from avoid (live always holds ≥ 2).
@@ -204,6 +217,122 @@ func TestRandomTracesAgreeAcrossEngines(t *testing.T) {
 				}
 				if !stepped.Equal(ref) {
 					t.Errorf("%s: Stepper diverges from SimulateReference", name)
+				}
+			}
+		}
+	}
+}
+
+// renamerHist replays n iterations of tr op by op through a fresh
+// hardware renamer, with each op's logical row mapped through within
+// first, and returns the per-(mask, physical row) write histogram
+// [mask*rows+physRow] — the +Hw epoch as the serial reference runs it.
+func renamerHist(tr *program.Trace, preset bool, rows int, within *mapping.Perm, n int) []uint64 {
+	hw := mapping.NewHwRenamer(rows)
+	hist := make([]uint64, len(tr.Masks)*rows)
+	for it := 0; it < n; it++ {
+		for _, op := range tr.Ops {
+			w := op.WritesPerLane(preset)
+			if w == 0 {
+				continue
+			}
+			arch := within.Apply(int(op.Out))
+			phys := hw.Lookup(arch)
+			if tr.Mask(op.Mask).Full() {
+				phys = hw.RenameOnWrite(arch)
+			}
+			hist[int(op.Mask)*rows+phys] += uint64(w)
+		}
+	}
+	return hist
+}
+
+// The relabeling identity the shared +Hw replays rest on: the renamer never
+// compares row addresses, so an epoch run under within map π writes
+// exactly the identity-map epoch's histogram with every physical row r
+// moved to π̂(r) — π on the architectural rows, the spare row fixed. Over
+// the random-trace seeds, both presets, epoch lengths {1, 7, 100, 1000}
+// and three random maps each.
+func TestHwHistogramRelabelsWithWithinMap(t *testing.T) {
+	const seeds = 40
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr, rows := randomTrace(rng)
+		for _, preset := range []bool{false, true} {
+			for _, n := range []int{1, 7, 100, 1000} {
+				id := renamerHist(tr, preset, rows, mapping.Identity(rows-1), n)
+				for k := 0; k < 3; k++ {
+					pi := mapping.RandomPerm(rows-1, rng)
+					got := renamerHist(tr, preset, rows, pi, n)
+					for i, c := range id {
+						m, r := i/rows, i%rows
+						if r < rows-1 {
+							r = pi.Apply(r)
+						}
+						if got[m*rows+r] != c {
+							t.Fatalf("seed %d preset=%v n=%d map %d: mask %d row %d → %d holds %d, identity epoch row %d holds %d",
+								seed, preset, n, k, m, i%rows, r, got[m*rows+r], i%rows, c)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Metamorphic properties on traces with only full-mask writes, the shape
+// whose +Hw and software landings never generate a between-lane map: a
+// full lane mask is invariant under every lane permutation, so X×St,
+// X×Ra and X×Bs give one distribution for each within strategy X, with
+// and without +Hw, and each equals SimulateReference. Re-mapping moves
+// writes and never adds or drops them, so all 18 configurations write
+// the same total. A failure names the seed that rebuilds its trace.
+func TestFullMaskTracesIgnoreBetweenMaps(t *testing.T) {
+	const seeds = 40
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr, rows := randomFullTrace(rng)
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("seed %d: generated an invalid trace: %v", seed, err)
+		}
+		every := 3 + rng.Intn(5)
+		iters := every*(2+rng.Intn(4)) + 1 + rng.Intn(every-1)
+		for _, preset := range []bool{false, true} {
+			sim := core.SimConfig{
+				Rows: rows, PresetOutputs: preset,
+				Iterations: iters, RecompileEvery: every,
+				Seed: seed, ShiftStep: rng.Intn(3), Workers: 3,
+			}
+			plan := core.NewWearPlan(tr, rows, preset)
+			if n := plan.PartialEntries(); n != 0 {
+				t.Fatalf("seed %d: full-mask trace has %d partial entries", seed, n)
+			}
+			name := fmt.Sprintf("seed %d (lanes %d, rows %d, %d ops, iters %d/%d) preset=%v",
+				seed, tr.Lanes, rows, len(tr.Ops), iters, every, preset)
+			first := map[core.StrategyConfig]*core.WriteDist{}
+			var total uint64
+			for i, strat := range core.AllConfigs() {
+				ref, err := core.SimulateReference(tr, sim, strat)
+				if err != nil {
+					t.Fatalf("%s %s: reference: %v", name, strat.Name(), err)
+				}
+				d, err := plan.Simulate(sim, strat)
+				if err != nil {
+					t.Fatalf("%s %s: %v", name, strat.Name(), err)
+				}
+				if !d.Equal(ref) {
+					t.Errorf("%s %s: Simulate diverges from SimulateReference", name, strat.Name())
+				}
+				key := core.StrategyConfig{Within: strat.Within, Between: mapping.Static, Hw: strat.Hw}
+				if f, ok := first[key]; !ok {
+					first[key] = d
+				} else if !d.Equal(f) {
+					t.Errorf("%s: %s differs from %s", name, strat.Name(), key.Name())
+				}
+				if i == 0 {
+					total = d.Total()
+				} else if got := d.Total(); got != total {
+					t.Errorf("%s %s: total writes %d, St×St wrote %d", name, strat.Name(), got, total)
 				}
 			}
 		}

@@ -9,20 +9,15 @@
 // is bit-identical to Simulate (and SimulateReference) over the same
 // epoch sequence.
 //
-// Software and +Hw steps differ only in how the epoch's per-(mask,
-// physical row) histogram is built:
-//
-//   - Software: the plan's write-matrix entries permuted by the epoch's
-//     within-lane map, times the epoch length (addSwHist).
-//   - +Hw: the epoch replayed in closed-cycle form (replayJobHist).
-//     Consecutive epochs sharing a within-lane permutation and length
-//     (St always, Bs at its rotation period) reuse the last replayed
-//     histogram — a one-entry memo of the walker's replay jobs.
-//
-// Both then share one landing-and-tracking path: the full-mask rows land
-// as pending per-row weights (landFullHist, expanded by Finish), the
-// partial-mask rows through the epoch's between-lane map
-// (landPartialHist). MaxWrites is O(1): after each Step the stepper
+// Software and +Hw steps differ only in their base histogram — the
+// plan's write-matrix table times the epoch length, or the renamer's
+// identity-map replay of the epoch's length, which the stepper keeps for
+// the last length it stepped (a run steps one length, then perhaps a
+// short final one). Both relabel it by the epoch's within-lane
+// map (addHist): the full-mask rows land as pending per-row weights
+// (expanded by Finish), the partial-mask rows through the epoch's
+// between-lane map (landPartialHist), which a plan without partial masks
+// never generates. MaxWrites is O(1): after each Step the stepper
 // rescans only the rows the epoch scattered cells into. Cell counts only
 // grow, so the running maximum never needs a full distribution scan, and
 // the pending full-mask weight adds uniformly across a row, so a row's
@@ -55,17 +50,15 @@ type Stepper struct {
 
 	// scr is the stepper's arena-drawn working state, held from NewStepper
 	// until Finish returns it to the plan: the pending full-mask row
-	// weights (scr.rowW, expanded into whole rows by Finish), the epoch
-	// histogram (scr.hist; under +Hw the memoized replay) and the replay
-	// scratch, and the per-physical-row maxima (scr.rowMax — hottest
-	// materialized cell per row; excludes the pending rowW, which Step
-	// folds in when it updates curMax).
+	// weights (scr.rowW, expanded into whole rows by Finish), the epoch's
+	// partial-mask histogram (scr.hist), and the per-physical-row maxima
+	// (scr.rowMax — hottest materialized cell per row; excludes the
+	// pending rowW, which Step folds in when it updates curMax).
 	scr *engineScratch
 
-	// One-entry +Hw histogram memo key: scr.hist holds the replay of an
-	// epoch with within key histKey run for histN iterations (histN 0 =
-	// no entry).
-	histKey, histN int
+	// +Hw: the replay of the last epoch length stepped (hwLen 0: none).
+	hwLen  int
+	hwHist histBase
 
 	curMax uint64
 }
@@ -94,7 +87,6 @@ func (p *WearPlan) NewStepper(cfg SimConfig, strat StrategyConfig) (*Stepper, er
 	p.ensureRowMax(s.scr)
 	p.ensureLand(s.scr)
 	if strat.Hw {
-		p.ensureHw(s.scr)
 		obsHwCycleLen.Add(int64(p.cycle.Period))
 	}
 	return s, nil
@@ -116,72 +108,47 @@ func (s *Stepper) MaxWrites() uint64 { return s.curMax }
 // epoch, short final epoch allowed). Calls with iters ≤ 0 are no-ops
 // that do not advance the epoch index.
 //
-// Software and +Hw steps differ only in how the epoch's histogram is
-// built; both land it through the walker's primitives and fold the rows
-// it touched into the running maximum.
+// Software and +Hw steps differ only in their base histogram; both land
+// it through the walker's primitives and fold the rows it touched into
+// the running maximum.
 func (s *Stepper) Step(iters int) {
 	if iters <= 0 {
 		return
 	}
 	p, gen, hist := s.plan, &s.scr.gen, s.scr.hist
+	base, mult := &p.sw, uint64(iters)
 	if s.strat.Hw {
-		s.replay(iters)
+		if iters != s.hwLen {
+			s.hwLen, s.hwHist = iters, p.replayJobHist(s.scr, iters)
+		} else {
+			obsHwMemoHits.Add(1)
+			obsHwReplayItersSaved.Add(int64(iters))
+		}
+		base, mult = &s.hwHist, 1
 	} else {
-		clear(hist)
-		p.addSwHist(gen.withinAt(s.epoch), uint64(iters), hist)
 		obsSwGroups.Add(1)
 	}
-	p.landFullHist(hist, 1, s.scr.rowW)
-	p.landPartialHist(s.scr, hist, gen.betweenAt(s.epoch), 1, s.dist.Counts)
-	rows := p.rows
-	for r := 0; r < rows; r++ {
-		if touches(hist, p.partMasks, rows, r) {
-			s.track(r, true)
-		} else if touches(hist, p.fullMasks, rows, r) {
-			s.track(r, false)
+	if len(p.partMasks) > 0 {
+		clear(hist)
+	}
+	p.addHist(base, gen.withinAt(s.epoch), mult, s.scr.rowW, hist)
+	if len(p.partMasks) > 0 {
+		p.landPartialHist(s.scr, hist, gen.betweenAt(s.epoch), s.dist.Counts)
+	}
+	// Rows the partial landing scattered into get their materialized
+	// maximum rescanned; every row's pending weight may have grown.
+	for r := range s.scr.rowW {
+		for _, m := range p.partMasks {
+			if hist[int(m)*p.rows+r] != 0 {
+				s.scr.rowMax[r] = s.rowPeak(r)
+				break
+			}
 		}
+		s.curMax = max(s.curMax, s.scr.rowMax[r]+s.scr.rowW[r])
 	}
 	obsEpochs.Add(1)
 	s.epoch++
 	s.iters += iters
-}
-
-// replay fills scr.hist with the epoch's closed-cycle +Hw histogram, or
-// keeps the memoized one when the previous replay had the same within
-// key and length (the renamer resets every epoch, so the histogram is
-// identical).
-func (s *Stepper) replay(iters int) {
-	key := s.sched.WithinKey(s.epoch)
-	if s.histN == iters && s.histKey == key {
-		obsHwMemoHits.Add(1)
-		obsHwReplayItersSaved.Add(int64(iters))
-		return
-	}
-	s.plan.replayJobHist(s.scr, s.epoch, iters, uint64(iters), s.scr.hist)
-	obsHwReplays.Add(1)
-	s.histKey, s.histN = key, iters
-}
-
-// touches reports whether any of the masks' histogram rows puts writes on
-// physical row r.
-func touches(hist []uint64, masks []int32, rows, r int) bool {
-	for _, m := range masks {
-		if hist[int(m)*rows+r] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// track folds physical row pr into the running maximum after an epoch
-// landed on it, first rescanning its materialized cells when the epoch
-// scattered writes into them (rescan) rather than only growing the row's
-// pending uniform weight.
-func (s *Stepper) track(pr int, rescan bool) {
-	if rescan {
-		s.scr.rowMax[pr] = s.rowPeak(pr)
-	}
-	s.curMax = max(s.curMax, s.scr.rowMax[pr]+s.scr.rowW[pr])
 }
 
 // rowPeak returns the hottest materialized cell of physical row pr.

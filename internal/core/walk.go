@@ -2,13 +2,14 @@
 // WearPlan.Simulate.
 //
 // Every configuration reduces to one computation: for each recompile
-// epoch, land a per-(mask, physical row) write histogram through that
-// epoch's between-lane map. Under software re-mapping the histogram is
-// the plan's write-matrix table permuted by the epoch's within-lane map
-// (sw_engine.go); under +Hw it is the renamer replayed within the epoch,
-// which resets at every recompile boundary (hw_engine.go). Both land
-// through the same two primitives: landFullHist adds the full-mask rows
-// as per-row weights, and landPartialHist scatters the partial-mask rows
+// epoch, land a per-(mask, physical row) write histogram — a base with
+// its rows relabeled by the epoch's within-lane map — through that
+// epoch's between-lane map. The base is the plan's write-matrix table
+// times the epoch length under software re-mapping, and under +Hw the
+// identity-map replay of the epoch's length, run once per length when
+// the walk starts (hw_engine.go). Both land through the same primitives (land.go):
+// addHist relabels a base, adding its full-mask rows as per-row weights
+// and its partial-mask rows to a histogram that landPartialHist scatters
 // through sorted lane sets.
 //
 // The walker advances one segment at a time. Segments end at the
@@ -18,30 +19,25 @@
 // and the walker exploits that freedom:
 //
 //   - Grouping: epochs with identical landings collapse into units (see
-//     grouper). A software unit is a segment's between-lane permutation:
-//     its members are sub-grouped by within permutation, each distinct
-//     (within, between) pair adds its summed iterations to the unit's
-//     histogram, and the unit lands once. Whatever the within maps, an
+//     grouper). Epochs with the same within map — and, under +Hw, the
+//     same length — share a relabeled base, which is added once, scaled
+//     by the members' summed iterations (software) or their count (+Hw).
+//     With partial masks a unit is a segment's between-lane map: its
+//     members are sub-grouped by within map, each group adds its base,
+//     and the unit's partial rows land once. Whatever the within maps, an
 //     St between map makes one unit per segment and a Bs one its rotation
-//     period; only Ra-between epochs stay unique. A +Hw unit is a
-//     replay job — a (within permutation, epoch length) pair grouped once
-//     over the whole run, replayed once. Its full-mask rows land once per
-//     segment, scaled by the job's members there; only its partial-mask
-//     rows need the segment epochs grouped by between-lane permutation,
-//     one multiplied landing per group, and a plan without partial masks
-//     skips that.
+//     period; only Ra-between epochs stay unique. A plan without partial
+//     masks (mult) needs no between map at all: its units are the
+//     segment's within groups, which land only per-row weights.
 //   - Sharding: a segment's units are sharded over pool.Size(workers,
-//     units) workers. Worker 0 lands into the distribution itself; the
-//     others land into arena counts buffers merged at the segment's end.
-//     Merging is uint64 addition, so the result is bit-identical for
-//     every worker count and sampling cadence.
-//   - Segment close: the full-mask row weights pending from either kind
-//     of landing (software or +Hw) are expanded into whole rows, and the
-//     sampler records the true prefix.
-//
-// A +Hw job whose members continue into a later segment keeps its
-// histogram in an arena buffer until its last member lands; a job that
-// completes within its first segment replays into worker scratch.
+//     units) workers. Worker 0 lands into the distribution itself; with
+//     partial masks the others land into arena counts buffers merged at
+//     the segment's end, and without them they only add row weights and
+//     take no buffer. Merging is uint64 addition, so the result is
+//     bit-identical for every worker count and sampling cadence.
+//   - Segment close: the full-mask row weights pending from every unit
+//     are expanded into whole rows, and the sampler records the true
+//     prefix.
 package core
 
 import (
@@ -139,12 +135,9 @@ type walker struct {
 	scr   []*engineScratch // per-worker scratch, grown on demand
 	parts [][]uint64       // per-worker counts; parts[0] is dist.Counts
 
-	// +Hw run state: the replay jobs, and per job the members landed so
-	// far and the histogram kept while members remain.
-	jobs    []epochGroup
-	landed  []int
-	hists   [][]uint64
-	segJobs []int32
+	// +Hw runs: the replay of the full-length epochs, and of the final
+	// epoch (the same one unless that epoch is short).
+	hwFull, hwLast histBase
 }
 
 // walk accumulates one simulation into dist, segment by segment.
@@ -164,11 +157,16 @@ func (p *WearPlan) walk(cfg SimConfig, sched mapping.Schedule, hw bool, dist *Wr
 	}
 	obsEpochs.Add(int64(total))
 	if hw {
-		w.jobs = w.scr[0].units.group(sched, cfg, all, byWithin|byLength)
-		w.landed = make([]int, len(w.jobs))
-		w.hists = make([][]uint64, len(w.jobs))
-		obsHwReplays.Add(int64(len(w.jobs)))
-		obsHwMemoHits.Add(int64(total - len(w.jobs)))
+		n, last := cfg.epochLen(0), cfg.epochLen(total-1)
+		w.hwFull = p.replayJobHist(w.scr[0], n)
+		w.hwLast = w.hwFull
+		served := total - 1
+		if last != n {
+			w.hwLast, served = p.replayJobHist(w.scr[0], last), total-2
+		}
+		// The other epochs, all n long, land from these replays.
+		obsHwMemoHits.Add(int64(served))
+		obsHwReplayItersSaved.Add(int64(served) * int64(n))
 		obsHwCycleLen.Add(int64(p.cycle.Period))
 	}
 	for start := 0; start < total; {
@@ -177,11 +175,7 @@ func (p *WearPlan) walk(cfg SimConfig, sched mapping.Schedule, hw bool, dist *Wr
 			for end = start; !s.due(end, total-1); end++ {
 			}
 		}
-		if hw {
-			w.landHw(all[start : end+1])
-		} else {
-			w.landSw(all[start : end+1])
-		}
+		w.land(all[start : end+1])
 		w.closeSegment()
 		if s := cfg.Sampler; s != nil {
 			s.Sample(end, min((end+1)*cfg.recompileEvery(), cfg.Iterations), dist)
@@ -196,30 +190,31 @@ func (p *WearPlan) walk(cfg SimConfig, sched mapping.Schedule, hw bool, dist *Wr
 	}
 }
 
-// grow makes sure n workers have scratch and counts buffers, drawn from
-// the plan's arena.
+// grow makes sure n workers have scratch drawn from the plan's arena.
 func (w *walker) grow(n int) {
 	for len(w.scr) < n {
 		s := w.p.getScratch()
 		s.gen.reset(w.sched)
 		w.p.ensureRowW(s)
 		w.p.ensureLand(s)
-		if w.hw {
-			w.p.ensureHw(s)
-		}
 		w.scr = append(w.scr, s)
-		if len(w.parts) < len(w.scr) {
-			w.parts = append(w.parts, w.p.getCounts())
-		}
 	}
 }
 
-// shard lands every unit over the worker pool and merges the helper
-// workers' counts into the distribution, leaving their buffers zeroed.
-func (w *walker) shard(units int, land func(s *engineScratch, counts []uint64, unit int)) {
+// shard lands every unit over the worker pool; land gets the worker's
+// slot. With counts, every helper worker also gets an arena counts buffer
+// (w.parts[slot]), merged into the distribution and left zeroed once the
+// units have landed.
+func (w *walker) shard(units int, counts bool, land func(slot, unit int)) {
 	n := pool.Size(w.cfg.workers(), units)
 	w.grow(n)
-	pool.ForEachWorker(n, units, func(slot, u int) { land(w.scr[slot], w.parts[slot], u) })
+	for counts && len(w.parts) < n {
+		w.parts = append(w.parts, w.p.getCounts())
+	}
+	pool.ForEachWorker(n, units, land)
+	if !counts {
+		return
+	}
 	for _, part := range w.parts[1:n] {
 		for i, c := range part {
 			if c != 0 {
@@ -230,75 +225,62 @@ func (w *walker) shard(units int, land func(s *engineScratch, counts []uint64, u
 	}
 }
 
-// landSw lands one segment of a software run: each distinct between
-// permutation is one unit, whose members sum one histogram — a term per
-// distinct within map among them — that lands once.
-func (w *walker) landSw(seg []int) {
+// land lands one segment. Its epochs are grouped by within map (and
+// length, under +Hw) into groups that each add one relabeled base; with
+// partial masks the groups are formed inside units of one between map,
+// whose partial rows land once per unit.
+func (w *walker) land(seg []int) {
 	p := w.p
+	key := byWithin
+	if w.hw {
+		key |= byLength
+	}
+	if len(p.partMasks) == 0 {
+		units := w.scr[0].units.group(w.sched, w.cfg, seg, key)
+		w.countSw(len(units), len(seg))
+		w.shard(len(units), false, func(slot, u int) { w.add(w.scr[slot], &units[u]) })
+		return
+	}
 	units := w.scr[0].units.group(w.sched, w.cfg, seg, byBetween)
-	w.shard(len(units), func(s *engineScratch, counts []uint64, u int) {
-		unit := &units[u]
+	w.shard(len(units), true, func(slot, u int) {
+		s, unit := w.scr[slot], &units[u]
+		groups := s.lands.group(w.sched, w.cfg, unit.members, key)
+		w.countSw(len(groups), unit.count)
 		clear(s.hist)
-		pairs := s.lands.group(w.sched, w.cfg, unit.members, byWithin)
-		for _, g := range pairs {
-			p.addSwHist(s.gen.withinAt(g.epoch0), g.iters, s.hist)
+		for i := range groups {
+			w.add(s, &groups[i])
 		}
-		obsSwGroups.Add(int64(len(pairs)))
-		obsSwMemoHits.Add(int64(unit.count - len(pairs)))
-		p.landFullHist(s.hist, 1, s.rowW)
-		p.landPartialHist(s, s.hist, s.gen.betweenAt(unit.epoch0), 1, counts)
+		p.landPartialHist(s, s.hist, s.gen.betweenAt(unit.epoch0), w.parts[slot])
 	})
 }
 
-// landHw lands one segment of a +Hw run: each job with members in the
-// segment is one unit, replayed on first touch. Its full-mask rows land
-// once, scaled by the members in the segment; only partial-mask rows are
-// landed per distinct between permutation among those members.
-func (w *walker) landHw(seg []int) {
-	p, last := w.p, seg[len(seg)-1]
-	// A job enters the segment at its first unlanded member.
-	w.segJobs = w.segJobs[:0]
-	for _, e := range seg {
-		j := w.scr[0].units.of[e]
-		if w.jobs[j].members[w.landed[j]] == e {
-			w.segJobs = append(w.segJobs, j)
+// add adds one group's relabeled base to the worker's row weights and
+// partial-mask histogram: the plan's write-matrix table times the
+// members' summed iterations in software, the replay of their length
+// times their count under +Hw.
+func (w *walker) add(s *engineScratch, g *epochGroup) {
+	base, mult := &w.p.sw, g.iters
+	if w.hw {
+		base, mult = &w.hwFull, uint64(g.count)
+		if g.epoch0 == w.cfg.epochs()-1 {
+			base = &w.hwLast
 		}
 	}
-	w.shard(len(w.segJobs), func(s *engineScratch, counts []uint64, u int) {
-		j := w.segJobs[u]
-		job := &w.jobs[j]
-		rest := job.members[w.landed[j]:]
-		m := 1
-		for m < len(rest) && rest[m] <= last {
-			m++
-		}
-		hist := w.hists[j]
-		if hist == nil {
-			hist = s.hist
-			if m < len(rest) {
-				hist = p.getHist()
-				w.hists[j] = hist
-			}
-			p.replayJobHist(s, job.epoch0, w.cfg.epochLen(job.epoch0), job.iters, hist)
-		}
-		p.landFullHist(hist, uint64(m), s.rowW)
-		if len(p.partMasks) > 0 {
-			for _, g := range s.lands.group(w.sched, w.cfg, rest[:m], byBetween) {
-				p.landPartialHist(s, hist, s.gen.betweenAt(g.epoch0), uint64(g.count), counts)
-			}
-		}
-		w.landed[j] += m
-		if m == len(rest) && w.hists[j] != nil {
-			p.putHist(w.hists[j])
-			w.hists[j] = nil
-		}
-	})
+	w.p.addHist(base, s.gen.withinAt(g.epoch0), mult, s.rowW, s.hist)
 }
 
-// closeSegment completes the segment's rank-1 full-mask landings, software
-// and +Hw alike: it merges the workers' pending per-row weights and
-// expands them into whole rows, so the sampler sees the true prefix
-// distribution.
+// countSw records, for a software run, the landings summed for epochs
+// epochs.
+func (w *walker) countSw(landings, epochs int) {
+	if !w.hw {
+		obsSwGroups.Add(int64(landings))
+		obsSwMemoHits.Add(int64(epochs - landings))
+	}
+}
+
+// closeSegment completes the segment's rank-1 full-mask landings: it
+// merges the workers' pending per-row weights and expands them into whole
+// rows, so the sampler sees the true prefix distribution.
 func (w *walker) closeSegment() {
 	rowW := w.scr[0].rowW
 	for _, s := range w.scr[1:] {

@@ -140,9 +140,12 @@ type Server struct {
 
 	// testBeforeRun, when non-nil, runs as a running job's first step,
 	// under its panic guard — the test hook that holds jobs in the
-	// running state deterministically, or makes one panic. Set before the
-	// first request; never touched in production.
+	// running state deterministically, or makes one panic. testFinished,
+	// when non-nil, runs in finish right after a job's terminal state is
+	// published, holding the rest of finish back. Set before the first
+	// request; never touched in production.
 	testBeforeRun func(*job)
+	testFinished  func(*job)
 }
 
 // job is one accepted request moving through queued → running →
@@ -525,8 +528,17 @@ func (s *Server) runFleet(j *job, bench *pim.Benchmark, rc pim.RunConfig, strate
 }
 
 // finish moves a job to its terminal state and retires it from the
-// coalescing and history maps.
+// coalescing and history maps. The job leaves the coalescing map before
+// its terminal state is published, so a client that sees it finished and
+// posts the same request again starts a new job instead of joining this
+// one.
 func (s *Server) finish(j *job, result *JobResult, err error, state string) {
+	s.mu.Lock()
+	if s.inflight[j.fp] == j {
+		delete(s.inflight, j.fp)
+	}
+	s.mu.Unlock()
+
 	j.mu.Lock()
 	switch {
 	case state != "":
@@ -545,6 +557,9 @@ func (s *Server) finish(j *job, result *JobResult, err error, state string) {
 	queueWait, compute, total := j.breakdownLocked()
 	j.mu.Unlock()
 	close(j.done)
+	if s.testFinished != nil {
+		s.testFinished(j)
+	}
 
 	switch terminal {
 	case "done":
@@ -569,9 +584,6 @@ func (s *Server) finish(j *job, result *JobResult, err error, state string) {
 	}
 
 	s.mu.Lock()
-	if s.inflight[j.fp] == j {
-		delete(s.inflight, j.fp)
-	}
 	s.finished = append(s.finished, j.id)
 	for len(s.finished) > s.cfg.History {
 		delete(s.jobs, s.finished[0])

@@ -219,6 +219,51 @@ func TestCoalescing(t *testing.T) {
 	// buffer, which has room for every job this test submits.
 }
 
+// A request posted after its twin finished must not join the finished
+// job. The hook holds the finishing worker just after the job's terminal
+// state is published — where the coalescing entry used to outlive it —
+// while the client sees the job done and posts the same body again: it
+// gets a new job, which finds the first job's plan in the cache.
+func TestNoCoalescingOntoFinishedJob(t *testing.T) {
+	published := make(chan string, 1)
+	release := make(chan struct{})
+	s := New(Config{Workers: 2, QueueDepth: 4})
+	var once sync.Once
+	s.testFinished = func(j *job) {
+		once.Do(func() {
+			published <- j.id
+			<-release
+		})
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	enableObs(t)
+	coalescedBefore := obs.GetCounter("serve.jobs_coalesced").Value()
+	a := submitJob(t, ts.Client(), ts.URL, smallSweep())
+	if id := <-published; id != a {
+		t.Fatalf("hook held job %s, want %s", id, a)
+	}
+	if st := pollDone(t, ts.Client(), ts.URL, a); st.State != "done" {
+		t.Fatalf("job %s state %q (err %q)", a, st.State, st.Error)
+	}
+	code, out := postJSON(t, ts.Client(), ts.URL+"/sweep", smallSweep())
+	close(release)
+	if code != http.StatusAccepted || out["coalesced"] != false || out["job"] == a {
+		t.Fatalf("repeat of a finished job: status %d, body %v; want a new, uncoalesced job", code, out)
+	}
+	b, _ := out["job"].(string)
+	st := pollDone(t, ts.Client(), ts.URL, b)
+	if st.State != "done" || !st.Result.CacheHit {
+		t.Errorf("repeat job %s: state %q (err %q), cache hit %v; want done from the cached plan",
+			b, st.State, st.Error, st.Result != nil && st.Result.CacheHit)
+	}
+	if got := obs.GetCounter("serve.jobs_coalesced").Value(); got != coalescedBefore {
+		t.Errorf("serve.jobs_coalesced moved from %d to %d", coalescedBefore, got)
+	}
+}
+
 // A full queue sheds with a clean 429 + Retry-After, not a dropped
 // connection, and the shed request leaves no trace in the jobs map.
 func TestSheddingReturns429(t *testing.T) {
