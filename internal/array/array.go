@@ -7,33 +7,7 @@
 // accurate, and each write to each memory cell is counted").
 package array
 
-import (
-	"fmt"
-)
-
-// Orientation distinguishes the two parallelism styles of §2.2. The
-// simulator always works in (bit-address, lane) space; orientation only
-// controls how that space maps onto the die's (row, column) axes for
-// rendering and byte-alignment semantics.
-type Orientation uint8
-
-const (
-	// ColumnParallel: a lane is a column; bit addresses are rows. This
-	// is the configuration the paper evaluates (§4: "a more realistic
-	// hardware implementation, requiring few modifications to existing
-	// NVM designs").
-	ColumnParallel Orientation = iota
-	// RowParallel: a lane is a row; bit addresses are columns.
-	RowParallel
-)
-
-// String names the orientation.
-func (o Orientation) String() string {
-	if o == ColumnParallel {
-		return "column-parallel"
-	}
-	return "row-parallel"
-}
+import "fmt"
 
 // Config sizes and parameterizes an array.
 type Config struct {
@@ -47,7 +21,6 @@ type Config struct {
 	// output cell to a known state before each gate (§4); it doubles the
 	// write count of gate outputs and adds one step of latency per gate.
 	PresetOutputs bool
-	Orientation   Orientation
 }
 
 // Validate reports configuration errors.
@@ -202,15 +175,6 @@ func (a *Array) WriteCountsInto(dst []uint64) {
 	}
 	a.Flush()
 	copy(dst, a.writes)
-}
-
-// ReadCountsInto is WriteCountsInto for the read-count matrix.
-func (a *Array) ReadCountsInto(dst []uint64) {
-	if len(dst) != len(a.reads) {
-		panic(fmt.Sprintf("array: count buffer holds %d cells, want %d", len(dst), len(a.reads)))
-	}
-	a.Flush()
-	copy(dst, a.reads)
 }
 
 // TotalWrites sums write counts over all cells.

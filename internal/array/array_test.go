@@ -18,9 +18,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := (array.Config{BitsPerLane: 0, Lanes: 4}).Validate(); err == nil {
 		t.Error("zero dimension accepted")
 	}
-	if array.ColumnParallel.String() == array.RowParallel.String() {
-		t.Error("orientation strings collide")
-	}
 }
 
 func TestPeekPokeDontCount(t *testing.T) {
@@ -350,14 +347,13 @@ func TestPresetAccountingAgreement(t *testing.T) {
 	}
 }
 
-// The word-block-parallel gate path — a worker budget (SetWorkers) on an
-// array at least packedParallelMinWords lane words wide — must be
-// bit-identical to inline packed execution and to the scalar reference:
-// same computed values and the same per-cell write/read counters, across
-// remaps, with and without hardware renaming. Lanes deliberately not a
-// multiple of 64 so the last lane word is partial.
+// The word-parallel runner on a multi-word array must be bit-identical to
+// the scalar reference: same computed values and the same per-cell
+// write/read counters, across remaps, with and without hardware renaming.
+// Lanes deliberately not a multiple of 64 so the last lane word is
+// partial.
 func TestWordParallelBatchIdentity(t *testing.T) {
-	const lanes, rows = 64*257 + 17, 96
+	const lanes, rows = 64*4 + 17, 96
 	rng := rand.New(rand.NewSource(7))
 	words := make([][2]uint64, lanes)
 	for l := range words {
@@ -370,7 +366,7 @@ func TestWordParallelBatchIdentity(t *testing.T) {
 		writes []uint64
 		reads  []uint64
 	}
-	run := func(scalar bool, workers int, useHw bool) outcome {
+	run := func(scalar, useHw bool) outcome {
 		prng := rand.New(rand.NewSource(99))
 		archRows := rows
 		var hw *mapping.HwRenamer
@@ -388,7 +384,6 @@ func TestWordParallelBatchIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.SetWorkers(workers)
 		var o outcome
 		for iter := 0; iter < 3; iter++ {
 			r.RunIteration()
@@ -406,24 +401,22 @@ func TestWordParallelBatchIdentity(t *testing.T) {
 	}
 
 	for _, useHw := range []bool{false, true} {
-		ref := run(true, 1, useHw)
+		ref := run(true, useHw)
 		for l, v := range ref.vals {
 			if want := words[l][0] * words[l][1]; v != want {
 				t.Fatalf("hw=%v scalar lane %d: got %d, want %d", useHw, l, v, want)
 			}
 		}
-		for _, workers := range []int{1, 3, 8} {
-			got := run(false, workers, useHw)
-			for l := range ref.vals {
-				if got.vals[l] != ref.vals[l] {
-					t.Fatalf("hw=%v workers=%d lane %d: value %d, scalar %d", useHw, workers, l, got.vals[l], ref.vals[l])
-				}
+		got := run(false, useHw)
+		for l := range ref.vals {
+			if got.vals[l] != ref.vals[l] {
+				t.Fatalf("hw=%v lane %d: value %d, scalar %d", useHw, l, got.vals[l], ref.vals[l])
 			}
-			for i := range ref.writes {
-				if got.writes[i] != ref.writes[i] || got.reads[i] != ref.reads[i] {
-					t.Fatalf("hw=%v workers=%d cell %d: writes/reads (%d,%d), scalar (%d,%d)",
-						useHw, workers, i, got.writes[i], got.reads[i], ref.writes[i], ref.reads[i])
-				}
+		}
+		for i := range ref.writes {
+			if got.writes[i] != ref.writes[i] || got.reads[i] != ref.reads[i] {
+				t.Fatalf("hw=%v cell %d: writes/reads (%d,%d), scalar (%d,%d)",
+					useHw, i, got.writes[i], got.reads[i], ref.writes[i], ref.reads[i])
 			}
 		}
 	}

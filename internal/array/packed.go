@@ -8,11 +8,7 @@ package array
 //     state bit-packed 64 lanes per uint64 word (see Array), a gate over
 //     all lanes of a word is one truth-table expression on three words
 //     merged under the mask's lane-word bitmap, evaluated through the
-//     fused per-gate kernel gates.Kind.EvalWords. When the runner has a
-//     worker budget and the array is wide enough (Runner.SetWorkers,
-//     packedParallelMinWords), back-to-back gates are instead batched and
-//     executed as row passes sharded into contiguous word blocks across
-//     the worker pool (flushGateBatch).
+//     fused per-gate kernel gates.Kind.EvalWords.
 //
 //  2. Access counts are rank-1 per op: every active lane of an op receives
 //     the same per-cell increment at the same physical rows. Counting can
@@ -29,29 +25,9 @@ package array
 // is exact regardless of flush timing.
 
 import (
-	"pimendure/internal/gates"
 	"pimendure/internal/mapping"
-	"pimendure/internal/pool"
 	"pimendure/internal/program"
 )
-
-// packedParallelMinWords gates word-block parallelism: below this many
-// lane words per row (64 lanes each), dispatch overhead dwarfs the work
-// and gate batches execute inline even when the runner has a worker
-// budget. The paper's 1024-lane arrays are 16 words wide — far under the
-// bar; block parallelism targets wide synthetic arrays.
-const packedParallelMinWords = 256
-
-// gateOp is one deferred gate execution: the packed row slices and the
-// mask's lane-word bitmap, captured at build time (after the op's mapper
-// renaming and histogram updates ran in program order). Each word index
-// of a gateOp depends only on that same word index of its inputs, which
-// is what lets a batch shard by word range.
-type gateOp struct {
-	s0, s1, so []uint64
-	pm         []uint64
-	kind       gates.Kind
-}
 
 // packedState carries the word-parallel runner's per-mask lane bitmaps and
 // deferred access-count histograms.
@@ -67,9 +43,6 @@ type packedState struct {
 	// [maskID*BitsPerLane + physicalRow].
 	wHist []uint64
 	rHist []uint64
-	// batch is the pending run of back-to-back gate ops, reused across
-	// flushes; see flushGateBatch.
-	batch []gateOp
 }
 
 func newPackedState(arr *Array, tr *program.Trace, between *mapping.Perm) *packedState {
@@ -79,28 +52,6 @@ func newPackedState(arr *Array, tr *program.Trace, between *mapping.Perm) *packe
 	}
 	pk.rebuildLanes(tr, between)
 	return pk
-}
-
-// ensureBatch sizes the deferred-gate batch for the longest run of
-// back-to-back gates in the trace, so the word-parallel path never
-// regrows it mid-iteration. Called only when a runner actually enters
-// batching mode — inline runners never pay for the buffer.
-func (pk *packedState) ensureBatch(tr *program.Trace) {
-	if cap(pk.batch) > 0 {
-		return
-	}
-	run, maxRun := 0, 0
-	for _, op := range tr.Ops {
-		if op.Kind == program.OpGate {
-			run++
-			if run > maxRun {
-				maxRun = run
-			}
-		} else {
-			run = 0
-		}
-	}
-	pk.batch = make([]gateOp, 0, maxRun)
 }
 
 // rebuildLanes recomputes the physical-lane bitmaps and lists for a
@@ -146,57 +97,18 @@ func (r *Runner) flushCounts() {
 	}
 }
 
-// flushGateBatch executes the pending run of gate ops. The batch was
-// built in program order and executes in program order per word index, so
-// data dependencies between batched gates (a gate reading a row an
-// earlier gate wrote) resolve exactly as in eager execution: a word's
-// value after the batch is the same fold either way, because every gate's
-// word i reads only word i. That independence also makes word-range
-// sharding race-free — with a worker budget (Runner.SetWorkers) and a
-// wide enough array, the batch runs once per contiguous word block on the
-// pool, each block folding the whole gate list over its own words. Either
-// way each gate evaluates through gates.Kind.EvalWords, which hoists the
-// truth-table dispatch out of the word loop. Without a worker budget the
-// iteration body never defers gates, so the batch is empty and flushing
-// is free.
-func (r *Runner) flushGateBatch() {
-	batch := r.pk.batch
-	if len(batch) == 0 {
-		return
-	}
-	if words := r.arr.words; r.workers > 1 && words >= packedParallelMinWords {
-		pool.ForEachBlock(r.workers, words, func(lo, hi int) {
-			for _, g := range batch {
-				g.kind.EvalWords(g.so[lo:hi], g.s0[lo:hi], g.s1[lo:hi], g.pm[lo:hi])
-			}
-		})
-	} else {
-		for _, g := range batch {
-			g.kind.EvalWords(g.so, g.s0, g.s1, g.pm)
-		}
-	}
-	r.pk.batch = batch[:0]
-}
-
 // runPackedIteration is RunIteration's word-parallel body. It issues the
 // exact same mapper calls in the exact same order as the scalar path —
 // renameForWrite once per writing op — so hardware renaming state evolves
-// bit-identically. With a worker budget on a wide array, gate state
-// updates are deferred into a batch (flushGateBatch) so back-to-back
-// gates execute as one word-block-parallel pass; ops that read or write
-// state through other paths (OpWrite's data callback, OpRead, OpMove) are
-// batch barriers, as is the end of the iteration — state is always
-// current when control leaves this function.
+// bit-identically. Each gate evaluates eagerly through the fused
+// per-gate kernel gates.Kind.EvalWords, which hoists the truth-table
+// dispatch out of the word loop.
 func (r *Runner) runPackedIteration() {
 	tr := r.trace
 	arr := r.arr
 	pk := r.pk
 	bits := arr.cfg.BitsPerLane
 	preset := arr.cfg.PresetOutputs
-	// Gate batching only pays when the batch will shard across workers;
-	// otherwise each gate evaluates eagerly through the same fused kernel
-	// and the batch stays empty (every flush below is then a no-op).
-	batching := r.workers > 1 && arr.words >= packedParallelMinWords
 	for _, op := range tr.Ops {
 		mid := int(op.Mask)
 		mask := tr.Mask(op.Mask)
@@ -222,15 +134,8 @@ func (r *Runner) runPackedIteration() {
 			} else {
 				pk.wHist[base+out]++
 			}
-			s0, s1, so := arr.row(in0), arr.row(in1), arr.row(out)
-			pm := pk.physMask[mid]
-			if batching {
-				pk.batch = append(pk.batch, gateOp{s0: s0, s1: s1, so: so, pm: pm, kind: op.Gate})
-			} else {
-				op.Gate.EvalWords(so, s0, s1, pm)
-			}
+			op.Gate.EvalWords(arr.row(out), arr.row(in0), arr.row(in1), pk.physMask[mid])
 		case program.OpWrite:
-			r.flushGateBatch()
 			phys := r.mapper.renameForWrite(op.Out, mask.Full())
 			pk.wHist[mid*bits+phys]++
 			slot := int(op.Data)
@@ -238,7 +143,6 @@ func (r *Runner) runPackedIteration() {
 				arr.setBit(phys, r.mapper.Lane(l), r.data(slot, l))
 			})
 		case program.OpRead:
-			r.flushGateBatch()
 			src := r.mapper.BitAddr(op.In0)
 			pk.rHist[mid*bits+src]++
 			mask.ForEach(func(l int) {
@@ -247,7 +151,6 @@ func (r *Runner) runPackedIteration() {
 		case program.OpMove:
 			// Scalar with immediate counters: the read lanes are the
 			// mask's lanes shifted, not the mask's physical lane set.
-			r.flushGateBatch()
 			src := r.mapper.BitAddr(op.In0)
 			dst := r.mapper.renameForWrite(op.Out, mask.Full())
 			shift := int(op.LaneShift)
@@ -257,5 +160,4 @@ func (r *Runner) runPackedIteration() {
 			})
 		}
 	}
-	r.flushGateBatch()
 }

@@ -70,27 +70,6 @@ type Runner struct {
 	data   DataFunc
 	out    [][]bool     // [readSlot][logical lane]
 	pk     *packedState // nil on scalar runners
-
-	// workers is the budget for word-block-parallel gate batches; ≤ 1
-	// (the default) executes inline. See SetWorkers.
-	workers int
-}
-
-// SetWorkers grants the runner a worker budget for executing batched gate
-// runs as contiguous word blocks on the shared pool (≤ 1 restores inline
-// execution, the default). It only affects the word-parallel runner, and
-// only on arrays wide enough that a row spans at least
-// packedParallelMinWords lane words — narrower arrays always execute
-// inline, where the fused per-gate kernel is already the fast path.
-// Results are bit-identical at every budget: blocks shard by word index,
-// and a gate's word depends only on that word of its inputs. The runner
-// itself remains serial — the budget only fans out work inside a single
-// RunIteration call.
-func (r *Runner) SetWorkers(n int) {
-	r.workers = n
-	if n > 1 && r.pk != nil && r.arr.words >= packedParallelMinWords {
-		r.pk.ensureBatch(r.trace)
-	}
 }
 
 // validateMapper checks that a mapper's dimensions agree with the trace

@@ -65,23 +65,6 @@ func TestOpCostArithmetic(t *testing.T) {
 	if b.CellReads != 3 || b.CellWrites != 4 {
 		t.Error("Add wrong")
 	}
-	s := a.Scale(4)
-	if s.CellReads != 8 || s.CellWrites != 12 {
-		t.Error("Scale wrong")
-	}
-}
-
-func TestConvDotProduct(t *testing.T) {
-	c := ConvDotProduct(1024, 32)
-	if c.CellReads != 2*1024*32 {
-		t.Errorf("dot reads = %d", c.CellReads)
-	}
-	if c.CellWrites != 74 { // 64-bit products + 10 bits of sum growth
-		t.Errorf("dot writes = %d, want 74", c.CellWrites)
-	}
-	if ConvAdd(32).CellWrites != 33 {
-		t.Error("add writes wrong")
-	}
 }
 
 func TestStartGapAddressAlgebra(t *testing.T) {

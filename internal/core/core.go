@@ -290,17 +290,6 @@ func (d *WriteDist) Total() uint64 {
 	return t
 }
 
-// MaxPerIteration returns the hottest cell's writes per benchmark
-// iteration. A distribution with no recorded iterations (a fresh
-// NewWriteDist, or a zero-iteration file read back through traceio)
-// reports 0 rather than +Inf/NaN.
-func (d *WriteDist) MaxPerIteration() float64 {
-	if d.Iterations <= 0 {
-		return 0
-	}
-	return float64(d.Max()) / float64(d.Iterations)
-}
-
 // Equal reports whether two distributions are cell-for-cell identical
 // (cross-validation of the two engines).
 func (d *WriteDist) Equal(o *WriteDist) bool {
@@ -329,9 +318,10 @@ func Simulate(tr *program.Trace, cfg SimConfig, strat StrategyConfig) (*WriteDis
 // iteration on the functional array simulator under the identical mapping
 // schedule. data supplies operand values (nil for all-zero). It is slow
 // relative to Simulate — it computes real Boolean values — and exists to
-// validate Simulate and to drive functional checks. It uses the array
-// package's word-parallel runner (64 lanes per machine word);
-// BruteForceReference is the cell-at-a-time variant.
+// validate Simulate and to drive functional checks. It runs serially on
+// the array package's word-parallel runner (64 lanes per machine word),
+// so cfg.Workers is ignored; BruteForceReference is the cell-at-a-time
+// variant.
 func BruteForce(tr *program.Trace, cfg SimConfig, strat StrategyConfig, data array.DataFunc) (*WriteDist, *array.Runner, error) {
 	return bruteForce(tr, cfg, strat, data, array.NewRunner)
 }
@@ -360,10 +350,6 @@ func bruteForce(tr *program.Trace, cfg SimConfig, strat StrategyConfig, data arr
 	if err != nil {
 		return nil, nil, err
 	}
-	// The word-parallel runner may shard fused gate batches into word
-	// blocks on arrays wide enough to amortize dispatch; the scalar
-	// reference ignores the budget.
-	runner.SetWorkers(cfg.Workers)
 
 	every := cfg.recompileEvery()
 	epoch := 0

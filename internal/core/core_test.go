@@ -58,9 +58,6 @@ func TestWriteDistBasics(t *testing.T) {
 	if d.Max() != 7 || d.Total() != 10 {
 		t.Errorf("max %d total %d", d.Max(), d.Total())
 	}
-	if d.MaxPerIteration() != 3.5 {
-		t.Errorf("max/iter = %v", d.MaxPerIteration())
-	}
 	o := core.NewWriteDist(4, 3)
 	if d.Equal(o) {
 		t.Error("distinct dists reported equal")

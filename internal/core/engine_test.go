@@ -119,24 +119,6 @@ func TestEngineMemoizesCyclicShifts(t *testing.T) {
 	}
 }
 
-// MaxPerIteration on a distribution with no iterations must report 0,
-// not +Inf or NaN — reachable via NewWriteDist and via zero-iteration
-// traceio round-trips.
-func TestMaxPerIterationZeroIterations(t *testing.T) {
-	d := core.NewWriteDist(4, 4)
-	if got := d.MaxPerIteration(); got != 0 {
-		t.Errorf("fresh dist MaxPerIteration = %v, want 0", got)
-	}
-	d.Counts[3] = 12 // counts but still zero iterations
-	if got := d.MaxPerIteration(); got != 0 {
-		t.Errorf("zero-iteration dist MaxPerIteration = %v, want 0", got)
-	}
-	d.Iterations = 4
-	if got := d.MaxPerIteration(); got != 3 {
-		t.Errorf("MaxPerIteration = %v, want 3", got)
-	}
-}
-
 // SoftwareConfigs must return a copy: appending to it must not corrupt
 // the +Hw entries of AllConfigs' backing array.
 func TestSoftwareConfigsIsCopy(t *testing.T) {
@@ -176,8 +158,8 @@ func TestNegativeShiftStepRejected(t *testing.T) {
 	}
 }
 
-// A zero-iteration distribution that round-trips through traceio must
-// keep reporting a finite MaxPerIteration.
+// A zero-iteration distribution must round-trip through traceio cell for
+// cell.
 func TestZeroIterationDistRoundTrip(t *testing.T) {
 	d := core.NewWriteDist(3, 5)
 	d.Counts[7] = 9
@@ -189,7 +171,7 @@ func TestZeroIterationDistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := back.MaxPerIteration(); got != 0 {
-		t.Errorf("round-tripped zero-iteration dist MaxPerIteration = %v, want 0", got)
+	if !back.Equal(d) || back.Iterations != 0 {
+		t.Errorf("round-tripped zero-iteration dist differs: iterations %d, equal %v", back.Iterations, back.Equal(d))
 	}
 }

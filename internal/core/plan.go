@@ -49,15 +49,14 @@ type WearPlan struct {
 	// Replay and landing inputs: flattened write ops, per-mask lane sets,
 	// the masks the write ops use split into full (landed rank-1) and
 	// partial (scattered through sorted lane sets), the full-mask row
-	// sequence, and the analytic renamer cycle (valid only when the trace
-	// fits the renamer; see hwCycleValid).
-	ops          []wop
-	maskLanes    [][]int
-	fullMasks    []int32
-	partMasks    []int32
-	fullRows     []int32
-	cycle        mapping.RenamerCycle
-	hwCycleValid bool
+	// sequence, and the analytic renamer cycle (zero unless the trace fits
+	// the renamer).
+	ops       []wop
+	maskLanes [][]int
+	fullMasks []int32
+	partMasks []int32
+	fullRows  []int32
+	cycle     mapping.RenamerCycle
 
 	// Reusable engine scratch pooled on the plan (see arena.go); the one
 	// field with interior mutability, guarded by its own mutex.
@@ -103,7 +102,6 @@ func NewWearPlan(tr *program.Trace, rows int, preset bool) *WearPlan {
 	// before the cycle is ever consulted.
 	if rows >= 2 && tr.LaneBits <= rows-1 {
 		p.cycle = mapping.AnalyzeRenamerCycle(rows, p.fullRows)
-		p.hwCycleValid = true
 	}
 	return p
 }
@@ -120,11 +118,6 @@ func (p *WearPlan) PresetOutputs() bool { return p.preset }
 // Stats returns the trace statistics (steps, utilization, cell traffic)
 // computed once at plan-build time.
 func (p *WearPlan) Stats() program.Stats { return p.stats }
-
-// Cycle returns the analytic renamer cycle of one trace iteration, and
-// whether it is valid for this plan's row count (false when the trace
-// does not fit the renamer's architectural rows).
-func (p *WearPlan) Cycle() (mapping.RenamerCycle, bool) { return p.cycle, p.hwCycleValid }
 
 // FullRowWrites returns the between-invariant part of the one-iteration
 // write matrix: parallel slices of logical rows receiving full-mask

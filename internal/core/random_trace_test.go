@@ -148,7 +148,8 @@ func antichainOverlapping(masks []*program.Mask) bool {
 // 18 configurations, WearPlan.Simulate at 1 and 3 workers (unsampled
 // and sampled), a Stepper, SimulateReference and BruteForce produce the
 // same distribution, over an iteration count the recompile period does
-// not divide. A failure names the seed that rebuilds its trace.
+// not divide, and that distribution holds the trace's cell writes once
+// per iteration. A failure names the seed that rebuilds its trace.
 func TestRandomTracesAgreeAcrossEngines(t *testing.T) {
 	const seeds = 40
 	for seed := int64(1); seed <= seeds; seed++ {
@@ -166,12 +167,18 @@ func TestRandomTracesAgreeAcrossEngines(t *testing.T) {
 				Seed: seed, ShiftStep: rng.Intn(3),
 			}
 			plan := core.NewWearPlan(tr, rows, preset)
+			// Strategies only move writes between cells: every one of them
+			// lands the trace's cell writes once per iteration.
+			total := uint64(tr.CellWrites(preset)) * uint64(iters)
 			for _, strat := range core.AllConfigs() {
 				name := fmt.Sprintf("seed %d (lanes %d, rows %d, %d ops, iters %d/%d) preset=%v %s",
 					seed, tr.Lanes, rows, len(tr.Ops), iters, every, preset, strat.Name())
 				ref, err := core.SimulateReference(tr, sim, strat)
 				if err != nil {
 					t.Fatalf("%s: reference: %v", name, err)
+				}
+				if got := ref.Total(); got != total {
+					t.Errorf("%s: %d total writes, want %d cell writes × %d iterations", name, got, tr.CellWrites(preset), iters)
 				}
 				brute, _, err := core.BruteForce(tr, sim, strat, nil)
 				if err != nil {

@@ -92,9 +92,3 @@ func (c ConvModel) MultiplyJ(bits int) float64 {
 func EnergyDelayProduct(b Breakdown, steps int, stepSeconds float64) float64 {
 	return b.Total() * float64(steps) * stepSeconds
 }
-
-// ToFailure returns the total energy an array dissipates before its first
-// cell fails: energy per iteration × iterations-to-failure.
-func ToFailure(perIteration Breakdown, iterationsToFailure float64) float64 {
-	return perIteration.Total() * iterationsToFailure
-}

@@ -98,13 +98,6 @@ func TestEnergyDelayProduct(t *testing.T) {
 	}
 }
 
-func TestToFailure(t *testing.T) {
-	b := Breakdown{WriteJ: 2e-9}
-	if got := ToFailure(b, 1e6); math.Abs(got-2e-3) > 1e-12 {
-		t.Errorf("energy to failure = %g, want 2e-3", got)
-	}
-}
-
 func TestConvMultiplyJ(t *testing.T) {
 	c := ConvModel{BitMoveJ: 1e-12, OpJ: 10e-12}
 	// 128 bits moved + ALU.

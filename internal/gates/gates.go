@@ -87,34 +87,9 @@ func (k Kind) Eval(a, b bool) bool {
 	panic(fmt.Sprintf("gates: invalid kind %d", uint8(k)))
 }
 
-// EvalWord computes the gate's output for 64 lanes at once, one lane per
-// bit (the bit-packed array simulator's kernel). Single-input gates
-// ignore b. Inactive-lane bits produce garbage the caller masks off.
-// Like Eval, it panics on an invalid kind.
-func (k Kind) EvalWord(a, b uint64) uint64 {
-	switch k {
-	case NOT:
-		return ^a
-	case COPY:
-		return a
-	case AND:
-		return a & b
-	case NAND:
-		return ^(a & b)
-	case OR:
-		return a | b
-	case NOR:
-		return ^(a | b)
-	case XOR:
-		return a ^ b
-	case XNOR:
-		return ^(a ^ b)
-	}
-	panic(fmt.Sprintf("gates: invalid kind %d", uint8(k)))
-}
-
-// EvalWords is the bulk form of EvalWord: it evaluates the gate over
-// parallel word slices and merges each result into dst under the
+// EvalWords computes the gate's output 64 lanes per word, one lane per
+// bit (the bit-packed array simulator's kernel): it evaluates the gate
+// over parallel word slices and merges each result into dst under the
 // corresponding lane-mask word — dst[i] keeps its bits where mask[i] is
 // 0, takes the gate's where it is 1, and all-ones words are stored
 // directly. The gate-kind dispatch is hoisted out of the per-word loop
@@ -184,21 +159,4 @@ func Kinds() []Kind {
 		out[i] = Kind(i)
 	}
 	return out
-}
-
-// IsUniversal reports whether the given set of gate kinds is functionally
-// complete (can synthesize any Boolean function). It checks the classical
-// criteria: the set must contain a gate that is not monotone-preserving in
-// a way that allows inversion, which for this small catalogue reduces to
-// containing NAND or NOR, or containing NOT (or an inverting two-input
-// gate) together with AND or OR.
-func IsUniversal(set []Kind) bool {
-	have := map[Kind]bool{}
-	for _, k := range set {
-		have[k] = true
-	}
-	if have[NAND] || have[NOR] {
-		return true
-	}
-	return have[NOT] && (have[AND] || have[OR])
 }

@@ -80,29 +80,6 @@ func TestCellCosts(t *testing.T) {
 	}
 }
 
-// NAND and NOR must each be self-sufficient universal sets; AND alone, or
-// NOT alone, must not be.
-func TestIsUniversal(t *testing.T) {
-	cases := []struct {
-		set  []Kind
-		want bool
-	}{
-		{[]Kind{NAND}, true},
-		{[]Kind{NOR}, true},
-		{[]Kind{NOT, AND}, true},
-		{[]Kind{NOT, OR}, true},
-		{[]Kind{AND, OR}, false},
-		{[]Kind{NOT}, false},
-		{[]Kind{COPY, XOR}, false},
-		{nil, false},
-	}
-	for _, c := range cases {
-		if got := IsUniversal(c.set); got != c.want {
-			t.Errorf("IsUniversal(%v) = %v, want %v", c.set, got, c.want)
-		}
-	}
-}
-
 // Property: NAND(a,b) == NOT(AND(a,b)) and the De Morgan dual holds, for
 // all inputs. This pins the truth tables against each other.
 func TestGateAlgebraProperties(t *testing.T) {

@@ -103,22 +103,6 @@ func HeatmapPGM(w io.Writer, g *stats.Grid) error {
 	return nil
 }
 
-// GridCSV writes the grid as comma-separated rows.
-func GridCSV(w io.Writer, g *stats.Grid) error {
-	for r := 0; r < g.Rows; r++ {
-		for c := 0; c < g.Cols; c++ {
-			sep := ","
-			if c == g.Cols-1 {
-				sep = "\n"
-			}
-			if _, err := fmt.Fprintf(w, "%g%s", g.At(r, c), sep); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // SeriesCSV writes aligned series as a CSV with a header row. All columns
 // must have equal length.
 func SeriesCSV(w io.Writer, headers []string, cols ...[]float64) error {

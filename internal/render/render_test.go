@@ -81,17 +81,6 @@ func TestHeatmapPGM(t *testing.T) {
 	}
 }
 
-func TestGridCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := GridCSV(&buf, rampGrid()); err != nil {
-		t.Fatal(err)
-	}
-	want := "0,0.2,0.4\n0.6,0.8,1\n"
-	if buf.String() != want {
-		t.Errorf("csv = %q, want %q", buf.String(), want)
-	}
-}
-
 // failAfter errors once its byte budget is exhausted.
 type failAfter struct{ n int }
 
@@ -124,16 +113,10 @@ func TestWriterErrorsPropagate(t *testing.T) {
 		return buf.Len()
 	}
 	pgmLen := size(func(w *bytes.Buffer) error { return HeatmapPGM(w, g) })
-	csvLen := size(func(w *bytes.Buffer) error { return GridCSV(w, g) })
 	serLen := size(func(w *bytes.Buffer) error { return SeriesCSV(w, []string{"x"}, []float64{1, 2, 3}) })
 	for budget := 0; budget < pgmLen; budget += 3 {
 		if err := HeatmapPGM(&failAfter{n: budget}, g); err == nil {
 			t.Fatalf("PGM with %d-byte budget should fail", budget)
-		}
-	}
-	for budget := 0; budget < csvLen; budget += 3 {
-		if err := GridCSV(&failAfter{n: budget}, g); err == nil {
-			t.Fatalf("CSV with %d-byte budget should fail", budget)
 		}
 	}
 	for budget := 0; budget < serLen; budget++ {

@@ -73,16 +73,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// Markdown returns the Markdown rendering as a string.
-func (t *Table) Markdown() string {
-	var sb strings.Builder
-	if err := t.WriteMarkdown(&sb); err != nil {
-		// strings.Builder never errors; keep the signature honest anyway.
-		panic(err)
-	}
-	return sb.String()
-}
-
 // Fixed formats a float with the given number of decimals.
 func Fixed(v float64, decimals int) string {
 	return fmt.Sprintf("%.*f", decimals, v)

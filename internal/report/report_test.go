@@ -6,11 +6,20 @@ import (
 	"testing"
 )
 
+func markdown(t *testing.T, tb *Table) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := tb.WriteMarkdown(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 func TestTableMarkdown(t *testing.T) {
 	tb := NewTable("Table 3", "Benchmark", "Lifetime")
 	tb.AddRow("mult", "1.59×")
 	tb.AddRow("conv", "2.22×")
-	md := tb.Markdown()
+	md := markdown(t, tb)
 	for _, want := range []string{"### Table 3", "| Benchmark | Lifetime |", "| --- | --- |", "| conv | 2.22× |"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q:\n%s", want, md)
@@ -21,7 +30,7 @@ func TestTableMarkdown(t *testing.T) {
 func TestTableMarkdownNoTitle(t *testing.T) {
 	tb := NewTable("", "a")
 	tb.AddRow("1")
-	if strings.Contains(tb.Markdown(), "###") {
+	if strings.Contains(markdown(t, tb), "###") {
 		t.Error("untitled table should not emit a heading")
 	}
 }

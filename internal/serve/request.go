@@ -52,7 +52,7 @@ type Request struct {
 
 	// Strategies selects load-balancing configurations by paper label
 	// ("StxSt", "RaxBs+Hw", …). Empty means all 18 for /sweep and /fleet
-	// and the St×St baseline for /run.
+	// and the St×St baseline for /run, which takes at most one.
 	Strategies []string `json:"strategies,omitempty"`
 	// Technology names the device model: "MRAM" (default), "RRAM",
 	// "PCM", "MRAM-projected".
@@ -138,12 +138,16 @@ func (r Request) kernelParams() pim.KernelParams {
 	return pim.KernelParams{Bits: r.Bits, N: r.N, GroupLanes: r.GroupLanes, MultsPerLane: r.MultsPerLane, Synapses: r.Synapses}
 }
 
-// validate checks a normalized request against the server's admission
-// caps — the cheap rejection (400) that keeps a hostile or mistyped
-// request from ever reaching the compile/simulate pipeline.
-func (r Request) validate(cfg Config) error {
+// validate checks a normalized request for a job kind ("run", "sweep" or
+// "fleet") against the server's admission caps — the cheap rejection
+// (400) that keeps a hostile or mistyped request from ever reaching the
+// compile/simulate pipeline.
+func (r Request) validate(cfg Config, kind string) error {
 	if _, _, err := pim.ResolveKernel(r.Benchmark, r.Lanes, r.kernelParams()); err != nil {
 		return err
+	}
+	if kind == "run" && len(r.Strategies) > 1 {
+		return fmt.Errorf("/run simulates one strategy, got %d; use /sweep for several", len(r.Strategies))
 	}
 	if r.Lanes > cfg.MaxLanes || r.Rows > cfg.MaxRows {
 		return fmt.Errorf("array %d×%d exceeds the server cap %d×%d", r.Lanes, r.Rows, cfg.MaxLanes, cfg.MaxRows)

@@ -98,6 +98,8 @@ func FuzzRequest(f *testing.F) {
 		`{"benchmark":"mult","bogus":1}`,
 		// A dot product at a lane count that is not a power of two.
 		`{"benchmark":"dot","lanes":24,"rows":512,"bits":4,"iterations":100}`,
+		// Two strategies: a /sweep body that /run rejects.
+		`{"benchmark":"mult","strategies":["StxSt","RaxRa"]}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -113,7 +115,7 @@ func FuzzRequest(f *testing.F) {
 				t.Fatalf("normalize is not idempotent:\n%s\n%s", a, b)
 			}
 		}
-		if norm.validate(cfg) != nil {
+		if norm.validate(cfg, "sweep") != nil {
 			return
 		}
 		name, _, err := pim.ResolveKernel(norm.Benchmark, norm.Lanes, norm.kernelParams())

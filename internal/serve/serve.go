@@ -271,7 +271,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string) {
 		return
 	}
 	req = req.normalized()
-	if err := req.validate(s.cfg); err != nil {
+	if err := req.validate(s.cfg, kind); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -390,6 +390,25 @@ func TestRunEndpoint(t *testing.T) {
 	}
 }
 
+// POST /run simulates one strategy; a body naming several is rejected at
+// admission with a pointer to /sweep rather than run on its first.
+func TestRunRejectsSeveralStrategies(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	body := smallSweep()
+	body["strategies"] = []string{"StxSt", "RaxBs+Hw"}
+	code, out := postJSON(t, ts.Client(), ts.URL+"/run", body)
+	if code != http.StatusBadRequest {
+		t.Fatalf("POST /run with two strategies: status %d body %v, want 400", code, out)
+	}
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "/sweep") {
+		t.Errorf("error %q does not point at /sweep", msg)
+	}
+}
+
 // A sampled job's wear series are registered under the job's scoped
 // prefix while it runs and unregistered at completion; the samples
 // survive in the result.

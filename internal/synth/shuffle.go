@@ -18,18 +18,6 @@ func CopyVector(bld *program.Builder, src []program.Bit) []program.Bit {
 	return dst
 }
 
-// DoubleNotVector is the fallback for architectures without a native COPY
-// (§3.2 footnote 5): two sequential NOT gates per bit.
-func DoubleNotVector(bld *program.Builder, src []program.Bit) []program.Bit {
-	dst := make([]program.Bit, len(src))
-	for i, s := range src {
-		inv := bld.Not(s)
-		dst[i] = bld.Not(inv)
-		bld.Free(inv)
-	}
-	return dst
-}
-
 // ShuffledMult makes §3.2's memory-access-aware re-mapping executable
 // (Fig. 10): the two input operands are first copied to freshly allocated
 // workspace locations with COPY gates (2b gates — this is the shuffle: the

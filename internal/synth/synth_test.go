@@ -412,17 +412,13 @@ func TestEqualFunctional(t *testing.T) {
 func TestCopyAndDoubleNotVectors(t *testing.T) {
 	const b = 8
 	x := uint64(0xA5)
-	var copySlot, dnSlot int
+	var copySlot int
 	r := runLanes(t, 1, 256, func(bld *program.Builder) {
 		xb, _ := bld.WriteVector(b)
 		copySlot = bld.ReadVector(synth.CopyVector(bld, xb))
-		dnSlot = bld.ReadVector(synth.DoubleNotVector(bld, xb))
 	}, wordData(b, [][]uint64{{x}}))
 	if got := r.OutWord(copySlot, b, 0); got != x {
 		t.Errorf("CopyVector = %#x, want %#x", got, x)
-	}
-	if got := r.OutWord(dnSlot, b, 0); got != x {
-		t.Errorf("DoubleNotVector = %#x, want %#x", got, x)
 	}
 }
 

@@ -10,7 +10,7 @@
 // in parallel. Each array's first-cell-failure time comes from the
 // single-array analysis (package lifetime); array-to-array variation is
 // lognormal. The chip is serviceable while at least a minimum fraction of
-// arrays survive, and its throughput degrades as arrays die.
+// arrays survive.
 package system
 
 import (
@@ -113,39 +113,4 @@ func ChipLifetime(arrayMedianSeconds float64, cfg Config, trials int, seed int64
 		P95:             q(0.95),
 		ArraysTolerated: tolerated,
 	}, nil
-}
-
-// Throughput models aggregate kernel throughput: arrays × lanes-parallel
-// operations per second, discounted by inter-array communication.
-type Throughput struct {
-	// OpsPerArrayPerSecond is a single array's kernel completion rate
-	// (1 / iteration latency).
-	OpsPerArrayPerSecond float64
-	// CommOverhead is the fraction of time lost to inter-array data
-	// movement when combining results (0 for embarrassingly parallel
-	// kernels, §2.2).
-	CommOverhead float64
-}
-
-// Effective returns chip throughput with the given number of surviving
-// arrays.
-func (t Throughput) Effective(surviving int) float64 {
-	if surviving <= 0 {
-		return 0
-	}
-	return float64(surviving) * t.OpsPerArrayPerSecond * (1 - t.CommOverhead)
-}
-
-// DegradationCurve returns effective throughput as arrays fail one by one,
-// from all alive down to the serviceability limit.
-func DegradationCurve(t Throughput, cfg Config) ([]float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	tolerated := int(cfg.SpareFraction * float64(cfg.Arrays))
-	out := make([]float64, tolerated+1)
-	for failed := 0; failed <= tolerated; failed++ {
-		out[failed] = t.Effective(cfg.Arrays - failed)
-	}
-	return out, nil
 }

@@ -111,36 +111,3 @@ func TestChipLifetimeErrors(t *testing.T) {
 		t.Error("invalid config accepted")
 	}
 }
-
-func TestThroughput(t *testing.T) {
-	tp := Throughput{OpsPerArrayPerSecond: 1000, CommOverhead: 0.2}
-	if got := tp.Effective(10); math.Abs(got-8000) > 1e-9 {
-		t.Errorf("effective = %v, want 8000", got)
-	}
-	if tp.Effective(0) != 0 || tp.Effective(-1) != 0 {
-		t.Error("dead chip should have zero throughput")
-	}
-}
-
-func TestDegradationCurve(t *testing.T) {
-	cfg := Config{Arrays: 8, SpareFraction: 0.5, DutyCycle: 1}
-	tp := Throughput{OpsPerArrayPerSecond: 100}
-	curve, err := DegradationCurve(tp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 5 { // 0..4 failures tolerated
-		t.Fatalf("curve length %d, want 5", len(curve))
-	}
-	if curve[0] != 800 || curve[4] != 400 {
-		t.Errorf("curve endpoints %v, %v", curve[0], curve[4])
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i] >= curve[i-1] {
-			t.Error("throughput should strictly degrade")
-		}
-	}
-	if _, err := DegradationCurve(tp, Config{}); err == nil {
-		t.Error("invalid config accepted")
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"pimendure/internal/core"
 	"pimendure/internal/gates"
@@ -20,6 +21,12 @@ const FormatVersion = 1
 // opRecord is the compact per-op encoding:
 // [kind, gate, out, in0, in1, mask, laneShift, data].
 type opRecord [8]int32
+
+// maxLanes bounds a decoded trace's lane count at 64 times the paper's
+// 1024-lane array. Every mask costs a Lanes-bit bitmap, so the bound
+// keeps a corrupt header from making the decoder allocate and fill
+// gigabytes.
+const maxLanes = 1 << 16
 
 type traceJSON struct {
 	Version    int        `json:"version"`
@@ -54,13 +61,17 @@ func WriteTrace(w io.Writer, tr *program.Trace) error {
 		out.Masks = append(out.Masks, mj)
 	}
 	for _, op := range tr.Ops {
-		out.Ops = append(out.Ops, opRecord{
-			int32(op.Kind), int32(op.Gate), int32(op.Out), int32(op.In0), int32(op.In1),
-			int32(op.Mask), op.LaneShift, op.Data,
-		})
+		out.Ops = append(out.Ops, encodeOp(op))
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
+}
+
+func encodeOp(op program.Op) opRecord {
+	return opRecord{
+		int32(op.Kind), int32(op.Gate), int32(op.Out), int32(op.In0), int32(op.In1),
+		int32(op.Mask), op.LaneShift, op.Data,
+	}
 }
 
 // ReadTrace decodes and validates a trace.
@@ -73,8 +84,11 @@ func ReadTrace(r io.Reader) (*program.Trace, error) {
 	if in.Version != FormatVersion {
 		return nil, fmt.Errorf("traceio: unsupported trace format version %d (want %d)", in.Version, FormatVersion)
 	}
-	if in.Lanes <= 0 {
-		return nil, fmt.Errorf("traceio: non-positive lane count %d", in.Lanes)
+	if in.Lanes <= 0 || in.Lanes > maxLanes {
+		return nil, fmt.Errorf("traceio: lane count %d outside 1..%d", in.Lanes, maxLanes)
+	}
+	if in.WriteSlots < 0 || in.ReadSlots < 0 {
+		return nil, fmt.Errorf("traceio: negative slot count (%d write, %d read)", in.WriteSlots, in.ReadSlots)
 	}
 	tr := program.NewTrace(in.Lanes)
 	tr.WriteSlots = in.WriteSlots
@@ -100,6 +114,14 @@ func ReadTrace(r io.Reader) (*program.Trace, error) {
 		}
 	}
 	for i, rec := range in.Ops {
+		// Kind and gate are uint8 in memory: range-check them before the
+		// conversion, which would wrap silently.
+		if rec[0] < 0 || rec[0] > int32(program.OpMove) {
+			return nil, fmt.Errorf("traceio: op %d has unknown kind %d", i, rec[0])
+		}
+		if rec[1] < 0 || rec[1] > math.MaxUint8 {
+			return nil, fmt.Errorf("traceio: op %d has out-of-range gate %d", i, rec[1])
+		}
 		op := program.Op{
 			Kind:      program.OpKind(rec[0]),
 			Gate:      gates.Kind(rec[1]),
@@ -109,9 +131,6 @@ func ReadTrace(r io.Reader) (*program.Trace, error) {
 			Mask:      program.MaskID(rec[5]),
 			LaneShift: rec[6],
 			Data:      rec[7],
-		}
-		if op.Kind > program.OpMove {
-			return nil, fmt.Errorf("traceio: op %d has unknown kind %d", i, rec[0])
 		}
 		tr.Append(op)
 	}

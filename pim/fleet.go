@@ -58,9 +58,6 @@ type FleetConfig struct {
 	// technology's median endurance, bit-identical to drawing each
 	// technology on its own.
 	Seed int64
-	// Quantiles are the survival probabilities to extract; nil selects
-	// B1/B10/B50 (fleet.DefaultQuantiles).
-	Quantiles []float64
 	// Series, when non-nil, receives per-draw-batch progress rows with
 	// the cumulative device count across the whole study (a batch
 	// counts its devices once per technology, so the last row is points
@@ -82,8 +79,8 @@ type FleetPoint struct {
 	Groups, Cells int
 	// MeanIterations is the fleet-mean first-failure iteration count.
 	MeanIterations float64
-	// Quantiles holds the B-life iteration counts, parallel to
-	// FleetConfig.Quantiles (default B1, B10, B50).
+	// Quantiles holds the B1, B10 and B50 iteration counts, in that order
+	// (fleet.DefaultQuantiles).
 	Quantiles []float64
 	// DeterministicIterations is the paper's uniform-endurance Eq. 4
 	// value — the Fig. 17 ranking metric — for comparison.
@@ -187,7 +184,6 @@ func fleetPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []
 				Devices:    fc.Devices,
 				Seed:       fc.Seed,
 				Workers:    rc.Workers,
-				Quantiles:  fc.Quantiles,
 				Series:     fc.Series,
 				SeriesBase: seriesBase,
 			})

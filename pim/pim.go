@@ -314,8 +314,7 @@ func runPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, s Strategy, tec
 	}
 	st := plan.Stats()
 	// One fused pass over the distribution supplies both the lifetime
-	// model's max-per-iteration and the imbalance factor (the separate
-	// MaxPerIteration + MaxOverMean calls each rescanned the counts).
+	// model's max-per-iteration and the imbalance factor.
 	sum := stats.Summarize(dist.Counts)
 	maxPerIter := 0.0
 	if dist.Iterations > 0 {

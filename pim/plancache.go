@@ -86,9 +86,6 @@ func (c *PlanCache) lookup(key string) (*core.WearPlan, bool) {
 // entry past capacity. Concurrent builders of the same key keep the
 // first stored plan (the plans are interchangeable by construction).
 func (c *PlanCache) store(key string, plan *core.WearPlan) {
-	if c.capacity <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
@@ -104,8 +101,12 @@ func (c *PlanCache) store(key string, plan *core.WearPlan) {
 
 // Plan returns the cached WearPlan for the benchmark at this geometry,
 // building and caching it on a miss. The second return reports whether
-// the plan came from the cache.
+// the plan came from the cache. A cache that stores nothing builds the
+// plan without fingerprinting the trace.
 func (c *PlanCache) Plan(b *Benchmark, opt Options) (*core.WearPlan, bool) {
+	if c.capacity <= 0 {
+		return core.NewWearPlan(b.Trace, opt.Rows, opt.PresetOutputs), false
+	}
 	key := Fingerprint(b, opt)
 	if plan, ok := c.lookup(key); ok {
 		return plan, true
