@@ -1,10 +1,11 @@
 // Command pimserve runs the endurance-as-a-service job server: the obs
-// telemetry listener (-serve) extended with POST /sweep, POST /run,
-// POST /fleet and GET /jobs/<id> from internal/serve. Clients submit
-// named benchmarks with a pim.RunConfig as JSON (plus devices/sigmas/
-// technologies for fleet-survival studies), poll job ids for progress,
-// and repeated or identical requests are answered from the WearPlan
-// cache and coalesced onto one execution. Every accepted job carries a
+// telemetry listener (-serve, which also serves /debug/pprof/) with
+// internal/serve's POST /sweep, POST /run, POST /fleet and GET
+// /jobs/<id> as its Run.Handler. Clients submit named benchmarks with a
+// pim.RunConfig as JSON (plus devices/sigmas/technologies for
+// fleet-survival studies), poll job ids for progress, and repeated or
+// identical requests are answered from the WearPlan cache and coalesced
+// onto one execution. Every accepted job carries a
 // trace id: GET /jobs/<id>/trace returns that job's Chrome trace slice,
 // GET /events tails the structured admission log as JSON Lines, and
 // GET /dashboard serves a self-refreshing HTML view of queue depth,
@@ -19,6 +20,7 @@
 //	curl -s localhost:8090/jobs/j000001
 //	curl -s localhost:8090/jobs/j000001/trace
 //	curl -s 'localhost:8090/events?n=100'
+//	curl -s localhost:8090/debug/pprof/heap > heap.pprof
 package main
 
 import (
@@ -53,10 +55,6 @@ func main() {
 	if run.ServeAddr == "" {
 		run.ServeAddr = "localhost:8090"
 	}
-	if err := run.Start(); err != nil {
-		log.Fatal(err)
-	}
-
 	srv := serve.New(serve.Config{
 		Workers:       *workers,
 		QueueDepth:    *queue,
@@ -67,15 +65,18 @@ func main() {
 		MaxIterations: *maxIters,
 		MaxDevices:    *maxDevices,
 	})
-	srv.Mount(obs.Handle)
-	log.Printf("serving on http://%s (POST /sweep, POST /run, POST /fleet, GET /jobs/<id>[/trace], GET /metrics, GET /events, GET /dashboard)", run.ServeBound())
+	run.Handler = srv
+	if err := run.Start(); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("serving on http://%s (POST /sweep, POST /run, POST /fleet, GET /jobs/<id>[/trace], GET /metrics, GET /events, GET /dashboard, GET /debug/pprof/)", run.ServeBound())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	log.Printf("shutting down: draining running jobs")
+	// New jobs get a 503 from here until Finish closes the listener.
 	srv.Close()
-	srv.Unmount(obs.Handle)
 
 	config := map[string]any{
 		"workers": *workers, "queue": *queue, "cache": *cacheSize,

@@ -59,14 +59,6 @@ func TestPerCellAverages(t *testing.T) {
 	}
 }
 
-func TestOpCostArithmetic(t *testing.T) {
-	a := OpCost{CellReads: 2, CellWrites: 3}
-	b := a.Add(OpCost{CellReads: 1, CellWrites: 1})
-	if b.CellReads != 3 || b.CellWrites != 4 {
-		t.Error("Add wrong")
-	}
-}
-
 func TestStartGapAddressAlgebra(t *testing.T) {
 	s, err := NewStartGap(4, 1)
 	if err != nil {

@@ -21,11 +21,6 @@ type OpCost struct {
 	CellWrites int
 }
 
-// Add accumulates another cost.
-func (c OpCost) Add(o OpCost) OpCost {
-	return OpCost{CellReads: c.CellReads + o.CellReads, CellWrites: c.CellWrites + o.CellWrites}
-}
-
 // ConvMultiply is a b-bit multiply on a conventional architecture: read two
 // b-bit operands, compute in the ALU, write the 2b-bit product (§3.1: "32-
 // bit integer multiplication … incurs 64 cell reads and 64 cell writes").

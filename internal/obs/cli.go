@@ -4,15 +4,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"strings"
 )
 
-// Run bundles the observability lifecycle every CLI shares: the -pprof,
+// Run bundles the observability lifecycle every CLI shares: the
 // -metrics, -serve, -trace and -events flags, enabling the layer (and
 // the span-event ring and structured log) for the process, serving live
 // telemetry, and emitting the run manifest plus trace/series/event-log
@@ -24,16 +22,16 @@ import (
 //	... work ...
 //	run.Finish("out", map[string]any{...}, seed, os.Stdout)
 type Run struct {
-	// PprofAddr, when non-empty, serves net/http/pprof on that address
-	// for the duration of the run (set by -pprof).
-	PprofAddr string
 	// Metrics makes Finish print the counter/stage table (set by
 	// -metrics).
 	Metrics bool
 	// ServeAddr, when non-empty, serves live telemetry — /metrics
-	// (Prometheus text), /healthz, /series, /wear.png — on that address
-	// for the duration of the run (set by -serve).
+	// (Prometheus text), /healthz, /series, /wear.png, /debug/pprof/ —
+	// on that address for the duration of the run (set by -serve).
 	ServeAddr string
+	// Handler, when non-nil, answers every -serve path the telemetry
+	// endpoints do not (a command's own API). Set it before Start.
+	Handler http.Handler
 	// Trace enables the span event ring and makes Finish write the
 	// Chrome trace_event export to out/trace_<cmd>.json (set by -trace,
 	// default on).
@@ -44,28 +42,25 @@ type Run struct {
 	Events bool
 
 	manifest  *Manifest
-	pprofLn   net.Listener
-	pprofSrv  *http.Server
 	telemetry *telemetryServer
 }
 
 // NewRun creates the lifecycle for the named command and registers the
-// -pprof, -metrics, -serve, -trace and -events flags on fs (pass
+// -metrics, -serve, -trace and -events flags on fs (pass
 // flag.CommandLine for whole-process CLIs, or a subcommand's FlagSet).
 func NewRun(cmd string, fs *flag.FlagSet) *Run {
 	r := &Run{manifest: NewManifest(cmd)}
-	fs.StringVar(&r.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.BoolVar(&r.Metrics, "metrics", false, "print the observability counter/stage table at exit")
-	fs.StringVar(&r.ServeAddr, "serve", "", "serve live telemetry (/metrics, /healthz, /series, /events, /dashboard, /wear.png) on this address (e.g. localhost:8090)")
+	fs.StringVar(&r.ServeAddr, "serve", "", "serve live telemetry (/metrics, /healthz, /series, /events, /dashboard, /wear.png) and profiles (/debug/pprof/) on this address (e.g. localhost:8090)")
 	fs.BoolVar(&r.Trace, "trace", true, "record span begin/end events and write out/trace_<cmd>.json (Chrome trace_event format)")
 	fs.BoolVar(&r.Events, "events", true, "record structured events and write out/events_<cmd>.jsonl (JSON Lines)")
 	return r
 }
 
 // Start enables the observability layer (and, with -trace, the span
-// event ring), then binds the -pprof and -serve servers. Call it right
-// after flag parsing. Listeners are bound synchronously so a bad address
-// errors here; the servers run until Finish.
+// event ring), then binds the -serve server. Call it right after flag
+// parsing. The listener is bound synchronously so a bad address errors
+// here; the server runs until Finish.
 func (r *Run) Start() error {
 	Enable()
 	if r.Trace {
@@ -74,39 +69,14 @@ func (r *Run) Start() error {
 	if r.Events {
 		EnableLog(DefaultLogCapacity)
 	}
-	if r.PprofAddr != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		ln, err := net.Listen("tcp", r.PprofAddr)
-		if err != nil {
-			return fmt.Errorf("obs: pprof server on %s: %w", r.PprofAddr, err)
-		}
-		r.pprofLn = ln
-		r.pprofSrv = &http.Server{Handler: mux}
-		go func() { _ = r.pprofSrv.Serve(ln) }() // best-effort debug endpoint
-	}
 	if r.ServeAddr != "" {
-		ts, err := startTelemetryServer(r.ServeAddr)
+		ts, err := startTelemetryServer(r.ServeAddr, r.Handler)
 		if err != nil {
-			r.Close()
 			return err
 		}
 		r.telemetry = ts
 	}
 	return nil
-}
-
-// PprofBound returns the pprof server's bound address ("" when -pprof
-// was not given) — with "-pprof localhost:0" this is where it landed.
-func (r *Run) PprofBound() string {
-	if r.pprofLn == nil {
-		return ""
-	}
-	return r.pprofLn.Addr().String()
 }
 
 // ServeBound returns the telemetry server's bound address ("" when
@@ -118,13 +88,9 @@ func (r *Run) ServeBound() string {
 	return r.telemetry.Addr()
 }
 
-// Close shuts down the pprof and telemetry servers, if running. Finish
-// calls it; it is safe to call twice.
+// Close shuts down the telemetry server, if running. Finish calls it; it
+// is safe to call twice.
 func (r *Run) Close() {
-	if r.pprofSrv != nil {
-		_ = r.pprofSrv.Close()
-		r.pprofSrv, r.pprofLn = nil, nil
-	}
 	if r.telemetry != nil {
 		_ = r.telemetry.Close()
 		r.telemetry = nil
@@ -135,7 +101,7 @@ func (r *Run) Close() {
 // manifest, writes manifest_<cmd>.json under outDir, exports the span
 // event ring as trace_<cmd>.json and every registered Series as
 // series_<name>.{csv,json}, prints the counter/stage table when -metrics
-// was given, and shuts the telemetry servers down. config is the CLI's
+// was given, and shuts the telemetry server down. config is the CLI's
 // resolved configuration and seed its random seed (0 if none).
 func (r *Run) Finish(outDir string, config map[string]any, seed int64, w io.Writer) error {
 	defer r.Close()

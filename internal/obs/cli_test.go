@@ -13,15 +13,16 @@ import (
 )
 
 // NewRun registers exactly the shared observability flags, with -trace
-// defaulting on.
+// and -events defaulting on. Profiles are served on -serve, so there is
+// no -pprof.
 func TestRunFlagRegistration(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	obs.NewRun("flagtest", fs)
 	for name, wantDef := range map[string]string{
-		"pprof":   "",
 		"metrics": "false",
 		"serve":   "",
 		"trace":   "true",
+		"events":  "true",
 	} {
 		f := fs.Lookup(name)
 		if f == nil {
@@ -32,10 +33,15 @@ func TestRunFlagRegistration(t *testing.T) {
 			t.Errorf("-%s default %q, want %q", name, f.DefValue, wantDef)
 		}
 	}
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 4 {
+		t.Errorf("NewRun registered %d flags, want 4", n)
+	}
 }
 
-// -pprof localhost:0 binds a live profiling server for the duration of
-// the run and Finish tears it down.
+// -serve localhost:0 serves net/http/pprof for the duration of the run
+// and Finish tears it down.
 func TestRunPprofServer(t *testing.T) {
 	obs.Reset()
 	defer func() {
@@ -44,15 +50,15 @@ func TestRunPprofServer(t *testing.T) {
 	}()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	run := obs.NewRun("pprofttest", fs)
-	if err := fs.Parse([]string{"-pprof", "localhost:0", "-trace=false"}); err != nil {
+	if err := fs.Parse([]string{"-serve", "localhost:0", "-trace=false"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run.Start(); err != nil {
 		t.Fatal(err)
 	}
-	addr := run.PprofBound()
+	addr := run.ServeBound()
 	if addr == "" {
-		t.Fatal("PprofBound empty after Start with -pprof")
+		t.Fatal("ServeBound empty after Start with -serve")
 	}
 	resp, err := http.Get("http://" + addr + "/debug/pprof/cmdline")
 	if err != nil {
@@ -66,14 +72,14 @@ func TestRunPprofServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := http.Get("http://" + addr + "/debug/pprof/cmdline"); err == nil {
-		t.Error("pprof server still serving after Finish")
+		t.Error("pprof endpoint still serving after Finish")
 	}
-	if run.PprofBound() != "" {
-		t.Error("PprofBound non-empty after Close")
+	if run.ServeBound() != "" {
+		t.Error("ServeBound non-empty after Close")
 	}
 }
 
-// A bad -pprof address must fail Start, not die later in the background.
+// A bad -serve address must fail Start, not die later in the background.
 func TestRunStartBadAddress(t *testing.T) {
 	obs.Reset()
 	defer func() {

@@ -8,55 +8,10 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
-	"sync"
 	"time"
 )
-
-// extraHandlers is the dynamic route registry behind Handle: serving
-// layers (internal/serve's job endpoints) mount themselves here and the
-// telemetry server consults the registry on every request, so handlers
-// may be registered before or after the server starts. Patterns follow
-// a reduced http.ServeMux discipline: exact paths ("/sweep") or rooted
-// subtrees ("/jobs/").
-var extraHandlers = struct {
-	mu sync.RWMutex
-	m  map[string]http.Handler
-}{m: map[string]http.Handler{}}
-
-// Handle registers (or, with a nil handler, removes) a handler on the
-// telemetry server under the given pattern — an exact path, or a
-// subtree when the pattern ends in "/". The built-in endpoints
-// (/metrics, /healthz, /series, /wear.png) cannot be shadowed: the
-// registry is consulted only for paths the static mux does not serve.
-func Handle(pattern string, h http.Handler) {
-	extraHandlers.mu.Lock()
-	defer extraHandlers.mu.Unlock()
-	if h == nil {
-		delete(extraHandlers.m, pattern)
-		return
-	}
-	extraHandlers.m[pattern] = h
-}
-
-// lookupHandler resolves a request path against the dynamic registry:
-// exact match first, then the longest registered subtree prefix.
-func lookupHandler(path string) http.Handler {
-	extraHandlers.mu.RLock()
-	defer extraHandlers.mu.RUnlock()
-	if h, ok := extraHandlers.m[path]; ok {
-		return h
-	}
-	var best string
-	var bestH http.Handler
-	for pat, h := range extraHandlers.m {
-		if len(pat) > 0 && pat[len(pat)-1] == '/' &&
-			len(path) >= len(pat) && path[:len(pat)] == pat && len(pat) > len(best) {
-			best, bestH = pat, h
-		}
-	}
-	return bestH
-}
 
 // telemetryShutdownTimeout bounds how long Close waits for in-flight
 // telemetry responses before severing them (a package var so the
@@ -96,7 +51,7 @@ func buffered(w http.ResponseWriter, contentType string, render func(io.Writer) 
 
 // jsonError writes a JSON error body ({"error": msg}) with the given
 // status — keeping machine-readable 404s consistent between the obs
-// endpoints and the serving layers mounted via Handle.
+// endpoints and the serving layer behind Run.Handler.
 func jsonError(w http.ResponseWriter, msg string, code int) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -117,7 +72,12 @@ func jsonError(w http.ResponseWriter, msg string, code int) {
 //	/wear.png   latest wear-distribution heatmap of the series named
 //	            by ?name=, or of the smallest-named series carrying one
 //	            (404 until a sampled run attaches one via Series.SetPNG)
-func startTelemetryServer(addr string) (*telemetryServer, error) {
+//	/debug/pprof/  net/http/pprof's live CPU, heap and trace profiles
+//
+// A non-nil extra answers every other path. The mux routes each request
+// to its longest matching pattern, so extra, mounted on "/", never
+// shadows an endpoint above.
+func startTelemetryServer(addr string, extra http.Handler) (*telemetryServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -169,24 +129,19 @@ func startTelemetryServer(addr string) (*telemetryServer, error) {
 		}
 		buffered(w, "image/png", s.WritePNG)
 	})
-	// Static endpoints win; anything else consults the dynamic Handle
-	// registry so serving layers can mount work endpoints at any time.
-	root := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if _, pat := mux.Handler(r); pat != "" {
-			mux.ServeHTTP(w, r)
-			return
-		}
-		if h := lookupHandler(r.URL.Path); h != nil {
-			h.ServeHTTP(w, r)
-			return
-		}
-		http.NotFound(w, r)
-	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	if extra != nil {
+		mux.Handle("/", extra)
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: telemetry server on %s: %w", addr, err)
 	}
-	ts := &telemetryServer{ln: ln, srv: &http.Server{Handler: root, ReadHeaderTimeout: 5 * time.Second}}
+	ts := &telemetryServer{ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
 	go func() { _ = ts.srv.Serve(ln) }() // runs until Close
 	return ts, nil
 }

@@ -131,14 +131,16 @@ func TestTelemetryServer(t *testing.T) {
 }
 
 // startServer boots a telemetry server on localhost:0 via the Run
-// lifecycle and returns its bound address plus the Run for teardown.
-func startServer(t *testing.T) (string, *obs.Run) {
+// lifecycle, with h (possibly nil) as its Handler, and returns its bound
+// address plus the Run for teardown.
+func startServer(t *testing.T, h http.Handler) (string, *obs.Run) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	run := obs.NewRun("servetest", fs)
 	if err := fs.Parse([]string{"-serve", "localhost:0", "-trace=false"}); err != nil {
 		t.Fatal(err)
 	}
+	run.Handler = h
 	if err := run.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +158,9 @@ func TestTelemetryServerGracefulClose(t *testing.T) {
 		obs.Disable()
 		obs.Reset()
 	}()
-	addr, run := startServer(t)
-
 	started := make(chan struct{})
 	release := make(chan struct{})
-	obs.Handle("/slow", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	addr, run := startServer(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain")
 		fmt.Fprint(w, "first-half ")
 		if f, ok := w.(http.Flusher); ok {
@@ -170,7 +170,6 @@ func TestTelemetryServerGracefulClose(t *testing.T) {
 		<-release
 		fmt.Fprint(w, "second-half")
 	}))
-	defer obs.Handle("/slow", nil)
 
 	type result struct {
 		body string
@@ -216,12 +215,10 @@ func TestTelemetryServerCloseTimeout(t *testing.T) {
 	}()
 	restore := obs.SetTelemetryShutdownTimeout(50 * time.Millisecond)
 	defer restore()
-	addr, run := startServer(t)
-
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	obs.Handle("/hang", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	addr, run := startServer(t, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprint(w, "partial")
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
@@ -229,7 +226,6 @@ func TestTelemetryServerCloseTimeout(t *testing.T) {
 		close(started)
 		<-release
 	}))
-	defer obs.Handle("/hang", nil)
 
 	go func() {
 		resp, err := http.Get("http://" + addr + "/hang")
@@ -259,7 +255,7 @@ func TestWearPNGHandlerErrorPath(t *testing.T) {
 		obs.Disable()
 		obs.Reset()
 	}()
-	addr, run := startServer(t)
+	addr, run := startServer(t, nil)
 	defer run.Close()
 
 	series := obs.NewSeries("wear.failing", "v")
@@ -302,7 +298,7 @@ func TestSeriesHandlerNonFinite(t *testing.T) {
 		obs.Disable()
 		obs.Reset()
 	}()
-	addr, run := startServer(t)
+	addr, run := startServer(t, nil)
 	defer run.Close()
 
 	obs.NewSeries("serve.nan", "v", "cov").Add(1, math.NaN())
@@ -321,41 +317,39 @@ func TestSeriesHandlerNonFinite(t *testing.T) {
 	}
 }
 
-// The dynamic Handle registry: routes can be mounted after the server
-// is up, subtree patterns match, built-ins are not shadowed, and
-// removal restores 404.
-func TestTelemetryServerDynamicHandlers(t *testing.T) {
+// Run.Handler answers every path the telemetry endpoints do not, and
+// shadows none of them: the mux routes each request to its longest
+// matching pattern.
+func TestTelemetryServerHandler(t *testing.T) {
 	obs.Reset()
 	defer func() {
 		obs.Disable()
 		obs.Reset()
 	}()
-	addr, run := startServer(t)
+	addr, run := startServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, "handler:%s", r.URL.Path)
+	}))
 	defer run.Close()
 
-	code, _, _ := get(t, addr, "/jobs/j1")
-	if code != http.StatusNotFound {
-		t.Fatalf("unmounted route = %d, want 404", code)
+	for _, path := range []string{"/jobs/j1", "/sweep", "/"} {
+		if code, _, body := get(t, addr, path); code != http.StatusOK || string(body) != "handler:"+path {
+			t.Errorf("%s = %d %q, want the handler", path, code, body)
+		}
 	}
-	obs.Handle("/jobs/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "job:%s", strings.TrimPrefix(r.URL.Path, "/jobs/"))
-	}))
-	obs.Handle("/healthz", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprint(w, "shadowed")
-	}))
-	defer obs.Handle("/jobs/", nil)
-	defer obs.Handle("/healthz", nil)
-
-	code, _, body := get(t, addr, "/jobs/j1")
-	if code != http.StatusOK || string(body) != "job:j1" {
-		t.Errorf("subtree handler = %d %q", code, body)
-	}
-	if code, _, body = get(t, addr, "/healthz"); strings.TrimSpace(string(body)) != "ok" {
+	if code, _, body := get(t, addr, "/healthz"); strings.TrimSpace(string(body)) != "ok" {
 		t.Errorf("built-in /healthz was shadowed: %d %q", code, body)
 	}
-	obs.Handle("/jobs/", nil)
-	if code, _, _ = get(t, addr, "/jobs/j1"); code != http.StatusNotFound {
-		t.Errorf("removed handler still routed: %d", code)
+	for _, path := range []string{"/metrics", "/series", "/debug/pprof/cmdline"} {
+		if code, _, body := get(t, addr, path); code != http.StatusOK || strings.HasPrefix(string(body), "handler:") {
+			t.Errorf("built-in %s = %d %.40q, shadowed by the handler", path, code, body)
+		}
+	}
+
+	// Without a handler, a path no endpoint serves is a 404.
+	bare, bareRun := startServer(t, nil)
+	defer bareRun.Close()
+	if code, _, _ := get(t, bare, "/jobs/j1"); code != http.StatusNotFound {
+		t.Errorf("no handler: /jobs/j1 = %d, want 404", code)
 	}
 }
 
@@ -370,7 +364,7 @@ func TestWearPNGRegistry(t *testing.T) {
 		obs.Disable()
 		obs.Reset()
 	}()
-	addr, run := startServer(t)
+	addr, run := startServer(t, nil)
 	defer run.Close()
 	render := func(tag string) func(io.Writer) error {
 		return func(w io.Writer) error {

@@ -60,7 +60,6 @@ type Builder struct {
 	inUse    []bool
 	high     int // LowestFirst high-water mark for fresh addresses
 	cursor   int // NextFit scan position
-	maxLive  int
 	live     int
 	curMask  MaskID
 }
@@ -127,9 +126,6 @@ func (b *Builder) Alloc() Bit {
 	}
 	b.inUse[bit] = true
 	b.live++
-	if b.live > b.maxLive {
-		b.maxLive = b.live
-	}
 	return bit
 }
 
@@ -159,10 +155,6 @@ func (b *Builder) Free(bits ...Bit) {
 
 // Live returns the number of currently allocated bits.
 func (b *Builder) Live() int { return b.live }
-
-// MaxLive returns the high-water mark of simultaneously allocated bits
-// (the minimum workspace a lane must provide).
-func (b *Builder) MaxLive() int { return b.maxLive }
 
 // Gate emits a gate reading in0 (and in1 for binary gates) into a freshly
 // allocated output bit, which it returns.

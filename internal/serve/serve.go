@@ -12,10 +12,10 @@
 // for per-epoch wear progress (from the job's scoped obs.Series) and,
 // on completion, the full per-strategy results.
 //
-// The package deliberately does not own an http.Server: it implements
-// http.Handler and mounts its routes onto the obs telemetry server via
-// Server.Mount(obs.Handle), so /sweep, /run and /jobs share the
-// process's -serve listener with /metrics, /series and /wear.png.
+// The package deliberately does not own an http.Server: a Server is an
+// http.Handler, and cmd/pimserve sets it as the obs.Run's Handler, so
+// /sweep, /run, /fleet and /jobs share the process's -serve listener
+// with /metrics, /series, /wear.png and /debug/pprof/.
 package serve
 
 import (
@@ -125,8 +125,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the job server. Create with New, mount with Mount (or use
-// it directly as an http.Handler), stop with Close.
+// Server is the job server. Create with New, serve it as an
+// http.Handler, stop with Close.
 type Server struct {
 	cfg   Config
 	queue *pool.Queue[*job]
@@ -199,26 +199,6 @@ func New(cfg Config) *Server {
 	}
 	s.queue = pool.NewQueue(cfg.Workers, cfg.QueueDepth, s.exec)
 	return s
-}
-
-// Mount registers the server's routes through the given registrar —
-// typically obs.Handle, which grafts them onto the -serve telemetry
-// listener next to /metrics.
-func (s *Server) Mount(register func(pattern string, h http.Handler)) {
-	register("/sweep", s)
-	register("/run", s)
-	register("/fleet", s)
-	register("/jobs", s)
-	register("/jobs/", s)
-}
-
-// Unmount removes the routes registered by Mount.
-func (s *Server) Unmount(register func(pattern string, h http.Handler)) {
-	register("/sweep", nil)
-	register("/run", nil)
-	register("/fleet", nil)
-	register("/jobs", nil)
-	register("/jobs/", nil)
 }
 
 // Close stops admission, waits for running jobs to finish, and marks
@@ -433,39 +413,27 @@ func (s *Server) run(j *job) (*JobResult, error) {
 		Iterations:     req.Iterations,
 		RecompileEvery: req.RecompileEvery,
 		Seed:           req.Seed,
-		Workers:        req.Workers,
-		SampleEvery:    req.SampleEvery,
-		SeriesPrefix:   "serve." + j.id + ".",
-	}
-	if rc.Workers <= 0 {
 		// Budget the engine pool against the job workers so a full queue
 		// does not oversubscribe the CPU cfg.Workers-fold.
-		rc.Workers = pool.Share(runtime.GOMAXPROCS(0), s.cfg.Workers)
+		Workers:      pool.Share(runtime.GOMAXPROCS(0), s.cfg.Workers),
+		SampleEvery:  req.SampleEvery,
+		SeriesPrefix: "serve." + j.id + ".",
 	}
 
-	var results []*pim.Result
-	var hit bool
-	switch j.kind {
-	case "fleet":
-		var out *JobResult
-		out, hit, err = s.runFleet(j, bench, rc, strategies)
+	if j.kind == "fleet" {
+		out, hit, err := s.runFleet(j, bench, rc, strategies)
 		if hit {
 			obsCacheHits.Add(1)
 		} else {
 			obsCacheMisses.Add(1)
 		}
 		return out, err
-	case "sweep":
-		results, hit, err = s.cfg.Cache.Sweep(bench, req.options(), rc, strategies, tech)
-	default:
-		var res *pim.Result
-		strat := pim.StaticStrategy
-		if len(strategies) > 0 {
-			strat = strategies[0]
-		}
-		res, hit, err = s.cfg.Cache.Run(bench, req.options(), rc, strat, tech)
-		results = []*pim.Result{res}
 	}
+	if j.kind == "run" && strategies == nil {
+		// A /run naming no strategy simulates the St×St baseline.
+		strategies = []pim.Strategy{pim.StaticStrategy}
+	}
+	results, hit, err := s.cfg.Cache.Sweep(bench, req.options(), rc, strategies, tech)
 	if hit {
 		obsCacheHits.Add(1)
 	} else {

@@ -328,6 +328,7 @@ func TestRequestValidation(t *testing.T) {
 		"bad strategy":      {"benchmark": "mult", "strategies": []string{"XxYy"}},
 		"bad technology":    {"benchmark": "mult", "technology": "SRAM"},
 		"unknown field":     {"benchmark": "mult", "bogus": 1},
+		"engine workers":    {"benchmark": "mult", "workers": 4},
 	} {
 		if code, out := postJSON(t, ts.Client(), ts.URL+"/sweep", body); code != http.StatusBadRequest || out["error"] == "" {
 			t.Errorf("%s: status %d body %v, want 400 with error", name, code, out)

@@ -61,7 +61,10 @@ BenchmarkHwEngine/engine-2         	       3	   8864908 ns/op	 6314573 B/op	    
 BenchmarkHwEngine/speedup-2        	       3	1356123741 ns/op	       140.4 speedup_x
 BenchmarkPlain                     	      10	       123.5 ns/op
 PASS`
-	got := parseBench(out)
+	got, err := nsPerOp([]byte(out))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := map[string]float64{"BenchmarkHwEngine/engine": 8864908, "BenchmarkHwEngine/speedup": 1356123741, "BenchmarkPlain": 123.5}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %v, want %v", got, want)
@@ -70,5 +73,8 @@ PASS`
 		if math.Abs(got[k]-v) > 0 {
 			t.Errorf("%s = %v, want %v", k, got[k], v)
 		}
+	}
+	if _, err := nsPerOp([]byte("BenchmarkX-2 10 123 ns/op 4.5\n")); err == nil {
+		t.Error("odd value/unit pairing accepted")
 	}
 }

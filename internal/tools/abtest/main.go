@@ -28,6 +28,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -38,7 +39,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
+
+	"pimendure/internal/tools/benchfmt"
 )
 
 // A change of the medians counts only when it is over thresholdPct
@@ -192,7 +194,10 @@ func benchSide(ctx context.Context, cfg config, tree, bin string) (side, error) 
 		if err != nil {
 			return nil, fmt.Errorf("%v\n%s", err, out)
 		}
-		vals := parseBench(string(out))
+		vals, err := nsPerOp(out)
+		if err != nil {
+			return nil, err
+		}
 		if len(vals) == 0 {
 			return nil, fmt.Errorf("no benchmark matched %q", cfg.bench)
 		}
@@ -200,30 +205,19 @@ func benchSide(ctx context.Context, cfg config, tree, bin string) (side, error) 
 	}}, nil
 }
 
-// parseBench returns the ns/op of every benchmark result line in `go
-// test -bench` output, keyed by name without the -GOMAXPROCS suffix.
-func parseBench(out string) map[string]float64 {
-	vals := map[string]float64{}
-	for _, line := range strings.Split(out, "\n") {
-		f := strings.Fields(line)
-		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
-			continue
-		}
-		name := f[0]
-		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		for j := 2; j+1 < len(f); j += 2 {
-			if f[j+1] == "ns/op" {
-				if v, err := strconv.ParseFloat(f[j], 64); err == nil {
-					vals[name] = v
-				}
-			}
-		}
+// nsPerOp returns the ns/op of every benchmark result line in `go test
+// -bench` output, keyed by name without the -GOMAXPROCS suffix. A
+// malformed result line is an error, as it is for benchjson.
+func nsPerOp(out []byte) (map[string]float64, error) {
+	doc, err := benchfmt.Parse(bytes.NewReader(out))
+	if err != nil {
+		return nil, err
 	}
-	return vals
+	vals := make(map[string]float64, len(doc.Benchmarks))
+	for name, r := range doc.Benchmarks {
+		vals[name] = r.NsPerOp
+	}
+	return vals, nil
 }
 
 // metric is one end-to-end metric of BENCHMARK.json.

@@ -6,26 +6,13 @@ import (
 	"io"
 	"os"
 	"sort"
+
+	"pimendure/internal/tools/benchfmt"
 )
-
-// document mirrors the benchjson output shape (internal/tools/benchjson):
-// normalized benchmark name → measurements. Only the fields the diff
-// needs are decoded.
-type document struct {
-	Context    map[string]string `json:"context,omitempty"`
-	Benchmarks map[string]result `json:"benchmarks"`
-}
-
-// result is one benchmark's measurements in a benchjson document.
-type result struct {
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
-}
 
 // readDocument loads a benchjson document from a file, or from stdin
 // when path is "-".
-func readDocument(path string) (*document, error) {
+func readDocument(path string) (*benchfmt.Document, error) {
 	var r io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -35,7 +22,7 @@ func readDocument(path string) (*document, error) {
 		defer f.Close()
 		r = f
 	}
-	var doc document
+	var doc benchfmt.Document
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -99,7 +86,7 @@ func (r report) regressions() []delta {
 // a -benchmem allocs/op metric in both documents are additionally gated
 // on allocation growth beyond allocThresholdPct percent (bases under
 // minGatedAllocs are report-only, as with minNs).
-func compare(base, new *document, thresholdPct, minNs, allocThresholdPct float64) report {
+func compare(base, new *benchfmt.Document, thresholdPct, minNs, allocThresholdPct float64) report {
 	var rep report
 	for name, b := range base.Benchmarks {
 		n, ok := new.Benchmarks[name]

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"pimendure/internal/tools/benchfmt"
 )
 
-func doc(benches map[string]float64) *document {
-	d := &document{Benchmarks: map[string]result{}}
+func doc(benches map[string]float64) *benchfmt.Document {
+	d := &benchfmt.Document{Benchmarks: map[string]benchfmt.Result{}}
 	for name, ns := range benches {
-		d.Benchmarks[name] = result{Iterations: 1, NsPerOp: ns}
+		d.Benchmarks[name] = benchfmt.Result{Iterations: 1, NsPerOp: ns}
 	}
 	return d
 }
@@ -109,10 +111,10 @@ func TestCommittedBaselineSelfCompare(t *testing.T) {
 }
 
 // allocDoc builds a document with ns/op and allocs/op per benchmark.
-func allocDoc(benches map[string][2]float64) *document {
-	d := &document{Benchmarks: map[string]result{}}
+func allocDoc(benches map[string][2]float64) *benchfmt.Document {
+	d := &benchfmt.Document{Benchmarks: map[string]benchfmt.Result{}}
 	for name, v := range benches {
-		d.Benchmarks[name] = result{
+		d.Benchmarks[name] = benchfmt.Result{
 			Iterations: 1, NsPerOp: v[0],
 			Metrics: map[string]float64{"allocs/op": v[1]},
 		}

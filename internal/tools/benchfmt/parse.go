@@ -1,4 +1,9 @@
-package main
+// Package benchfmt reads `go test -bench` text output into the
+// benchjson document: benchmark name → {iterations, ns_per_op, metrics},
+// plus the run's context headers. benchjson writes the document,
+// benchdiff compares two of them, and abtest reads its runs' ns/op
+// through the same parser.
+package benchfmt
 
 import (
 	"bufio"
@@ -9,7 +14,7 @@ import (
 	"strings"
 )
 
-// Document is the JSON shape benchjson emits.
+// Document is the JSON shape benchjson emits and benchdiff reads.
 type Document struct {
 	// Context captures the `key: value` header lines `go test -bench`
 	// prints before the results (goos, goarch, pkg, cpu), plus gomaxprocs:
@@ -48,11 +53,12 @@ func normalizeName(name string) (string, string) {
 	return name[:i], name[i+1:]
 }
 
-// parse consumes `go test -bench` text output and collects benchmark
+// Parse consumes `go test -bench` text output and collects benchmark
 // result lines and context headers. Unrecognized lines (PASS, ok, test
-// log output) are ignored. A benchmark appearing more than once keeps its
-// last measurement.
-func parse(r io.Reader) (*Document, error) {
+// log output) are ignored; a result line with an odd value/unit pairing
+// or a value that is not a number is an error. A benchmark appearing more
+// than once keeps its last measurement.
+func Parse(r io.Reader) (*Document, error) {
 	doc := &Document{Benchmarks: map[string]Result{}}
 	setContext := func(k, v string) {
 		if doc.Context == nil {

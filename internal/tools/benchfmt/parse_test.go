@@ -1,4 +1,4 @@
-package main
+package benchfmt
 
 import (
 	"strings"
@@ -16,7 +16,7 @@ BenchmarkE1MultSynthesis               	     100	    123456 ns/op	      9824 wri
 PASS
 ok  	pimendure	2.944s
 `
-	doc, err := parse(strings.NewReader(in))
+	doc, err := Parse(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestParseRecordsGOMAXPROCS(t *testing.T) {
 		{"BenchmarkA 1 10 ns/op\n", "1"},
 		{"BenchmarkA 1 10 ns/op\nBenchmarkA-2 1 10 ns/op\nBenchmarkB 1 10 ns/op\n", "1,2"},
 	} {
-		doc, err := parse(strings.NewReader(c.in))
+		doc, err := Parse(strings.NewReader(c.in))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestParseRecordsGOMAXPROCS(t *testing.T) {
 			t.Errorf("gomaxprocs = %q, want %q for:\n%s", got, c.want, c.in)
 		}
 	}
-	doc, err := parse(strings.NewReader("goos: linux\nPASS\n"))
+	doc, err := Parse(strings.NewReader("goos: linux\nPASS\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +75,13 @@ func TestParseRecordsGOMAXPROCS(t *testing.T) {
 }
 
 func TestParseRejectsMalformedPairs(t *testing.T) {
-	if _, err := parse(strings.NewReader("BenchmarkX 10 123 ns/op 4.5\n")); err == nil {
+	if _, err := Parse(strings.NewReader("BenchmarkX 10 123 ns/op 4.5\n")); err == nil {
 		t.Error("odd value/unit pairing accepted")
 	}
 }
 
 func TestParseIgnoresNonResultLines(t *testing.T) {
-	doc, err := parse(strings.NewReader("BenchmarkHung\nsome log line\n"))
+	doc, err := Parse(strings.NewReader("BenchmarkHung\nsome log line\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

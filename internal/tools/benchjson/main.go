@@ -22,13 +22,15 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"pimendure/internal/tools/benchfmt"
 )
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	doc, err := parse(os.Stdin)
+	doc, err := benchfmt.Parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(2)

@@ -39,11 +39,6 @@ type Config struct {
 	Alloc program.AllocPolicy
 }
 
-// Default returns the paper's evaluation configuration (§4).
-func Default() Config {
-	return Config{Lanes: 1024, Rows: 1024, Basis: synth.NAND}
-}
-
 func (c Config) basis() synth.Basis {
 	if c.Basis == nil {
 		return synth.NAND

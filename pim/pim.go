@@ -91,7 +91,7 @@ var (
 )
 
 // Observability handles (no-ops until internal/obs is enabled; CLIs do
-// this via their -metrics/-pprof lifecycle).
+// this via their obs.Run lifecycle).
 var (
 	obsRuns   = obs.GetCounter("pim.runs")
 	obsSweeps = obs.GetCounter("pim.sweeps")

@@ -129,12 +129,3 @@ func (c *PlanCache) Sweep(b *Benchmark, opt Options, rc RunConfig, strategies []
 	results, err = sweepPlanned(plan, b, rc, strategies, tech)
 	return results, hit, err
 }
-
-// Run is the cache-aware Run entry point: one strategy against a
-// cached (or freshly cached) plan, with the same hit semantics as
-// PlanCache.Sweep.
-func (c *PlanCache) Run(b *Benchmark, opt Options, rc RunConfig, s Strategy, tech Technology) (*Result, bool, error) {
-	plan, hit := c.Plan(b, opt)
-	res, err := runPlanned(plan, b, rc, s, tech)
-	return res, hit, err
-}
