@@ -858,10 +858,10 @@ func BenchmarkBankSweep(b *testing.B) {
 // draw pass per σ serving every technology — and reports devices/sec
 // over all eight sweep points. "cold" vs "cached" run a one-point study
 // (MRAM, σ 0.3) through pim.PlanCache — a cache miss rebuilds the
-// WearPlan from the trace, a hit pays only simulation and draws. "speedup" compares lifetime.VarModel on the
-// fleet engine against the retained per-cell FirstFailureReference at
-// 100 000 trials and gates the ≥20× win the order-statistic collapse
-// must deliver.
+// WearPlan from the trace, a hit pays only simulation and draws.
+// "speedup" compares grouping plus Survive against the per-cell
+// fleet.Model.ReferenceSample at 100 000 devices and gates the ≥20× win
+// the order-statistic collapse must deliver.
 func BenchmarkFleet(b *testing.B) {
 	bench, err := pim.NewParallelMult(pim.DefaultOptions(), 32)
 	if err != nil {
@@ -969,7 +969,7 @@ func BenchmarkFleet(b *testing.B) {
 	})
 
 	// The order-statistic win over the per-cell sampler, on a reduced
-	// array the reference can still finish: 2048 cells × 100 000 trials
+	// array the reference can still finish: 2048 cells × 100 000 devices
 	// is ~2×10⁸ lognormal draws for the reference and 100 000 table
 	// inversions for the engine.
 	b.Run("speedup", func(b *testing.B) {
@@ -983,25 +983,27 @@ func BenchmarkFleet(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		vm := lifetime.VarModel{MedianEndurance: 1e12, Sigma: 0.5, StepSeconds: 1e-9}
-		const trials = 100_000
+		m := fleet.Model{MedianEndurance: 1e12, Sigma: 0.5}
+		const devices = 100_000
 		b.ResetTimer()
 		var ref, eng time.Duration
 		for i := 0; i < b.N; i++ {
 			t0 := time.Now()
-			if _, err := vm.FirstFailureReference(sd.Counts, sim.Iterations, trials, 1); err != nil {
-				b.Fatal(err)
-			}
+			m.ReferenceSample(sd.Counts, sim.Iterations, devices, 1)
 			ref += time.Since(t0)
 			t0 = time.Now()
-			if _, err := vm.FirstFailure(sd.Counts, sim.Iterations, trials, 1); err != nil {
+			g, err := fleet.GroupCounts(sd.Counts, sim.Iterations)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := m.Survive(g, fleet.Params{Devices: devices, Seed: 1, Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 			eng += time.Since(t0)
 		}
 		speedup := float64(ref) / float64(eng)
 		if speedup < 20 {
-			b.Fatalf("fleet engine only %.1f× over FirstFailureReference, want ≥20×", speedup)
+			b.Fatalf("fleet engine only %.1f× over the per-cell ReferenceSample, want ≥20×", speedup)
 		}
 		b.ReportMetric(speedup, "speedup_x")
 	})

@@ -55,10 +55,6 @@ var (
 	// to the shared replays and cycle acceleration; replay_iters + this
 	// equals the total +Hw epoch-iterations simulated.
 	obsHwReplayItersSaved = obs.GetCounter("core.hw.replay_iters_saved")
-	// obsHwCycleLen accumulates the analytic renamer period of each +Hw
-	// simulation (mapping.AnalyzeRenamerCycle) — the per-run cycle
-	// length a manifest surfaces next to replay_iters_saved.
-	obsHwCycleLen = obs.GetCounter("core.hw.cycle_len")
 	// obsWrites totals cell writes accumulated into distributions; a
 	// run's manifest entry equals the sum of its WriteDist.Total()s.
 	obsWrites = obs.GetCounter("core.writes")

@@ -32,8 +32,7 @@
 //     which are at most three contiguous ranges of the cycle — O(1)
 //     difference-array updates per op and one prefix pass per mask, so a
 //     replay costs O(ops + masks × rows) whatever its length and cycle
-//     structure. The analytic period of σ (mapping.AnalyzeRenamerCycle)
-//     cross-checks every replay's detected permutation at runtime.
+//     structure.
 package core
 
 import (
@@ -103,11 +102,6 @@ func (p *WearPlan) replayJobHist(s *engineScratch, n int) histBase {
 		}
 		return s.hw.Lookup(v)
 	})
-	// The replay's permutation must match the analytic period; a mismatch
-	// means the closed form would be wrong.
-	if s.cyc.period != p.cycle.Period {
-		panic("core: +Hw replay cycle period diverges from the analytic trace period")
-	}
 	accumulateClosedCycle(p.ops, s.cyc, uint64(n), p.rows, s.hist)
 	return p.packHist(s.hist, p.rows)
 }
@@ -145,7 +139,6 @@ type cycleScratch struct {
 	rest   []int32  // per cycle, at its start index: leftover steps s
 	diff   []uint64 // [mask*(rows+1)+orbit index] visit-count differences
 	seen   []bool
-	period int // order of σ (lcm of cycle lengths)
 }
 
 func newCycleScratch(rows, ops, masks int) *cycleScratch {
@@ -167,7 +160,6 @@ func newCycleScratch(rows, ops, masks int) *cycleScratch {
 func (c *cycleScratch) decompose(sigma func(v int) int) {
 	rows := len(c.orbit)
 	clear(c.seen)
-	c.period = 1
 	idx := 0
 	for s := 0; s < rows; s++ {
 		if c.seen[s] {
@@ -185,9 +177,6 @@ func (c *cycleScratch) decompose(sigma func(v int) int) {
 			v := c.orbit[i]
 			c.start[v] = int32(first)
 			c.length[v] = int32(n)
-		}
-		if n > 1 {
-			c.period = lcm(c.period, n)
 		}
 	}
 }
@@ -242,15 +231,4 @@ func accumulateClosedCycle(ops []wop, cyc *cycleScratch, n uint64, rows int, his
 		}
 		d[rows] = 0
 	}
-}
-
-func lcm(a, b int) int {
-	return a / gcd(a, b) * b
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

@@ -78,10 +78,6 @@ func TestAccumulateClosedCycleMatchesOrbitWalk(t *testing.T) {
 			}
 		})
 	}
-	cyc.decompose(func(v int) int { return sigma[v] })
-	if cyc.period != 4 {
-		t.Errorf("period = %d, want lcm(4, 2, 1, 1) = 4", cyc.period)
-	}
 }
 
 // One plan serves concurrent +Hw Simulate calls and Steppers whose runs

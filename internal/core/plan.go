@@ -2,12 +2,12 @@
 //
 // Every strategy of a sweep simulates the same trace on the same array:
 // the one-iteration write matrix, the flattened write-op list, the mask
-// lane sets, the renamer cycle analysis and the trace statistics are all
-// properties of (trace, rows, preset) alone — none depend on the mapping
-// strategy, the seed, or the iteration count. Before this plan existed,
-// each of the 18 pim.Run calls inside pim.Sweep recomputed all of them;
-// now pim.Sweep builds one WearPlan and every strategy consumes it
-// (pim.Run builds one on demand when called alone).
+// lane sets and the trace statistics are all properties of (trace, rows,
+// preset) alone — none depend on the mapping strategy, the seed, or the
+// iteration count. Before this plan existed, each of the 18 pim.Run
+// calls inside pim.Sweep recomputed all of them; now pim.Sweep builds one
+// WearPlan and every strategy consumes it (pim.Run builds one on demand
+// when called alone).
 //
 // The plan stores the one-iteration write matrix M0 once, as the sparse
 // histogram the engines consume: one (mask, logical row, writes) cell per
@@ -24,7 +24,6 @@ package core
 import (
 	"fmt"
 
-	"pimendure/internal/mapping"
 	"pimendure/internal/obs"
 	"pimendure/internal/program"
 )
@@ -32,11 +31,11 @@ import (
 // WearPlan is the immutable per-benchmark precomputation shared by every
 // strategy in a sweep: the one-iteration write-matrix table, the
 // flattened write-op list with mask lane sets (the +Hw replay inputs),
-// the analytic renamer cycle, and the trace statistics. Build one with
-// NewWearPlan and run any number of simulations against it concurrently
-// — the precomputed inputs are never written after construction, and the
-// only mutable state is the lock-guarded scratch arena (see arena.go)
-// that recycles engine buffers across simulations.
+// and the trace statistics. Build one with NewWearPlan and run any
+// number of simulations against it concurrently — the precomputed inputs
+// are never written after construction, and the only mutable state is
+// the lock-guarded scratch arena (see arena.go) that recycles engine
+// buffers across simulations.
 type WearPlan struct {
 	trace  *program.Trace
 	rows   int
@@ -47,16 +46,12 @@ type WearPlan struct {
 	sw histBase
 
 	// Replay and landing inputs: flattened write ops, per-mask lane sets,
-	// the masks the write ops use split into full (landed rank-1) and
-	// partial (scattered through sorted lane sets), the full-mask row
-	// sequence, and the analytic renamer cycle (zero unless the trace fits
-	// the renamer).
+	// and the masks the write ops use split into full (landed rank-1) and
+	// partial (scattered through sorted lane sets).
 	ops       []wop
 	maskLanes [][]int
 	fullMasks []int32
 	partMasks []int32
-	fullRows  []int32
-	cycle     mapping.RenamerCycle
 
 	// Reusable engine scratch pooled on the plan (see arena.go); the one
 	// field with interior mutability, guarded by its own mutex.
@@ -88,21 +83,9 @@ func NewWearPlan(tr *program.Trace, rows int, preset bool) *WearPlan {
 				p.partMasks = append(p.partMasks, op.mask)
 			}
 		}
-		if op.full {
-			p.fullRows = append(p.fullRows, op.row)
-		}
 		staged[int(op.mask)*tr.LaneBits+int(op.row)] += uint64(op.w)
 	}
 	p.sw = p.packHist(staged, tr.LaneBits)
-
-	// The renamer period is conjugation-invariant, so one trace-level
-	// analysis serves every +Hw epoch of every strategy. It only makes
-	// sense when the trace fits the renamer's architectural rows
-	// (LaneBits ≤ rows−1); otherwise +Hw validation rejects the run
-	// before the cycle is ever consulted.
-	if rows >= 2 && tr.LaneBits <= rows-1 {
-		p.cycle = mapping.AnalyzeRenamerCycle(rows, p.fullRows)
-	}
 	return p
 }
 

@@ -86,9 +86,6 @@ func (p *WearPlan) NewStepper(cfg SimConfig, strat StrategyConfig) (*Stepper, er
 	p.ensureRowW(s.scr)
 	p.ensureRowMax(s.scr)
 	p.ensureLand(s.scr)
-	if strat.Hw {
-		obsHwCycleLen.Add(int64(p.cycle.Period))
-	}
 	return s, nil
 }
 

@@ -167,7 +167,6 @@ func (p *WearPlan) walk(cfg SimConfig, sched mapping.Schedule, hw bool, dist *Wr
 		// The other epochs, all n long, land from these replays.
 		obsHwMemoHits.Add(int64(served))
 		obsHwReplayItersSaved.Add(int64(served) * int64(n))
-		obsHwCycleLen.Add(int64(p.cycle.Period))
 	}
 	for start := 0; start < total; {
 		end := total - 1

@@ -3,10 +3,15 @@
 // first cell failure — from a finished write distribution, at millions of
 // simulated devices per second on a single core.
 //
+// It is the repository's one model of endurance that varies across cells
+// (the paper's §4 caveat). pim.Fleet runs it for cmd/fleet, the job
+// server's POST /fleet, the benchmark's fleet_study workload and the
+// report's E18 variability table.
+//
 // The naive Monte Carlo (one endurance draw per written cell per device,
-// as lifetime.VarModel.FirstFailureReference still does) costs O(cells)
-// per device: a million math.Exp calls per draw at paper scale. The
-// engine stacks three reductions on top of it:
+// kept as the oracle Model.ReferenceSample) costs O(cells) per device: a
+// million math.Exp calls per draw at paper scale. The engine stacks
+// three reductions on top of it:
 //
 //  1. Order-statistic collapse (Groups): cells with equal write counts
 //     are exchangeable, so the minimum lifetime within a count-group of
@@ -40,16 +45,16 @@
 //     fixed 8192-device logical batches sharded over internal/pool,
 //     each batch owning a splitmix64 stream seeded from (Seed, batch) —
 //     so the sample vector is bit-identical for any worker count — with
-//     the sample buffer pooled on a package free list and quantiles
+//     the sample buffer pooled on a package free list and the B-lives
 //     extracted once per call by stats.PercentileRadixFloat instead of
 //     a full sort, then scaled by each median.
 //
 // Correctness is enforced by Kolmogorov–Smirnov acceptance tests against
-// the per-cell reference sampler across σ values and distribution
-// shapes, a direct H(H⁻¹(E)) = E inversion-accuracy check, exact
-// determinism tests across worker counts, and bit-identity tests of the
-// shared draws against a per-median oracle and of the guided search
-// against a plain binary search.
+// the per-cell reference sampler (Model.ReferenceSample) across σ values
+// and distribution shapes, a direct H(H⁻¹(E)) = E inversion-accuracy
+// check, exact determinism tests across worker counts, and bit-identity
+// tests of the shared draws against a per-median oracle and of the
+// guided search against a plain binary search.
 package fleet
 
 import (
@@ -94,9 +99,8 @@ type Model struct {
 	Sigma float64
 }
 
-// DefaultQuantiles are the fleet-survival points reported when Params
-// leaves Quantiles nil: B1, B10 and B50.
-var DefaultQuantiles = []float64{0.01, 0.10, 0.50}
+// bLives are the survival points every Result reports: B1, B10 and B50.
+var bLives = [...]float64{0.01, 0.10, 0.50}
 
 // Params configures one Survive or SurviveMedians call.
 type Params struct {
@@ -107,9 +111,6 @@ type Params struct {
 	Seed int64
 	// Workers bounds the pool fan-out (≤ 0 selects GOMAXPROCS).
 	Workers int
-	// Quantiles are the survival probabilities to extract, each in
-	// [0, 1]; nil selects DefaultQuantiles.
-	Quantiles []float64
 	// Series, when non-nil, receives one row per finished draw batch
 	// with the cumulative device count, counted once per median — the
 	// serving layer's progress feed. The series must have exactly one
@@ -137,9 +138,8 @@ type Result struct {
 	Draws int64
 	// Mean is the mean first-failure iteration count.
 	Mean float64
-	// Quantiles holds the first-failure iteration count at each
-	// requested survival probability, parallel to Params.Quantiles
-	// (or DefaultQuantiles).
+	// Quantiles holds the B1, B10 and B50 first-failure iteration
+	// counts, in that order.
 	Quantiles []float64
 	// DeterministicIterations is the paper's uniform-endurance Eq. 4
 	// value, MedianEndurance / max write rate, for comparison.
@@ -153,9 +153,9 @@ type Result struct {
 const drawBatch = 8192
 
 // Survive draws p.Devices iid devices against the grouped write
-// distribution and returns mean and quantiles of the first-failure
-// iteration count. The sample vector is a pure function of
-// (g, m, p.Seed, p.Devices) — bit-identical across worker counts. It
+// distribution and returns the mean and the B1/B10/B50 of the
+// first-failure iteration count. The sample vector is a pure function
+// of (g, m, p.Seed, p.Devices) — bit-identical across worker counts. It
 // is the one-median case of SurviveMedians.
 func (m Model) Survive(g *Groups, p Params) (Result, error) {
 	res, err := SurviveMedians(g, m.Sigma, []float64{m.MedianEndurance}, p)
@@ -194,10 +194,6 @@ func SurviveMedians(g *Groups, sigma float64, medians []float64, p Params) ([]Re
 	if len(medians) == 0 {
 		return nil, nil
 	}
-	quantiles := p.Quantiles
-	if quantiles == nil {
-		quantiles = DefaultQuantiles
-	}
 	n := p.Devices
 	res := make([]Result, len(medians))
 	for j, med := range medians {
@@ -205,7 +201,7 @@ func SurviveMedians(g *Groups, sigma float64, medians []float64, p Params) ([]Re
 			Devices:                 n,
 			Groups:                  len(g.Rate),
 			Cells:                   g.Cells,
-			Quantiles:               make([]float64, len(quantiles)),
+			Quantiles:               make([]float64, len(bLives)),
 			DeterministicIterations: med / g.MaxRate(),
 		}
 	}
@@ -291,7 +287,7 @@ func SurviveMedians(g *Groups, sigma float64, medians []float64, p Params) ([]Re
 		res[j].Draws = int64(n)
 	}
 	work := getBuf(1024)[:0]
-	for i, q := range quantiles {
+	for i, q := range bLives {
 		var x float64
 		x, work = stats.PercentileRadixFloat(samples, q, gmin, gmax, work)
 		for j, med := range medians {

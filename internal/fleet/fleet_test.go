@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"testing"
-
-	"pimendure/internal/stats"
 )
 
 // ksConfigs are the distribution shapes the engine is validated
@@ -52,31 +50,6 @@ func longTail() []uint64 {
 		}
 	}
 	return c
-}
-
-// referenceSample is the O(cells) per-device sampler the engine must
-// match: one endurance draw per written cell, min over cells of
-// endurance/rate.
-func referenceSample(counts []uint64, iterations, trials int, m Model, seed int64) []float64 {
-	l := stats.LognormalMedian(m.MedianEndurance, m.Sigma)
-	var rates []float64
-	for _, c := range counts {
-		if c != 0 {
-			rates = append(rates, float64(c)/float64(iterations))
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float64, trials)
-	for t := range out {
-		first := math.Inf(1)
-		for _, r := range rates {
-			if life := l.Draw(rng) / r; life < first {
-				first = life
-			}
-		}
-		out[t] = first
-	}
-	return out
 }
 
 // ksDistance returns the two-sample Kolmogorov–Smirnov statistic of
@@ -131,7 +104,7 @@ func TestKSAgainstReference(t *testing.T) {
 	for _, cfg := range ksConfigs {
 		for _, sigma := range []float64{0.15, 0.3, 0.6} {
 			m := Model{MedianEndurance: 1e6, Sigma: sigma}
-			ref := referenceSample(cfg.counts, 50, trials, m, 11)
+			ref := m.ReferenceSample(cfg.counts, 50, trials, 11)
 			got := engineSample(cfg.counts, 50, trials, m, 23)
 			sort.Float64s(ref)
 			sort.Float64s(got)
@@ -222,45 +195,59 @@ func TestSolveExact(t *testing.T) {
 }
 
 // TestSurviveMatchesReferenceMoments cross-checks Survive's mean and
-// median against the reference sampler on a mid-size run.
+// B50 against the reference sampler on mid-size runs, for a hot cell
+// over a 100× colder floor and for a single written cell. One cell's
+// mean is a lognormal's, median·e^(σ²/2), so it exceeds the Eq. 4
+// lifetime, and the hot cell, which its neighbours barely compete with,
+// does too.
 func TestSurviveMatchesReferenceMoments(t *testing.T) {
 	trials := 40_000
 	if raceEnabled || testing.Short() {
 		trials = 8_000
 	}
 	m := Model{MedianEndurance: 2e6, Sigma: 0.45}
-	counts := ksConfigs[1].counts
-	g, err := GroupCounts(counts, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Survive(g, Params{Devices: trials, Seed: 5, Quantiles: []float64{0.01, 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := referenceSample(counts, 20, trials, m, 9)
-	sort.Float64s(ref)
-	var refMean float64
-	for _, v := range ref {
-		refMean += v
-	}
-	refMean /= float64(len(ref))
-	if math.Abs(res.Mean-refMean) > 0.03*refMean {
-		t.Errorf("mean %v, reference %v", res.Mean, refMean)
-	}
-	refMedian := ref[len(ref)/2]
-	if math.Abs(res.Quantiles[1]-refMedian) > 0.03*refMedian {
-		t.Errorf("median %v, reference %v", res.Quantiles[1], refMedian)
-	}
-	if res.Quantiles[0] >= res.Quantiles[1] {
-		t.Error("B1 should fall below B50")
-	}
-	if res.DeterministicIterations != 2e6/g.MaxRate() {
-		t.Errorf("deterministic = %v", res.DeterministicIterations)
-	}
-	// The collapse must actually collapse: draws ≪ devices × cells.
-	if res.Draws >= int64(trials*g.Cells)/10 {
-		t.Errorf("%d draws for %d×%d device-cells: no collapse", res.Draws, trials, g.Cells)
+	for _, cfg := range []struct {
+		name   string
+		counts []uint64
+	}{
+		{"hot-cell", ksConfigs[1].counts},
+		{"one-cell", []uint64{0, 0, 1000, 0}},
+	} {
+		g, err := GroupCounts(cfg.counts, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Survive(g, Params{Devices: trials, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := m.ReferenceSample(cfg.counts, 20, trials, 9)
+		sort.Float64s(ref)
+		var refMean float64
+		for _, v := range ref {
+			refMean += v
+		}
+		refMean /= float64(len(ref))
+		if math.Abs(res.Mean-refMean) > 0.03*refMean {
+			t.Errorf("%s: mean %v, reference %v", cfg.name, res.Mean, refMean)
+		}
+		refMedian := ref[len(ref)/2]
+		if math.Abs(res.Quantiles[2]-refMedian) > 0.03*refMedian {
+			t.Errorf("%s: B50 %v, reference median %v", cfg.name, res.Quantiles[2], refMedian)
+		}
+		if !(res.Quantiles[0] < res.Quantiles[1] && res.Quantiles[1] < res.Quantiles[2]) {
+			t.Errorf("%s: B-lives disordered: %v", cfg.name, res.Quantiles)
+		}
+		if res.DeterministicIterations != 2e6/g.MaxRate() {
+			t.Errorf("%s: deterministic = %v", cfg.name, res.DeterministicIterations)
+		}
+		if !(res.Mean > res.DeterministicIterations) {
+			t.Errorf("%s: mean %v does not exceed Eq. 4 %v", cfg.name, res.Mean, res.DeterministicIterations)
+		}
+		// The collapse must actually collapse: draws ≪ devices × cells.
+		if g.Cells > 1 && res.Draws >= int64(trials*g.Cells)/10 {
+			t.Errorf("%s: %d draws for %d×%d device-cells: no collapse", cfg.name, res.Draws, trials, g.Cells)
+		}
 	}
 }
 

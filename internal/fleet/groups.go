@@ -50,8 +50,8 @@ func (g *Groups) MaxRate() float64 {
 
 // GroupCounts collapses a write-count distribution accumulated over
 // `iterations` iterations into its distinct-count groups. Zero counts
-// are dropped; an all-zero distribution is an error, as in the
-// per-cell variability model it replaces.
+// are dropped, since unwritten cells never fail; an all-zero
+// distribution is an error.
 func GroupCounts(counts []uint64, iterations int) (*Groups, error) {
 	if iterations <= 0 {
 		return nil, fmt.Errorf("fleet: iterations must be positive, got %d", iterations)

@@ -26,13 +26,12 @@ func studyMedians() []float64 {
 // pass served every median, kept serial as the bit-identity oracle: a
 // device's lifetime is median × H⁻¹(E) through the plain binary search
 // (searchInvert), batch sums add those lifetimes in device order, and
-// each quantile is the nearest-rank element of the sorted scaled
-// samples.
-func oracleSurvive(g *Groups, m Model, p Params, quantiles []float64) (mean float64, qs []float64) {
+// each B-life is the nearest-rank element of the sorted scaled samples.
+func oracleSurvive(g *Groups, m Model, p Params) (mean float64, qs []float64) {
 	n := p.Devices
 	if m.Sigma == 0 {
 		v := math.Exp(math.Log(m.MedianEndurance)) / g.MaxRate()
-		for range quantiles {
+		for range bLives {
 			qs = append(qs, v)
 		}
 		return v, qs
@@ -52,8 +51,8 @@ func oracleSurvive(g *Groups, m Model, p Params, quantiles []float64) (mean floa
 		sum += bsum
 	}
 	sort.Float64s(samples)
-	for _, q := range quantiles {
-		qs = append(qs, samples[int(math.Min(math.Max(q, 0), 1)*float64(n-1))])
+	for _, q := range bLives {
+		qs = append(qs, samples[int(q*float64(n-1))])
 	}
 	return sum / float64(n), qs
 }
@@ -78,7 +77,6 @@ func TestSurviveMediansMatchesSurvive(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		devices = 9_000
 	}
-	quantiles := []float64{0, 0.001, 0.01, 0.1, 0.5, 0.9, 1}
 	medians := studyMedians()
 	for _, cfg := range ksConfigs {
 		for _, sigma := range []float64{0, 0.01, 0.3, 2} {
@@ -87,7 +85,7 @@ func TestSurviveMediansMatchesSurvive(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
-				p := Params{Devices: devices, Seed: 17, Workers: workers, Quantiles: quantiles}
+				p := Params{Devices: devices, Seed: 17, Workers: workers}
 				shared, err := SurviveMedians(g, sigma, medians, p)
 				if err != nil {
 					t.Fatal(err)
@@ -108,7 +106,7 @@ func TestSurviveMediansMatchesSurvive(t *testing.T) {
 					if workers != 1 {
 						continue
 					}
-					mean, qs := oracleSurvive(g, m, p, quantiles)
+					mean, qs := oracleSurvive(g, m, p)
 					if shared[j].Mean != mean || !reflect.DeepEqual(shared[j].Quantiles, qs) {
 						t.Errorf("%s σ=%v median %g: mean %v quantiles %v, oracle %v / %v",
 							cfg.name, sigma, med, shared[j].Mean, shared[j].Quantiles, mean, qs)
@@ -217,10 +215,10 @@ func foldInto(v, lo, hi float64) float64 {
 }
 
 // FuzzSurvive drives the draw engine at σ ∈ [0.01, 2] and median
-// endurance 10⁶–10¹² over five shapes. Quantiles must be positive,
+// endurance 10⁶–10¹² over five shapes. The B-lives must be positive,
 // finite and non-decreasing, the mean finite; no in-range draw may fall
 // back to bisection; an inverted lifetime must be within 1e−6 of the
-// exact bisection solution; and the quantiles at median m must be m
+// exact bisection solution; and the B-lives at median m must be m
 // times those at median 1, bit for bit.
 func FuzzSurvive(f *testing.F) {
 	shapes := fuzzShapes()
@@ -250,7 +248,6 @@ func FuzzSurvive(f *testing.F) {
 		last[shape] = lastGroups{sigma, g}
 		return g, err
 	}
-	quantiles := []float64{0, 0.001, 0.01, 0.1, 0.5, 0.9, 0.999, 1}
 	f.Fuzz(func(t *testing.T, sigma, logMedian float64, shape uint8, seed int64) {
 		sigma = foldInto(sigma, 0.01, 2)
 		median := math.Pow(10, foldInto(logMedian, 6, 12))
@@ -258,7 +255,7 @@ func FuzzSurvive(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := Params{Devices: 10_000, Seed: seed, Quantiles: quantiles}
+		p := Params{Devices: 10_000, Seed: seed}
 		res, err := Model{MedianEndurance: median, Sigma: sigma}.Survive(g, p)
 		if err != nil {
 			t.Fatal(err)
@@ -277,8 +274,8 @@ func FuzzSurvive(f *testing.F) {
 		}
 		for i, q := range unit.Quantiles {
 			if median*q != res.Quantiles[i] {
-				t.Errorf("σ=%v median %g: quantile %v is %v, median × median-1 quantile is %v",
-					sigma, median, quantiles[i], res.Quantiles[i], median*q)
+				t.Errorf("σ=%v median %g: B-life %v is %v, median × median-1 B-life is %v",
+					sigma, median, bLives[i], res.Quantiles[i], median*q)
 			}
 		}
 

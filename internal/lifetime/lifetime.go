@@ -6,7 +6,9 @@
 // the paper notes is pessimistic (it is equivalent to using the mean of
 // the real endurance distribution), and treats the first cell failure as
 // the failure of the whole array, because even a few failed cells disrupt
-// operation severely (§3.3).
+// operation severely (§3.3). Endurance that varies across cells is
+// internal/fleet's model, which the report's E18 table runs through
+// pim.Fleet.
 package lifetime
 
 import (

@@ -62,39 +62,6 @@ func (h *HwRenamer) RenameOnWrite(arch int) int {
 // FreeRow returns the current spare physical row.
 func (h *HwRenamer) FreeRow() int { return int(h.free) }
 
-// AtReset reports whether the renamer is in its Reset state (identity
-// mapping, top row spare). The cycle-accelerated wear engine asserts this
-// after replaying one full period: the state must have closed its cycle.
-func (h *HwRenamer) AtReset() bool {
-	if h.free != int32(h.rows-1) {
-		return false
-	}
-	for i, p := range h.a2p {
-		if p != int32(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// StateFingerprint returns a 64-bit FNV-1a hash of the full renamer state
-// (mapping plus free row). Equal states share a fingerprint; tests use it
-// to detect state recurrence cheaply.
-func (h *HwRenamer) StateFingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	fp := uint64(offset64)
-	for _, p := range h.a2p {
-		fp ^= uint64(uint32(p))
-		fp *= prime64
-	}
-	fp ^= uint64(uint32(h.free))
-	fp *= prime64
-	return fp
-}
-
 // Validate checks that the mapping plus the free row form a bijection over
 // the physical rows.
 func (h *HwRenamer) Validate() error {

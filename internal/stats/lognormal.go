@@ -6,10 +6,9 @@ import (
 )
 
 // Lognormal is the one audited lognormal endurance model shared by every
-// variability consumer in the tree: the fleet survival engine
-// (internal/fleet), the chip-level Monte Carlo and per-bank endurance
-// draws (internal/system), and the per-cell first-failure reference
-// (internal/lifetime). It is parameterized by the log-space location and
+// variability consumer in the tree: the fleet survival engine and its
+// per-cell reference sampler (internal/fleet), and the chip-level Monte
+// Carlo and per-bank endurance draws (internal/system). It is parameterized by the log-space location and
 // shape — a draw is exp(Mu + Sigma·N(0,1)), so exp(Mu) is the median.
 //
 // Sigma = 0 degenerates to the point mass at the median: Draw and Fill

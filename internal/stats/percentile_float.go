@@ -3,8 +3,8 @@ package stats
 import "math"
 
 // PercentileRadixFloat is PercentileRadix for non-negative float64
-// samples — the fleet engine's quantile extractor, replacing the full
-// sort.Float64s the variability model used to pay per call. It exploits
+// samples — the fleet engine's quantile extractor, in place of a full
+// sort.Float64s per call. It exploits
 // the IEEE-754 ordering property: for non-negative finite floats the
 // raw bit patterns order identically to the values, so one radix
 // bucketing pass on Float64bits locates the bucket holding the target

@@ -65,6 +65,18 @@ type report struct {
 	Missing []string
 	// Added names benchmarks only the new document has.
 	Added []string
+	// Incomparable lists benchmarks whose new run averaged over a
+	// different iteration count than the base: a per-op figure carries
+	// its one-off warm-up differently at each count, so such a pair is
+	// never compared and never a regression.
+	Incomparable []incomparable
+}
+
+// incomparable is a benchmark present in both documents at different
+// iteration counts.
+type incomparable struct {
+	Name                string
+	BaseIters, NewIters int64
 }
 
 // regressions returns the deltas that crossed either the timing or the
@@ -79,19 +91,25 @@ func (r report) regressions() []delta {
 	return out
 }
 
-// compare diffs new against base. A benchmark regresses when it is
-// slower by more than thresholdPct percent AND its base timing is at
-// least minNs nanoseconds — sub-minNs benchmarks are noise-dominated at
-// -benchtime=1x and only ever reported, never gated on. Benchmarks with
-// a -benchmem allocs/op metric in both documents are additionally gated
-// on allocation growth beyond allocThresholdPct percent (bases under
-// minGatedAllocs are report-only, as with minNs).
+// compare diffs new against base. Only benchmarks measured over the same
+// iteration count in both documents are compared; the rest are listed as
+// incomparable. A benchmark regresses when it is slower by more than
+// thresholdPct percent AND its base timing is at least minNs nanoseconds
+// — sub-minNs benchmarks are noise-dominated at -benchtime=1x and only
+// ever reported, never gated on. Benchmarks with a -benchmem allocs/op
+// metric in both documents are additionally gated on allocation growth
+// beyond allocThresholdPct percent (bases under minGatedAllocs are
+// report-only, as with minNs).
 func compare(base, new *benchfmt.Document, thresholdPct, minNs, allocThresholdPct float64) report {
 	var rep report
 	for name, b := range base.Benchmarks {
 		n, ok := new.Benchmarks[name]
 		if !ok {
 			rep.Missing = append(rep.Missing, name)
+			continue
+		}
+		if n.Iterations != b.Iterations {
+			rep.Incomparable = append(rep.Incomparable, incomparable{name, b.Iterations, n.Iterations})
 			continue
 		}
 		if b.NsPerOp <= 0 {
@@ -123,6 +141,7 @@ func compare(base, new *benchfmt.Document, thresholdPct, minNs, allocThresholdPc
 	sort.Slice(rep.Deltas, func(i, j int) bool { return rep.Deltas[i].Percent > rep.Deltas[j].Percent })
 	sort.Strings(rep.Missing)
 	sort.Strings(rep.Added)
+	sort.Slice(rep.Incomparable, func(i, j int) bool { return rep.Incomparable[i].Name < rep.Incomparable[j].Name })
 	return rep
 }
 
@@ -155,6 +174,16 @@ func (r report) write(w io.Writer, thresholdPct float64) error {
 	}
 	for _, name := range r.Added {
 		if _, err := fmt.Fprintf(w, "%-60s new benchmark (no baseline)\n", name); err != nil {
+			return err
+		}
+	}
+	for _, c := range r.Incomparable {
+		if _, err := fmt.Fprintf(w, "%-60s not comparable: %d iterations, base %d\n", c.Name, c.NewIters, c.BaseIters); err != nil {
+			return err
+		}
+	}
+	if n := len(r.Incomparable); n > 0 {
+		if _, err := fmt.Fprintf(w, "%d benchmark(s) not compared: iteration counts differ from the base (rerun at its -benchtime)\n", n); err != nil {
 			return err
 		}
 	}

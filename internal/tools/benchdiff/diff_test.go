@@ -180,3 +180,48 @@ func TestReportMarksRegressions(t *testing.T) {
 		t.Errorf("report does not mark the regression:\n%s", out)
 	}
 }
+
+// An entry measured over a different iteration count than the base is
+// listed as not comparable, never as a regression, however far its
+// per-op figures moved; entries at the base's count still gate.
+func TestCompareRefusesIterationMismatch(t *testing.T) {
+	base := allocDoc(map[string][2]float64{
+		"BenchmarkWarm": {1e6, 400},
+		"BenchmarkSlow": {1e6, 400},
+	})
+	fresh := allocDoc(map[string][2]float64{
+		"BenchmarkWarm": {3e6, 800}, // 3× slower, 2× allocations, but 1 iteration against 5
+		"BenchmarkSlow": {3e6, 400},
+	})
+	for _, name := range []string{"BenchmarkWarm", "BenchmarkSlow"} {
+		r := base.Benchmarks[name]
+		r.Iterations = 5
+		base.Benchmarks[name] = r
+	}
+	r := fresh.Benchmarks["BenchmarkSlow"]
+	r.Iterations = 5
+	fresh.Benchmarks["BenchmarkSlow"] = r
+
+	rep := compare(base, fresh, 25, 50000, 25)
+	if len(rep.Incomparable) != 1 || rep.Incomparable[0] != (incomparable{"BenchmarkWarm", 5, 1}) {
+		t.Errorf("incomparable = %+v, want BenchmarkWarm at 5 vs 1 iterations", rep.Incomparable)
+	}
+	regs := rep.regressions()
+	if len(regs) != 1 || regs[0].Name != "BenchmarkSlow" {
+		t.Errorf("regressions = %+v, want only BenchmarkSlow", regs)
+	}
+	for _, d := range rep.Deltas {
+		if d.Name == "BenchmarkWarm" {
+			t.Errorf("an iteration-count mismatch was compared: %+v", d)
+		}
+	}
+	var buf bytes.Buffer
+	if err := rep.write(&buf, 25); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "BenchmarkWarm") || !strings.Contains(out, "not comparable: 1 iterations, base 5") ||
+		!strings.Contains(out, "1 benchmark(s) not compared") || !strings.Contains(out, "1 benchmark(s) regressed") {
+		t.Errorf("report does not list the mismatch apart from the regression:\n%s", out)
+	}
+}

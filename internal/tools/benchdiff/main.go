@@ -16,9 +16,12 @@
 // reported). Benchmarks recorded with -benchmem are additionally gated
 // on allocation growth: more than -alloc-threshold percent additional
 // allocs/op over the base is a regression (bases under 64 allocs/op are
-// report-only). By default the report is advisory (exit 0); with -strict
-// a regression, or a benchmark missing from the new run, exits 1. IO and
-// decode failures exit 2 in both modes.
+// report-only). A benchmark whose new run averaged over a different
+// iteration count than the base is listed as not comparable and never
+// gated: its one-off warm-up weighs differently at each count. By
+// default the report is advisory (exit 0); with -strict a regression, or
+// a benchmark missing from the new run or not comparable, exits 1. IO
+// and decode failures exit 2 in both modes.
 package main
 
 import (
@@ -51,7 +54,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	if *strict && (len(rep.regressions()) > 0 || len(rep.Missing) > 0) {
+	if *strict && (len(rep.regressions()) > 0 || len(rep.Missing) > 0 || len(rep.Incomparable) > 0) {
 		os.Exit(1)
 	}
 }

@@ -79,8 +79,8 @@ type FleetPoint struct {
 	Groups, Cells int
 	// MeanIterations is the fleet-mean first-failure iteration count.
 	MeanIterations float64
-	// Quantiles holds the B1, B10 and B50 iteration counts, in that order
-	// (fleet.DefaultQuantiles).
+	// Quantiles holds the B1, B10 and B50 iteration counts, in that
+	// order.
 	Quantiles []float64
 	// DeterministicIterations is the paper's uniform-endurance Eq. 4
 	// value — the Fig. 17 ranking metric — for comparison.

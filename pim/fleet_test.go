@@ -23,8 +23,10 @@ func fleetBench(t *testing.T) *pim.Benchmark {
 }
 
 // A small but non-trivial study: point ordering, quantile ordering,
-// Eq. 4 agreement, and the common-random-numbers property that a
-// technology change only rescales every sample by its median ratio.
+// Eq. 4 agreement, the common-random-numbers property that a
+// technology change only rescales every sample by its median ratio, and
+// the §4 variability caveat: with many competing cells the fleet mean
+// undercuts Eq. 4, and the mean and every B-life fall as σ rises.
 func TestFleetStudy(t *testing.T) {
 	opt := fleetOptions()
 	bench := fleetBench(t)
@@ -66,6 +68,21 @@ func TestFleetStudy(t *testing.T) {
 				}
 				if p.Seconds(1) != float64(p.StepsPerIteration)*tech.SwitchSeconds {
 					t.Errorf("point %d Seconds conversion wrong", i-1)
+				}
+				if !(p.MeanIterations < p.DeterministicIterations) {
+					t.Errorf("point %d: mean %g does not undercut Eq. 4 %g", i-1, p.MeanIterations, p.DeterministicIterations)
+				}
+				if sigma == fc.Sigmas[0] {
+					continue
+				}
+				prev := points[i-2]
+				if !(p.MeanIterations < prev.MeanIterations) {
+					t.Errorf("point %d: mean %g at σ=%v, %g at σ=%v", i-1, p.MeanIterations, sigma, prev.MeanIterations, prev.Sigma)
+				}
+				for q := range p.Quantiles {
+					if !(p.Quantiles[q] < prev.Quantiles[q]) {
+						t.Errorf("point %d: B-life %d is %g at σ=%v, %g at σ=%v", i-1, q, p.Quantiles[q], sigma, prev.Quantiles[q], prev.Sigma)
+					}
 				}
 			}
 		}

@@ -71,11 +71,6 @@ func TestManifestMatchesSweepResults(t *testing.T) {
 		t.Errorf("replay_iters/replay_iters_saved = %d/%d, want %d/%d (of %d +Hw epoch-iterations)",
 			iters, saved, 9*2, 9*23-9*2, 9*23)
 	}
-	// The analytic renamer period is recorded once per +Hw simulation and
-	// is at least 1, so over 9 strategies the accumulated cycle_len is ≥ 9.
-	if got := m.Counters["core.hw.cycle_len"]; got < 9 {
-		t.Errorf("manifest core.hw.cycle_len = %d, want ≥ 9 (one period ≥ 1 per +Hw strategy)", got)
-	}
 
 	// Software-engine memoization accounting: mult has only full-mask
 	// writes, so its software epochs group by within map alone. An St

@@ -66,9 +66,6 @@ type (
 	EnergyModel = energy.Model
 	// EnergyBreakdown splits a trace's energy by access type.
 	EnergyBreakdown = energy.Breakdown
-	// VarLifetime is a Monte Carlo first-failure estimate under per-cell
-	// endurance variability.
-	VarLifetime = lifetime.VarResult
 	// ChipConfig describes a multi-array accelerator.
 	ChipConfig = system.Config
 	// ChipEstimate is a chip-level replacement-time distribution.
@@ -479,14 +476,6 @@ func SaveTrace(w io.Writer, b *Benchmark) error { return traceio.WriteTrace(w, b
 // model (reads + writes, preset-inclusive when the options say so).
 func EnergyPerIteration(b *Benchmark, opt Options, m energy.Model) (energy.Breakdown, error) {
 	return energy.OfTrace(b.Trace, opt.PresetOutputs, m)
-}
-
-// LifetimeUnderVariability Monte-Carlo estimates first-failure iterations
-// when per-cell endurance is lognormal around tech.Endurance with shape
-// sigma — quantifying the §4 uniform-endurance caveat.
-func LifetimeUnderVariability(res *Result, tech Technology, sigma float64, trials int, seed int64) (lifetime.VarResult, error) {
-	m := lifetime.VarModel{MedianEndurance: tech.Endurance, Sigma: sigma, StepSeconds: tech.SwitchSeconds}
-	return m.FirstFailure(res.Dist.Counts, res.Dist.Iterations, trials, seed)
 }
 
 // OptimizeStats reports what Optimize did.

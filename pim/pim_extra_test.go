@@ -84,26 +84,6 @@ func TestEnergyPerIteration(t *testing.T) {
 	}
 }
 
-func TestLifetimeUnderVariability(t *testing.T) {
-	opt := testOptions()
-	b, err := pim.NewParallelMult(opt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pim.Run(b, opt, testRun(), pim.StaticStrategy, pim.MRAM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	vr, err := pim.LifetimeUnderVariability(res, pim.MRAM(), 0.5, 40, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vr.MeanIterations <= 0 || vr.MeanIterations >= vr.DeterministicIterations {
-		t.Errorf("variability mean %g should undercut deterministic %g",
-			vr.MeanIterations, vr.DeterministicIterations)
-	}
-}
-
 func TestChipLifetime(t *testing.T) {
 	opt := testOptions()
 	b, err := pim.NewParallelMult(opt, 4)
