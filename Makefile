@@ -75,49 +75,55 @@ doclint:
 promlint:
 	$(GO) run ./internal/tools/promlint
 
-# One benchmark pass; BenchmarkHwEngine/speedup reports the parallel +
-# memoized engine's gain over the serial reference as `speedup_x`, and
+# One benchmark pass. The root package's per-figure benchmarks run once,
+# in bench-current; this target smokes every other package's tests and
+# benchmarks. BenchmarkHwEngine/speedup reports the parallel + memoized
+# engine's gain over the serial reference as `speedup_x`, and
 # BenchmarkHwEngine/obs-overhead reports the observability layer's
 # enabled-vs-disabled cost on the same sweep as `obs_overhead_x`
 # (disabled cost is the <2% design budget).
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+bench: bench-current
+	$(GO) test -bench=. -benchmem -benchtime=1x $$($(GO) list ./... | grep -vx pimendure)
 
-# Allocation smoke: run the steady-state hot-path benchmarks (the shared-
-# plan sweeps, the serving path and the packed array) once with -benchmem
-# and print one line per benchmark — B/op and allocs/op at a glance. The
-# arena discipline (internal/core/arena.go) is what keeps these flat;
-# `make ci` runs this as a 1x smoke so an allocation leak in the hot path
-# is visible even before the benchdiff gate compares snapshots.
-bench-alloc:
-	@$(GO) test -run '^$$' -bench 'BenchmarkSweep$$|BenchmarkServeSweep|BenchmarkArrayIteration|BenchmarkHwEngine|BenchmarkFleet' \
-		-benchmem -benchtime=1x . \
-		| awk '/^Benchmark/ { name=$$1; bop="-"; aop="-"; \
+# Allocation smoke: print one line per steady-state hot-path benchmark
+# (the shared-plan sweeps, the serving path and the packed array) of
+# bench-current's run — B/op and allocs/op at a glance. The arena
+# discipline (internal/core/arena.go) is what keeps these flat; `make ci`
+# prints them so an allocation leak in the hot path is visible even
+# before the benchdiff gate compares snapshots.
+bench-alloc: bench-current
+	@awk '/^Benchmark(Sweep\/|ServeSweep|ArrayIteration|HwEngine|Fleet)/ { name=$$1; bop="-"; aop="-"; \
 			for (i=2; i<NF; i++) { if ($$(i+1)=="B/op") bop=$$i; if ($$(i+1)=="allocs/op") aop=$$i } \
-			printf "%-60s %14s B/op %10s allocs/op\n", name, bop, aop }'
+			printf "%-60s %14s B/op %10s allocs/op\n", name, bop, aop }' out/bench_current.txt
 
 # Machine-readable benchmark snapshot: run the engine benchmark suite
 # (the root package's per-figure benchmarks) and convert the output to
 # BENCH_engine.json via internal/tools/benchjson. Committed so perf
 # claims (speedup_x of the closed-cycle +Hw replay and the bit-packed
-# array) are diffable; regenerate after engine changes with
-# BENCHTIME=5x or higher for steadier numbers.
+# array) are diffable. Record it at the BENCHTIME `make ci` runs (1x,
+# the default): benchdiff compares only entries measured over the same
+# iteration count.
 BENCHTIME ?= 1x
 bench-json:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) . \
 		| $(GO) run ./internal/tools/benchjson -o BENCH_engine.json
 
 # Fresh benchmark snapshot for the regression gate, kept out of the
-# committed baseline's path (out/ is gitignored).
+# committed baseline's path (out/bench_current.* is gitignored): the one
+# run of the root package's benchmarks per `make ci`, which bench,
+# bench-alloc and benchdiff share. The raw output goes to
+# out/bench_current.txt and is printed, and a failing benchmark fails the
+# target; benchjson converts it to out/bench_current.json.
 bench-current:
 	@mkdir -p out
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) . \
-		| $(GO) run ./internal/tools/benchjson -o out/bench_current.json
+	@$(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) . >out/bench_current.txt; \
+		status=$$?; cat out/bench_current.txt; exit $$status
+	$(GO) run ./internal/tools/benchjson -o out/bench_current.json <out/bench_current.txt
 
 # Benchmark regression gate: compare a fresh run against the committed
 # BENCH_engine.json and report ns/op deltas. Only entries run over the
-# baseline's iteration count are compared (it is recorded at 5x, so run
-# with BENCHTIME=5x); the others are listed as not comparable. Advisory
+# baseline's iteration count are compared (it is recorded at 1x, the
+# default BENCHTIME); the others are listed as not comparable. Advisory
 # by default; pass BENCHDIFF_FLAGS=-strict to fail on a >25% regression
 # or an entry that could not be compared, e.g. in a scheduled CI job.
 BENCHDIFF_FLAGS ?=
@@ -219,9 +225,10 @@ abtest:
 # same packages and stay out of `ci` for local use, when a failure should
 # name its layer.
 # `bench` doubles as the CI benchmark smoke: -benchtime=1x executes every
-# benchmark body once, catching bit-rot in the measurement harness.
-# `bench-alloc` prints the hot-path B/op / allocs/op one-liners, and
-# `benchdiff` then diffs a fresh snapshot — BenchmarkHwEngine, the
+# benchmark body once, catching bit-rot in the measurement harness; the
+# root package's benchmarks run once, in bench-current, whose snapshot
+# `bench-alloc` prints as hot-path B/op / allocs/op one-liners and
+# `benchdiff` diffs — BenchmarkHwEngine, the
 # BenchmarkSweep sweep benchmarks, BenchmarkServeSweep's cold/cached
 # serving-throughput pair and BenchmarkFleet's draws/cold/cached/speedup
 # quartet included, timing and allocs/op both — against the committed

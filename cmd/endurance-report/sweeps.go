@@ -82,14 +82,14 @@ func runSweeps(cfg config) error {
 			}); err != nil {
 				return err
 			}
-			// Summarize fuses the CoV scan; GiniReuse sorts all 18 configs'
-			// distributions in one reused scratch buffer.
+			// The CoV comes from the run's summary; GiniReuse sorts all 18
+			// configs' distributions in one reused scratch buffer.
 			var gini float64
 			gini, giniWork = stats.GiniReuse(r.Dist.Counts, giniWork)
 			summary.AddRow(r.Strategy.Name(),
 				report.Fixed(r.MaxWritesPerIteration, 2),
 				report.Fixed(r.Imbalance, 3),
-				report.Fixed(stats.Summarize(r.Dist.Counts).CoV, 3),
+				report.Fixed(r.Summary.CoV, 3),
 				report.Fixed(gini, 3))
 		}
 		if err := emitTable(cfg, fig+"_summary", summary); err != nil {

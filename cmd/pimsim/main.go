@@ -84,7 +84,7 @@ func main() {
 	fmt.Printf("lane utilization: %.2f%%\n", res.Utilization*100)
 	fmt.Printf("max writes/iter:  %.3f\n", res.MaxWritesPerIteration)
 	fmt.Printf("max/mean:         %.3f   CoV: %.3f   Gini: %.3f\n",
-		res.Imbalance, stats.Summarize(res.Dist.Counts).CoV, stats.Gini(res.Dist.Counts))
+		res.Imbalance, res.Summary.CoV, stats.Gini(res.Dist.Counts))
 	fmt.Printf("lifetime (%s): %.4g iterations, %.2f days\n",
 		technology.Name, res.Lifetime.IterationsToFailure, res.Lifetime.Days())
 

@@ -120,6 +120,13 @@ func (p *WearPlan) FullRowWrites() (rows []int32, writes []uint32) {
 	return rows, writes
 }
 
+// HasPartialMasks reports whether some write op of the trace writes
+// through a mask that leaves out lanes. Without one, the between-lane
+// map never reaches a distribution: X×St, X×Ra and X×Bs accumulate
+// identical counts, software and +Hw (TestFullMaskTracesIgnoreBetweenMaps),
+// so pim's sweeps and fleet studies simulate one of them per (within, +Hw).
+func (p *WearPlan) HasPartialMasks() bool { return len(p.partMasks) > 0 }
+
 // PartialEntries returns the number of (row, lane) cells of the
 // one-iteration write matrix that receive partial-mask writes.
 func (p *WearPlan) PartialEntries() int {

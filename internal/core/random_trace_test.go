@@ -345,3 +345,24 @@ func TestFullMaskTracesIgnoreBetweenMaps(t *testing.T) {
 		}
 	}
 }
+
+// HasPartialMasks is the test pim's sweeps use to share one distribution
+// across X×St, X×Ra and X×Bs, so it must be false exactly when the plan
+// has no partial-mask cells: on every random full-mask trace (the shape
+// TestFullMaskTracesIgnoreBetweenMaps proves the identity on), and in
+// agreement with PartialEntries on random traces that mix in partial
+// masks.
+func TestHasPartialMasks(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		for _, partial := range []bool{false, true} {
+			tr, rows := buildRandomTrace(rand.New(rand.NewSource(seed)), partial)
+			for _, preset := range []bool{false, true} {
+				plan := core.NewWearPlan(tr, rows, preset)
+				if got, want := plan.HasPartialMasks(), plan.PartialEntries() > 0; got != want || (!partial && got) {
+					t.Errorf("seed %d partial=%v preset=%v: HasPartialMasks %v, %d partial entries",
+						seed, partial, preset, got, plan.PartialEntries())
+				}
+			}
+		}
+	}
+}

@@ -34,7 +34,11 @@
 //     grid point of the answer, and interpolates log-log; the lifetime
 //     is within 1e−6 relative of exact bisection for σ ∈ [0.01, 2]
 //     (FuzzSurvive), far below what the KS acceptance tests could
-//     detect. The measure-zero draws outside the grid fall back to
+//     detect. One measured exception: a distribution with a single
+//     written cell ({0, 0, 1000, 0}) at σ = 2 is off by up to 1.65e−6,
+//     so that shape is not in FuzzSurvive's corpus; ROADMAP item 4's
+//     tighter bracket fixes it where the bench goldens may be
+//     regenerated. The measure-zero draws outside the grid fall back to
 //     exact bisection on H. The table is built for a median of 1, and
 //     a median only scales the lifetime (the paper's Eq. 4), so
 //     SurviveMedians inverts each device once and scales the draw for

@@ -22,11 +22,15 @@
 // So an 18-strategy × 4-technology × 3-σ study runs 18 simulations, 54
 // table builds and 54 draw passes — not 216 of each — and each draw
 // pass costs one hazard inversion per device plus one multiply-add per
-// device and technology.
+// device and technology. On a plan without partial-mask writes, such as
+// the paper's multiplication, it runs 6, 18 and 18: the between-lane
+// strategy never reaches the distribution there, so X×Ra and X×Bs take
+// the points of X×St, or of whichever of the three comes first.
 package pim
 
 import (
 	"fmt"
+	"slices"
 
 	"pimendure/internal/core"
 	"pimendure/internal/fleet"
@@ -98,11 +102,14 @@ func (p FleetPoint) Seconds(iterations float64) float64 {
 }
 
 // Fleet runs a fleet-survival study: it simulates the benchmark once per
-// strategy, collapses each write distribution into write-count groups,
-// and draws fc.Devices devices per σ against each, every technology
-// scaling the same draws by its median endurance. A nil strategy list
-// means all 18; a nil technology list means the paper's four device
-// models. Points are ordered strategy-major, then technology, then σ.
+// distinct distribution (once per strategy, except that strategies
+// differing only in their between-lane strategy share one on a plan
+// without partial-mask writes), collapses each write distribution into
+// write-count groups, and draws fc.Devices devices per σ against each,
+// every technology scaling the same draws by its median endurance. A
+// nil strategy list means all 18; a nil technology list means the
+// paper's four device models. Points are ordered strategy-major, then
+// technology, then σ.
 func Fleet(b *Benchmark, opt Options, rc RunConfig, strategies []Strategy, techs []Technology, fc FleetConfig) ([]FleetPoint, error) {
 	sp := obs.StartSpan("pim.fleet")
 	defer sp.End()
@@ -163,8 +170,28 @@ func fleetPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []
 	}
 	perStrategy := len(techs) * len(sigmas)
 	points := make([]FleetPoint, len(strategies)*perStrategy)
+	first := sameDist(plan, rc, strategies)
 	var seriesBase float64
 	for si, s := range strategies {
+		if first != nil && first[si] != si {
+			// Another strategy's distribution: its points, relabeled,
+			// and one progress row per σ, so the series still ends at
+			// points × devices.
+			src := points[first[si]*perStrategy : (first[si]+1)*perStrategy]
+			for k, p := range src {
+				p.Strategy = s
+				p.Quantiles = slices.Clone(p.Quantiles)
+				points[si*perStrategy+k] = p
+			}
+			for range sigmas {
+				seriesBase += float64(fc.Devices * len(techs))
+				if fc.Series != nil {
+					fc.Series.Add(seriesBase)
+				}
+			}
+			obsRunsReused.Add(1)
+			continue
+		}
 		dist, err := plan.Simulate(rc.simConfig(plan), s)
 		if err != nil {
 			return nil, err

@@ -195,27 +195,50 @@ func TestFleetValidation(t *testing.T) {
 }
 
 // The progress series counts devices cumulatively across the whole
-// study, ending at points × devices.
+// study, ending at points × devices — also when strategies share a
+// distribution: St×Ra takes St×St's points and still adds one row per σ.
 func TestFleetProgressSeries(t *testing.T) {
 	opt := fleetOptions()
 	bench := fleetBench(t)
 	rc := pim.RunConfig{Iterations: 60, RecompileEvery: 30, Seed: 1, Workers: 1}
-	series := obs.NewSeries("test.fleet.progress", "devices")
-	defer obs.RemoveSeries(series.Name())
-	fc := pim.FleetConfig{Devices: 20000, Sigmas: []float64{0, 0.3}, Seed: 2, Series: series}
-	strategies := []pim.Strategy{pim.StaticStrategy}
-	points, err := pim.Fleet(bench, opt, rc, strategies, []pim.Technology{pim.MRAM()}, fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := float64(len(points) * fc.Devices)
-	last := series.Last()
-	if last == nil || last[0] != total {
-		t.Fatalf("final progress row %v, want %v", last, total)
-	}
-	// σ=0 reports one row; σ=0.3 one per 8192-device batch.
-	if series.Len() < 4 {
-		t.Errorf("only %d progress rows", series.Len())
+	for _, tc := range []struct {
+		name       string
+		strategies []pim.Strategy
+		// rows is the least number of progress rows the study adds.
+		rows int
+	}{
+		// σ=0 reports one row; σ=0.3 one per 8192-device batch.
+		{"one strategy", []pim.Strategy{pim.StaticStrategy}, 4},
+		{"aliased pair", []pim.Strategy{
+			pim.StaticStrategy,
+			{Within: pim.Static, Between: pim.Random},
+			{Within: pim.Random, Between: pim.Random},
+		}, 4 + 2 + 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			series := obs.NewSeries("test.fleet.progress", "devices")
+			defer obs.RemoveSeries(series.Name())
+			fc := pim.FleetConfig{Devices: 20000, Sigmas: []float64{0, 0.3}, Seed: 2, Series: series}
+			points, err := pim.Fleet(bench, opt, rc, tc.strategies, []pim.Technology{pim.MRAM()}, fc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := float64(len(points) * fc.Devices)
+			last := series.Last()
+			if last == nil || last[0] != total {
+				t.Fatalf("final progress row %v, want %v", last, total)
+			}
+			if series.Len() < tc.rows {
+				t.Errorf("only %d progress rows, want at least %d", series.Len(), tc.rows)
+			}
+			prev := 0.0
+			for _, row := range series.Samples() {
+				if row[0] < prev {
+					t.Fatalf("progress fell from %v to %v", prev, row[0])
+				}
+				prev = row[0]
+			}
+		})
 	}
 }
 

@@ -15,10 +15,13 @@ import (
 
 // The run manifest must report exactly what the API returned: with the
 // observability layer enabled, the core.writes counter accumulated over
-// an 18-configuration sweep equals the sum of the returned WriteDist
+// an 18-configuration sweep equals the sum of the simulated WriteDist
 // totals, the epoch counters are self-consistent with the run
 // parameters, and the stage timings cover one core.simulate per
-// strategy. (Not parallel: the obs registry is process-wide.)
+// simulated strategy. mult has no partial-mask writes, so the sweep
+// simulates one strategy per (within, +Hw), 6 of the 18, and the other
+// 12 share their distributions. (Not parallel: the obs registry is
+// process-wide.)
 func TestManifestMatchesSweepResults(t *testing.T) {
 	obs.Reset()
 	obs.Enable()
@@ -42,45 +45,59 @@ func TestManifestMatchesSweepResults(t *testing.T) {
 	m.Seed = rc.Seed
 	m.Finish()
 
+	// Each distinct distribution was simulated once, so core.writes
+	// balances against the distinct totals.
 	var total uint64
+	distinct := map[*pim.WriteDist]bool{}
 	for _, r := range results {
-		total += r.Dist.Total()
+		if !distinct[r.Dist] {
+			distinct[r.Dist] = true
+			total += r.Dist.Total()
+		}
+	}
+	if len(distinct) != 6 {
+		t.Errorf("%d distinct distributions among 18 results, want 6 (one per within strategy and +Hw)", len(distinct))
 	}
 	if got := m.Counters["core.writes"]; got != int64(total) {
-		t.Errorf("manifest core.writes = %d, sum of WriteDist totals = %d", got, total)
+		t.Errorf("manifest core.writes = %d, sum of simulated WriteDist totals = %d", got, total)
+	}
+	if got := m.Counters["pim.runs_reused"]; got != 12 {
+		t.Errorf("manifest pim.runs_reused = %d, want 12 (18 strategies, 6 simulated)", got)
 	}
 
-	// 23 iterations at recompile-every-7 is 4 epochs per strategy, 18
-	// strategies. Each of the 9 +Hw runs replays its two epoch lengths (7
-	// and 2) once and lands its other 2 epochs from those replays.
-	if got := m.Counters["core.epochs"]; got != 18*4 {
-		t.Errorf("manifest core.epochs = %d, want %d", got, 18*4)
+	// 23 iterations at recompile-every-7 is 4 epochs per strategy, 6
+	// simulated strategies. Each of the 3 simulated +Hw runs replays its
+	// two epoch lengths (7 and 2) once and lands its other 2 epochs from
+	// those replays.
+	if got := m.Counters["core.epochs"]; got != 6*4 {
+		t.Errorf("manifest core.epochs = %d, want %d", got, 6*4)
 	}
 	replays, hits := m.Counters["core.hw.replays"], m.Counters["core.hw.memo_hits"]
-	if replays != 9*2 || hits != 9*2 {
+	if replays != 3*2 || hits != 3*2 {
 		t.Errorf("hw replays/memo hits = %d/%d, want %d/%d (one replay per epoch length and run, of %d hw epochs)",
-			replays, hits, 9*2, 9*2, 9*4)
+			replays, hits, 3*2, 3*2, 3*4)
 	}
 
 	// Closed-cycle replay accounting: every +Hw epoch-iteration is either
 	// replayed op-by-op (one recording pass per replay) or saved by the
-	// shared replays and the closed-form accumulation. 9 +Hw strategies at
-	// 23 iterations each is 207 epoch-iterations, 18 of them replayed.
+	// shared replays and the closed-form accumulation. 3 simulated +Hw
+	// strategies at 23 iterations each is 69 epoch-iterations, 6 of them
+	// replayed.
 	iters, saved := m.Counters["core.hw.replay_iters"], m.Counters["core.hw.replay_iters_saved"]
-	if iters != 9*2 || saved != 9*23-9*2 {
+	if iters != 3*2 || saved != 3*23-3*2 {
 		t.Errorf("replay_iters/replay_iters_saved = %d/%d, want %d/%d (of %d +Hw epoch-iterations)",
-			iters, saved, 9*2, 9*23-9*2, 9*23)
+			iters, saved, 3*2, 3*23-3*2, 3*23)
 	}
 
 	// Software-engine memoization accounting: mult has only full-mask
-	// writes, so its software epochs group by within map alone. An St
-	// within map is one landing for all 4 epochs (3 strategies); Ra and Bs
-	// within maps (96 rows, byte step) differ in every epoch (6
-	// strategies × 4). That is 27 landings, and 9 of the 36 software
+	// writes, so its software epochs group by within map alone. The St
+	// within map is one landing for all 4 epochs (1 simulated strategy);
+	// Ra and Bs within maps (96 rows, byte step) differ in every epoch
+	// (2 strategies × 4). That is 9 landings, and 3 of the 12 software
 	// epochs fold.
 	swGroups, swHits := m.Counters["core.sw.groups"], m.Counters["core.sw.memo_hits"]
-	if swGroups != 27 || swHits != 9 {
-		t.Errorf("sw groups/memo hits = %d/%d, want 27/9 (of %d software epochs)", swGroups, swHits, 9*4)
+	if swGroups != 9 || swHits != 3 {
+		t.Errorf("sw groups/memo hits = %d/%d, want 9/3 (of %d software epochs)", swGroups, swHits, 3*4)
 	}
 
 	stages := map[string]obs.Stage{}
@@ -88,22 +105,100 @@ func TestManifestMatchesSweepResults(t *testing.T) {
 		stages[st.Name] = st
 	}
 	// One shared WearPlan serves the whole sweep: the plan-build stage
-	// must have run exactly once for 18 core.simulate stages.
+	// must have run exactly once for 6 core.simulate stages.
 	if st := stages["core.simulate/plan"]; st.Count != 1 {
 		t.Errorf("core.simulate/plan stage count = %d, want 1 (plan shared across the sweep)", st.Count)
 	}
-	if st := stages["core.simulate"]; st.Count != 18 {
-		t.Errorf("core.simulate stage count = %d, want 18", st.Count)
+	if st := stages["core.simulate"]; st.Count != 6 {
+		t.Errorf("core.simulate stage count = %d, want 6", st.Count)
 	}
 	if st := stages["pim.sweep"]; st.Count != 1 {
 		t.Errorf("pim.sweep stage count = %d, want 1", st.Count)
 	}
-	if st := stages["pim.run"]; st.Count != 18 {
-		t.Errorf("pim.run stage count = %d, want 18", st.Count)
+	if st := stages["pim.run"]; st.Count != 6 {
+		t.Errorf("pim.run stage count = %d, want 6", st.Count)
 	}
-	if m.Counters["pim.runs"] != 18 || m.Counters["pim.sweeps"] != 1 {
+	if m.Counters["pim.runs"] != 6 || m.Counters["pim.sweeps"] != 1 {
 		t.Errorf("pim counters wrong: runs=%d sweeps=%d",
 			m.Counters["pim.runs"], m.Counters["pim.sweeps"])
+	}
+}
+
+// Sweeps that the full-mask identity does not cover simulate every
+// strategy: the dot product and the convolution write through partial
+// masks, and a sampled sweep registers a live series per strategy. Each
+// runs core.simulate and pim.run 18 times, reuses nothing, and
+// core.writes balances against all 18 distinct distributions. (Not
+// parallel: the obs registry is process-wide.)
+func TestSweepWithoutIdentitySimulatesEveryStrategy(t *testing.T) {
+	opt := testOptions()
+	dot, err := pim.NewDotProduct(opt, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, err := pim.NewConvolution(opt, 4, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mult, err := pim.NewParallelMult(opt, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := pim.RunConfig{Iterations: 23, RecompileEvery: 7, Seed: 3, Workers: 2}
+	sampled := rc
+	sampled.SampleEvery = 2
+	sampled.SeriesPrefix = "identity-test."
+	for _, tc := range []struct {
+		name  string
+		bench *pim.Benchmark
+		rc    pim.RunConfig
+	}{
+		{"dot", dot, rc},
+		{"conv", conv, rc},
+		{"sampled mult", mult, sampled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			obs.Reset()
+			obs.Enable()
+			defer func() {
+				obs.Disable()
+				obs.Reset()
+			}()
+			results, err := pim.Sweep(tc.bench, opt, tc.rc, nil, pim.MRAM())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var total uint64
+			distinct := map[*pim.WriteDist]bool{}
+			for _, r := range results {
+				if r.Wear != nil {
+					defer obs.RemoveSeries(r.Wear.Name())
+				}
+				distinct[r.Dist] = true
+				total += r.Dist.Total()
+			}
+			m := obs.NewManifest("sweeptest")
+			m.Finish()
+			if len(distinct) != 18 {
+				t.Errorf("%d distinct distributions among 18 results, want 18", len(distinct))
+			}
+			if got := m.Counters["core.writes"]; got != int64(total) {
+				t.Errorf("manifest core.writes = %d, sum of WriteDist totals = %d", got, total)
+			}
+			if got := m.Counters["pim.runs_reused"]; got != 0 {
+				t.Errorf("manifest pim.runs_reused = %d, want 0", got)
+			}
+			stages := map[string]obs.Stage{}
+			for _, st := range m.Stages {
+				stages[st.Name] = st
+			}
+			if st := stages["core.simulate"]; st.Count != 18 {
+				t.Errorf("core.simulate stage count = %d, want 18", st.Count)
+			}
+			if st := stages["pim.run"]; st.Count != 18 {
+				t.Errorf("pim.run stage count = %d, want 18", st.Count)
+			}
+		})
 	}
 }
 

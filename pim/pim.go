@@ -60,6 +60,9 @@ type (
 	Lifetime = lifetime.Result
 	// Grid is a dense matrix for heatmaps.
 	Grid = stats.Grid
+	// Summary is one pass's statistics of a write distribution: cell
+	// count, max, total, mean and coefficient of variation.
+	Summary = stats.Summary
 	// FaultCurvePoint samples Fig. 11b's usable-vs-failed curve.
 	FaultCurvePoint = faults.CurvePoint
 	// EnergyModel carries per-cell access energies.
@@ -92,6 +95,10 @@ var (
 var (
 	obsRuns   = obs.GetCounter("pim.runs")
 	obsSweeps = obs.GetCounter("pim.sweeps")
+	// obsRunsReused counts the strategies of a sweep or fleet study that
+	// took another strategy's distribution instead of simulating (see
+	// sameDist).
+	obsRunsReused = obs.GetCounter("pim.runs_reused")
 )
 
 // Software re-mapping strategies (§3.2).
@@ -260,8 +267,15 @@ func (rc RunConfig) simConfig(plan *core.WearPlan) core.SimConfig {
 type Result struct {
 	Benchmark string
 	Strategy  Strategy
-	// Dist is the accumulated write distribution.
+	// Dist is the accumulated write distribution. On a plan without
+	// partial-mask writes, the strategies of one unsampled Sweep that
+	// differ only in their between-lane strategy share one read-only
+	// *WriteDist, so Release on any of them releases it for all: release
+	// a sweep's distributions only after reading every result.
 	Dist *WriteDist
+	// Summary is Dist's max, total, mean and CoV, computed once when the
+	// run finished.
+	Summary Summary
 	// MaxWritesPerIteration is Eq. 4's max(WriteCount) normalized per
 	// iteration.
 	MaxWritesPerIteration float64
@@ -326,6 +340,7 @@ func runPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, s Strategy, tec
 		Benchmark:             b.Name,
 		Strategy:              s,
 		Dist:                  dist,
+		Summary:               sum,
 		MaxWritesPerIteration: maxPerIter,
 		Utilization:           st.Utilization,
 		Lifetime:              lt,
@@ -348,9 +363,12 @@ func runPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, s Strategy, tec
 // count stays near rc.Workers regardless of nesting.
 //
 // The per-benchmark WearPlan (flattened ops, factorized write matrix,
-// renamer-cycle analysis, trace statistics) is built once and shared by
-// every strategy — the plan is immutable after construction, so the
-// concurrent runs need no synchronization over it.
+// trace statistics) is built once and shared by every strategy — the
+// plan is immutable after construction, so the concurrent runs need no
+// synchronization over it. On a plan without partial-mask writes an
+// unsampled sweep simulates one strategy per (within, +Hw): the others
+// of the group share its distribution (see Result.Dist), so the paper's
+// multiplication runs 6 simulations for its 18 strategies.
 func Sweep(b *Benchmark, opt Options, rc RunConfig, strategies []Strategy, tech Technology) ([]*Result, error) {
 	sp := obs.StartSpan("pim.sweep")
 	defer sp.End()
@@ -365,13 +383,23 @@ func sweepPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []
 	if strategies == nil {
 		strategies = AllStrategies()
 	}
-	results := make([]*Result, len(strategies))
-	errs := make([]error, len(strategies))
-	workers := pool.Size(rc.Workers, len(strategies))
+	first := sameDist(plan, rc, strategies)
+	runs := strategies
+	if first != nil {
+		runs = nil
+		for i, s := range strategies {
+			if first[i] == i {
+				runs = append(runs, s)
+			}
+		}
+	}
+	results := make([]*Result, len(runs))
+	errs := make([]error, len(runs))
+	workers := pool.Size(rc.Workers, len(runs))
 	inner := rc
 	inner.Workers = pool.Share(rc.Workers, workers)
-	pool.ForEach(workers, len(strategies), func(i int) {
-		results[i], errs[i] = runPlanned(plan, b, inner, strategies[i], tech)
+	pool.ForEach(workers, len(runs), func(i int) {
+		results[i], errs[i] = runPlanned(plan, b, inner, runs[i], tech)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -388,7 +416,51 @@ func sweepPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []
 			return nil, err
 		}
 	}
-	return results, nil
+	if first == nil {
+		return results, nil
+	}
+	out := make([]*Result, len(strategies))
+	next := 0
+	for i, s := range strategies {
+		if first[i] == i {
+			out[i] = results[next]
+			next++
+			continue
+		}
+		alias := *out[first[i]]
+		alias.Strategy = s
+		out[i] = &alias
+	}
+	obsRunsReused.Add(int64(len(strategies) - len(runs)))
+	return out, nil
+}
+
+// sameDist maps each requested strategy to the index of the first
+// requested strategy that accumulates the same distribution, or returns
+// nil when every strategy must simulate on its own. On a plan without
+// partial-mask writes the between-lane map never reaches the counts, so
+// strategies with the same within strategy and +Hw flag are one
+// simulation (TestFullMaskTracesIgnoreBetweenMaps proves it). A sampled
+// run registers a live series per strategy, so it always simulates each.
+func sameDist(plan *core.WearPlan, rc RunConfig, strategies []Strategy) []int {
+	if len(strategies) < 2 || rc.SampleEvery > 0 || plan.HasPartialMasks() {
+		return nil
+	}
+	first := make([]int, len(strategies))
+	shared := false
+	for i, s := range strategies {
+		first[i] = i
+		for j := 0; j < i; j++ {
+			if first[j] == j && strategies[j].Within == s.Within && strategies[j].Hw == s.Hw {
+				first[i], shared = j, true
+				break
+			}
+		}
+	}
+	if !shared {
+		return nil
+	}
+	return first
 }
 
 // Improvements converts sweep results into Fig. 17's lifetime-improvement
