@@ -140,12 +140,8 @@ func TestArenaSharedAcrossSubsystems(t *testing.T) {
 							errs[w] = fmt.Errorf("sweep %s: dist fnv %s, cold run %s", r.Strategy.Name(), got, want)
 							return
 						}
-					}
-					// Return the buffers mid-flight: reuse by a concurrent
-					// job is exactly the churn under test. Strategies that
-					// share a distribution share its buffer, so none is
-					// released before every result is read.
-					for _, r := range results {
+						// Return the buffer mid-flight: reuse by a
+						// concurrent job is exactly the churn under test.
 						r.Dist.Release()
 					}
 				case 1: // bank striping on the shared plan

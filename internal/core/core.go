@@ -29,6 +29,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"pimendure/internal/array"
 	"pimendure/internal/mapping"
@@ -218,6 +219,9 @@ type WriteDist struct {
 	// release, when non-nil, returns Counts to the arena of the WearPlan
 	// that produced this distribution (see WriteDist.Release).
 	release func([]uint64)
+	// views, when non-nil, counts the unreleased distributions that read
+	// Counts (see WriteDist.Alias); only the last Release calls release.
+	views *atomic.Int32
 }
 
 // NewWriteDist allocates a zeroed distribution.
@@ -228,8 +232,10 @@ func NewWriteDist(rows, lanes int) *WriteDist {
 // Release hands the distribution's counts buffer back to the arena of
 // the WearPlan that produced it, making the buffer available to the next
 // simulation against that plan. After Release the distribution must not
-// be read again — Counts is nil. Calling Release on a distribution that
-// did not come from a plan (or twice) is a safe no-op; it is always
+// be read again — Counts is nil. A distribution that shares its buffer
+// with aliases (see Alias) drops only its own view; the buffer goes back
+// when the last of them is released. Calling Release on a distribution
+// that did not come from a plan (or twice) is a safe no-op; it is always
 // optional, as an unreleased buffer is simply collected by the GC.
 func (d *WriteDist) Release() {
 	if d == nil || d.release == nil || d.Counts == nil {
@@ -237,7 +243,29 @@ func (d *WriteDist) Release() {
 	}
 	rel, buf := d.release, d.Counts
 	d.release, d.Counts = nil, nil
+	if d.views != nil && d.views.Add(-1) > 0 {
+		return
+	}
 	rel(buf)
+}
+
+// Alias returns a second distribution that reads d's counts buffer
+// without copying it. d and its aliases are released independently, from
+// any goroutine: each Release drops one view, and the last one returns
+// the buffer to its plan's arena. Neither may be written while the other
+// is in use. Alias itself must not run concurrently with Release of d or
+// of d's other aliases.
+func (d *WriteDist) Alias() *WriteDist {
+	a := *d
+	if d.release != nil && d.Counts != nil {
+		if d.views == nil {
+			d.views = new(atomic.Int32)
+			d.views.Store(1)
+		}
+		d.views.Add(1)
+		a.views = d.views
+	}
+	return &a
 }
 
 // At returns the write count of cell (row, lane).

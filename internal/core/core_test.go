@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"pimendure/internal/core"
@@ -69,6 +71,61 @@ func TestWriteDistBasics(t *testing.T) {
 	}
 	if d.Equal(core.NewWriteDist(3, 4)) {
 		t.Error("different shapes reported equal")
+	}
+}
+
+// Aliases of a distribution are released independently, from any
+// goroutine: each Release drops one view while the others still read the
+// counts, and the buffer goes back to the plan's arena once, when the last
+// view is released.
+func TestWriteDistAliasRelease(t *testing.T) {
+	plan := core.NewWearPlan(smallBenches(t)["mult"], 96, false)
+	cfg := core.SimConfig{Rows: 96, Iterations: 23, RecompileEvery: 7, Seed: 1, Workers: 1}
+	d, err := plan.Simulate(cfg, core.Static)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, want := &d.Counts[0], slices.Clone(d.Counts)
+	views := []*core.WriteDist{d, d.Alias(), d.Alias()}
+	views[0].Release()
+	for i, v := range views[1:] {
+		if !slices.Equal(v.Counts, want) {
+			t.Fatalf("alias %d lost its counts when another view was released", i+1)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, v := range views[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v.Release()
+			v.Release()
+		}()
+	}
+	wg.Wait()
+	for i, v := range views {
+		if v.Counts != nil {
+			t.Errorf("view %d still holds counts after Release", i)
+		}
+	}
+	// Two live distributions drawn after the last Release: the first
+	// reuses the returned buffer, and the second does not get it again.
+	a, err := plan.Simulate(cfg, core.Static)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := plan.Simulate(cfg, core.Static)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.Counts[0] != buf {
+		t.Error("the released buffer did not go back to the arena")
+	}
+	if &b.Counts[0] == buf {
+		t.Error("the buffer went back to the arena more than once")
+	}
+	if !slices.Equal(a.Counts, want) || !slices.Equal(b.Counts, want) {
+		t.Error("distributions drawn from the reused buffer differ from the first run")
 	}
 }
 

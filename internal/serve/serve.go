@@ -644,7 +644,7 @@ func buildResult(j *job, results []*pim.Result, hit bool) *JobResult {
 			improvements[imp.Strategy.Name()] = imp.Factor
 		}
 	}
-	for i, r := range results {
+	for _, r := range results {
 		out.Benchmark = r.Benchmark
 		row := StrategyResult{
 			Strategy:              r.Strategy.Name(),
@@ -655,7 +655,7 @@ func buildResult(j *job, results []*pim.Result, hit bool) *JobResult {
 			LifetimeSeconds:       r.Lifetime.Seconds,
 			MaxWrites:             r.Summary.Max,
 			TotalWrites:           r.Summary.Total,
-			DistFNV:               checksum(results[:i], out.Strategies, r.Dist),
+			DistFNV:               r.Dist.Checksum(),
 			Improvement:           improvements[r.Strategy.Name()],
 		}
 		if r.Wear != nil {
@@ -664,18 +664,6 @@ func buildResult(j *job, results []*pim.Result, hit bool) *JobResult {
 		out.Strategies = append(out.Strategies, row)
 	}
 	return out
-}
-
-// checksum is d's Checksum, hashed once per distinct distribution: when
-// an earlier result of the sweep shares d (pim.Result.Dist), its row
-// already carries the hash.
-func checksum(earlier []*pim.Result, rows []StrategyResult, d *pim.WriteDist) string {
-	for i, r := range earlier {
-		if r.Dist == d {
-			return rows[i].DistFNV
-		}
-	}
-	return d.Checksum()
 }
 
 // jobStatus is the GET /jobs/<id> body.

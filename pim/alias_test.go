@@ -28,82 +28,56 @@ func sameResult(t *testing.T, got, want *pim.Result) {
 	}
 }
 
-// An 18-strategy mult sweep equals 18 Run calls over several seeds, over
-// run lengths that end in a short epoch, and at 1 and 3 workers; its
-// results hold 6 distinct distributions, one per (within, +Hw).
-func TestSweepAliasesMatchRuns(t *testing.T) {
-	opt := pim.Options{Lanes: 8, Rows: 96, PresetOutputs: true, NANDBasis: true}
-	bench, err := pim.NewParallelMult(opt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strategies := pim.AllStrategies()
-	for _, seed := range []int64{1, 5, 11} {
-		for _, run := range []struct{ iters, every int }{{23, 7}, {30, 8}, {9, 4}} {
-			for _, workers := range []int{1, 3} {
-				rc := pim.RunConfig{Iterations: run.iters, RecompileEvery: run.every, Seed: seed, Workers: workers}
-				results, err := pim.Sweep(bench, opt, rc, nil, pim.MRAM())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(results) != len(strategies) {
-					t.Fatalf("sweep returned %d results, want %d", len(results), len(strategies))
-				}
-				distinct := map[*pim.WriteDist]bool{}
-				for i, r := range results {
-					if r.Strategy != strategies[i] {
-						t.Fatalf("result %d is %s, want %s", i, r.Strategy.Name(), strategies[i].Name())
-					}
-					solo, err := pim.Run(bench, opt, rc, strategies[i], pim.MRAM())
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameResult(t, r, solo)
-					distinct[r.Dist] = true
-				}
-				if len(distinct) != 6 {
-					t.Errorf("seed %d, %d/%d, workers %d: %d distinct distributions, want 6",
-						seed, run.iters, run.every, workers, len(distinct))
-				}
-			}
-		}
-	}
-}
-
 // A 9-strategy mult fleet study equals nine one-strategy studies point
-// for point, and no two points share a quantile slice.
+// for point, and no two points share a quantile slice. A fleet study never
+// samples, so a RunConfig with SampleEvery set groups the same way: 3
+// simulations serve the 9 strategies either way. (Not parallel: the obs
+// registry is process-wide.)
 func TestFleetAliasesMatchOneStrategyFleets(t *testing.T) {
+	obs.Reset()
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
 	opt := fleetOptions()
 	bench := fleetBench(t)
 	strategies := pim.AllStrategies()[:9]
 	techs := []pim.Technology{pim.MRAM(), pim.PCM()}
 	for _, seed := range []int64{1, 4} {
 		for _, workers := range []int{1, 3} {
-			rc := pim.RunConfig{Iterations: 70, RecompileEvery: 20, Seed: seed, Workers: workers}
-			fc := pim.FleetConfig{Devices: 3000, Sigmas: []float64{0, 0.4}, Seed: seed}
-			points, err := pim.Fleet(bench, opt, rc, strategies, techs, fc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			per := len(techs) * len(fc.Sigmas)
-			if len(points) != len(strategies)*per {
-				t.Fatalf("got %d points, want %d", len(points), len(strategies)*per)
-			}
-			for si, s := range strategies {
-				solo, err := pim.Fleet(bench, opt, rc, []pim.Strategy{s}, techs, fc)
+			for _, sample := range []int{0, 10} {
+				rc := pim.RunConfig{Iterations: 70, RecompileEvery: 20, Seed: seed, Workers: workers, SampleEvery: sample}
+				fc := pim.FleetConfig{Devices: 3000, Sigmas: []float64{0, 0.4}, Seed: seed}
+				obs.Reset()
+				points, err := pim.Fleet(bench, opt, rc, strategies, techs, fc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := points[si*per : (si+1)*per]; !reflect.DeepEqual(got, solo) {
-					t.Errorf("seed %d workers %d: %s points %+v, one-strategy study %+v", seed, workers, s.Name(), got, solo)
+				if got := obs.GetCounter("pim.runs_reused").Value(); got != 6 {
+					t.Errorf("seed %d workers %d sample %d: pim.runs_reused = %d, want 6", seed, workers, sample, got)
 				}
-			}
-			seen := map[*float64]bool{}
-			for _, p := range points {
-				if seen[&p.Quantiles[0]] {
-					t.Fatalf("%s shares its quantile slice with another point", p.Strategy.Name())
+				per := len(techs) * len(fc.Sigmas)
+				if len(points) != len(strategies)*per {
+					t.Fatalf("got %d points, want %d", len(points), len(strategies)*per)
 				}
-				seen[&p.Quantiles[0]] = true
+				for si, s := range strategies {
+					solo, err := pim.Fleet(bench, opt, rc, []pim.Strategy{s}, techs, fc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := points[si*per : (si+1)*per]; !reflect.DeepEqual(got, solo) {
+						t.Errorf("seed %d workers %d sample %d: %s points %+v, one-strategy study %+v",
+							seed, workers, sample, s.Name(), got, solo)
+					}
+				}
+				seen := map[*float64]bool{}
+				for _, p := range points {
+					if seen[&p.Quantiles[0]] {
+						t.Fatalf("%s shares its quantile slice with another point", p.Strategy.Name())
+					}
+					seen[&p.Quantiles[0]] = true
+				}
 			}
 		}
 	}
@@ -138,8 +112,9 @@ func TestAliasesKeepRequestOrder(t *testing.T) {
 	if got := obs.GetCounter("pim.runs_reused").Value(); got != 3 {
 		t.Errorf("pim.runs_reused = %d after the sweep, want 3", got)
 	}
-	if results[2].Dist != results[0].Dist || results[4].Dist != results[0].Dist || results[5].Dist != results[1].Dist {
-		t.Error("Ra×St, Ra×Bs and Bs×St+Hw do not share the distribution of the first member of their group")
+	buf := func(i int) *uint64 { return &results[i].Dist.Counts[0] }
+	if buf(2) != buf(0) || buf(4) != buf(0) || buf(5) != buf(1) {
+		t.Error("Ra×St, Ra×Bs and Bs×St+Hw do not share the counts buffer of the first member of their group")
 	}
 	for i, r := range results {
 		if r.Strategy != strategies[i] {

@@ -170,7 +170,7 @@ func fleetPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []
 	}
 	perStrategy := len(techs) * len(sigmas)
 	points := make([]FleetPoint, len(strategies)*perStrategy)
-	first := sameDist(plan, rc, strategies)
+	first := sameDist(plan, strategies)
 	var seriesBase float64
 	for si, s := range strategies {
 		if first != nil && first[si] != si {

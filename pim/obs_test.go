@@ -48,10 +48,10 @@ func TestManifestMatchesSweepResults(t *testing.T) {
 	// Each distinct distribution was simulated once, so core.writes
 	// balances against the distinct totals.
 	var total uint64
-	distinct := map[*pim.WriteDist]bool{}
+	distinct := map[*uint64]bool{}
 	for _, r := range results {
-		if !distinct[r.Dist] {
-			distinct[r.Dist] = true
+		if !distinct[&r.Dist.Counts[0]] {
+			distinct[&r.Dist.Counts[0]] = true
 			total += r.Dist.Total()
 		}
 	}
@@ -169,12 +169,12 @@ func TestSweepWithoutIdentitySimulatesEveryStrategy(t *testing.T) {
 				t.Fatal(err)
 			}
 			var total uint64
-			distinct := map[*pim.WriteDist]bool{}
+			distinct := map[*uint64]bool{}
 			for _, r := range results {
 				if r.Wear != nil {
 					defer obs.RemoveSeries(r.Wear.Name())
 				}
-				distinct[r.Dist] = true
+				distinct[&r.Dist.Counts[0]] = true
 				total += r.Dist.Total()
 			}
 			m := obs.NewManifest("sweeptest")

@@ -269,9 +269,10 @@ type Result struct {
 	Strategy  Strategy
 	// Dist is the accumulated write distribution. On a plan without
 	// partial-mask writes, the strategies of one unsampled Sweep that
-	// differ only in their between-lane strategy share one read-only
-	// *WriteDist, so Release on any of them releases it for all: release
-	// a sweep's distributions only after reading every result.
+	// differ only in their between-lane strategy read one counts buffer
+	// through aliases (see WriteDist.Alias): it is read-only, each
+	// result's Release drops only its own view, and the buffer returns to
+	// the plan's arena when the last of them is released.
 	Dist *WriteDist
 	// Summary is Dist's max, total, mean and CoV, computed once when the
 	// run finished.
@@ -383,7 +384,12 @@ func sweepPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []
 	if strategies == nil {
 		strategies = AllStrategies()
 	}
-	first := sameDist(plan, rc, strategies)
+	// A sampled run registers a live series per strategy, so a sampled
+	// sweep simulates each.
+	var first []int
+	if rc.SampleEvery == 0 {
+		first = sameDist(plan, strategies)
+	}
 	runs := strategies
 	if first != nil {
 		runs = nil
@@ -429,6 +435,7 @@ func sweepPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []
 		}
 		alias := *out[first[i]]
 		alias.Strategy = s
+		alias.Dist = alias.Dist.Alias()
 		out[i] = &alias
 	}
 	obsRunsReused.Add(int64(len(strategies) - len(runs)))
@@ -440,10 +447,9 @@ func sweepPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []
 // nil when every strategy must simulate on its own. On a plan without
 // partial-mask writes the between-lane map never reaches the counts, so
 // strategies with the same within strategy and +Hw flag are one
-// simulation (TestFullMaskTracesIgnoreBetweenMaps proves it). A sampled
-// run registers a live series per strategy, so it always simulates each.
-func sameDist(plan *core.WearPlan, rc RunConfig, strategies []Strategy) []int {
-	if len(strategies) < 2 || rc.SampleEvery > 0 || plan.HasPartialMasks() {
+// simulation (TestFullMaskTracesIgnoreBetweenMaps proves it).
+func sameDist(plan *core.WearPlan, strategies []Strategy) []int {
+	if len(strategies) < 2 || plan.HasPartialMasks() {
 		return nil
 	}
 	first := make([]int, len(strategies))

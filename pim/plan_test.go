@@ -9,37 +9,48 @@ import (
 	"pimendure/pim"
 )
 
-// Sweep shares one WearPlan across all 18 strategies; sharing must
-// change nothing observable — every sweep result must equal the result
-// of an individual Run (which builds its own plan on demand), bit for
-// bit on the distribution and exactly on the derived figures.
+// Sweep shares one WearPlan across all 18 strategies, and on mult's plan,
+// which has no partial-mask writes, one simulation per (within, +Hw);
+// sharing must change nothing observable — every sweep result must equal
+// the result of an individual Run (which builds its own plan on demand),
+// field for field and checksum for checksum, over several seeds, over run
+// lengths that end in a short epoch, and at 1 and 3 workers. The 18
+// results read 6 distinct counts buffers.
 func TestSweepMatchesIndividualRuns(t *testing.T) {
 	opt := pim.Options{Lanes: 8, Rows: 96, PresetOutputs: true, NANDBasis: true}
 	bench, err := pim.NewParallelMult(opt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := pim.RunConfig{Iterations: 23, RecompileEvery: 7, Seed: 11, Workers: 3}
-	results, err := pim.Sweep(bench, opt, rc, nil, pim.MRAM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 18 {
-		t.Fatalf("sweep returned %d results, want 18", len(results))
-	}
-	for _, r := range results {
-		solo, err := pim.Run(bench, opt, rc, r.Strategy, pim.MRAM())
-		if err != nil {
-			t.Fatalf("%s: %v", r.Strategy.Name(), err)
-		}
-		if !r.Dist.Equal(solo.Dist) {
-			t.Errorf("%s: sweep distribution differs from individual Run", r.Strategy.Name())
-		}
-		if r.MaxWritesPerIteration != solo.MaxWritesPerIteration ||
-			r.Utilization != solo.Utilization ||
-			r.Lifetime != solo.Lifetime ||
-			r.Imbalance != solo.Imbalance {
-			t.Errorf("%s: sweep derived figures differ from individual Run", r.Strategy.Name())
+	strategies := pim.AllStrategies()
+	for _, seed := range []int64{1, 5, 11} {
+		for _, run := range []struct{ iters, every int }{{23, 7}, {30, 8}, {9, 4}} {
+			for _, workers := range []int{1, 3} {
+				rc := pim.RunConfig{Iterations: run.iters, RecompileEvery: run.every, Seed: seed, Workers: workers}
+				results, err := pim.Sweep(bench, opt, rc, nil, pim.MRAM())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(results) != len(strategies) {
+					t.Fatalf("sweep returned %d results, want %d", len(results), len(strategies))
+				}
+				buffers := map[*uint64]bool{}
+				for i, r := range results {
+					if r.Strategy != strategies[i] {
+						t.Fatalf("result %d is %s, want %s", i, r.Strategy.Name(), strategies[i].Name())
+					}
+					solo, err := pim.Run(bench, opt, rc, strategies[i], pim.MRAM())
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, r, solo)
+					buffers[&r.Dist.Counts[0]] = true
+				}
+				if len(buffers) != 6 {
+					t.Errorf("seed %d, %d/%d, workers %d: %d distinct distributions, want 6",
+						seed, run.iters, run.every, workers, len(buffers))
+				}
+			}
 		}
 	}
 }
