@@ -44,11 +44,12 @@ race-core:
 race-serve:
 	$(GO) test -race ./internal/serve/...
 
-# The bank scheduler runs per-bank simulations concurrently over one
-# shared WearPlan (and the pim facade layers a PlanCache on top); race
-# the system suite explicitly so a cross-bank data race is named.
+# The bank scheduler routes blocks through per-bank steppers on one
+# shared WearPlan, and pim.BankStripe then runs the banks concurrently
+# through pim's run fan-out, so the bank runs execute in pim: race both
+# suites explicitly so a cross-bank data race is named.
 race-system:
-	$(GO) test -race ./internal/system/...
+	$(GO) test -race ./internal/system/... ./pim/...
 
 # The fleet engine shards device batches over the worker pool, caches
 # hazard tables on shared Groups and recycles sample buffers through a

@@ -1,8 +1,8 @@
 // Arena concurrency stress: one WearPlan — and therefore one scratch
 // arena (internal/core/arena.go) — shared simultaneously by pim.Sweep,
-// serve jobs and system.Stripe (via pim.BankStripe), all drawing counts
-// buffers, engine scratch and job histograms from the same lock-guarded
-// free lists. Every result is checksummed against a cold serial run on a
+// serve jobs and pim.BankStripe, all drawing counts buffers, engine
+// scratch and job histograms from the same lock-guarded free lists.
+// Every result is checksummed against a cold serial run on a
 // private plan: a buffer handed to two jobs at once, or returned dirty
 // where a zeroed buffer is expected, shows up as a checksum mismatch
 // here (and as a data race under `make race`, which runs this file too).
@@ -48,8 +48,8 @@ func TestArenaSharedAcrossSubsystems(t *testing.T) {
 	}
 	stripeWant := make([]string, len(coldStripe.Banks))
 	for i, br := range coldStripe.Banks {
-		if br.Dist != nil {
-			stripeWant[i] = br.Dist.Checksum()
+		if br.Result != nil {
+			stripeWant[i] = br.Result.Dist.Checksum()
 		}
 	}
 
@@ -151,14 +151,14 @@ func TestArenaSharedAcrossSubsystems(t *testing.T) {
 						return
 					}
 					for i, br := range res.Banks {
-						if br.Dist == nil {
+						if br.Result == nil {
 							continue
 						}
-						if got := br.Dist.Checksum(); got != stripeWant[i] {
+						if got := br.Result.Dist.Checksum(); got != stripeWant[i] {
 							errs[w] = fmt.Errorf("stripe bank %d: dist fnv %s, cold run %s", i, got, stripeWant[i])
 							return
 						}
-						br.Dist.Release()
+						br.Result.Dist.Release()
 					}
 				case 2: // serve jobs against the same cache
 					if err := runServeJob(); err != nil {

@@ -125,10 +125,15 @@ func main() {
 	scaling := report.NewTable(
 		fmt.Sprintf("Lifetime scaling with bank count (%s, %s, %s)", bench.Name, strat.Name(), technology.Name),
 		"policy", "banks", "banks touched", "system iters-to-failure", "scaling ×", "bank CoV", "spills", "lifetime")
+	perBank := report.NewTable(
+		fmt.Sprintf("Per-bank wear across %s", org),
+		"policy", "bank", "ch", "grp", "iterations", "blocks", "max writes", "mean writes", "CoV", "iters-to-failure")
 	var curve []scalingPoint
+	var bankRows []bankRow
 	for _, p := range policies {
+		var res *pim.StripeResult
 		for _, n := range points {
-			res := single
+			res = single
 			if n > 1 {
 				res = stripe(p, orgForBanks(org, n))
 			}
@@ -148,18 +153,8 @@ func main() {
 				report.Fixed(pt.BankCoV, 3), fmt.Sprint(pt.Spills),
 				fmt.Sprintf("%.2f days", pt.LifetimeDays))
 		}
-	}
-	if err := scaling.WriteMarkdown(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-
-	// Full-organization per-bank table per policy.
-	perBank := report.NewTable(
-		fmt.Sprintf("Per-bank wear across %s", org),
-		"policy", "bank", "ch", "grp", "iterations", "blocks", "max writes", "mean writes", "CoV", "iters-to-failure")
-	var bankRows []bankRow
-	for _, p := range policies {
-		res := stripe(p, org)
+		// The curve ends at the full organization: its stripe is this
+		// policy's per-bank table.
 		for _, b := range res.Banks {
 			if b.Iterations == 0 {
 				continue
@@ -174,6 +169,9 @@ func main() {
 				fmt.Sprint(b.Iterations), fmt.Sprint(b.Blocks), fmt.Sprint(b.MaxWrites),
 				report.Fixed(b.MeanWrites, 1), report.Fixed(b.CoV, 3), report.Sci(b.IterationsToFailure))
 		}
+	}
+	if err := scaling.WriteMarkdown(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
 	if err := perBank.WriteMarkdown(os.Stdout); err != nil {
 		log.Fatal(err)
@@ -231,8 +229,8 @@ type bankRow struct {
 // days using the benchmark's sequential latency and the device step time.
 func lifetimeDays(res *pim.StripeResult, tech pim.Technology) float64 {
 	for _, b := range res.Banks {
-		if b.Dist != nil {
-			return res.SystemIterationsToFailure * float64(b.Dist.StepsPerIteration) * tech.SwitchSeconds / 86400
+		if b.Result != nil {
+			return res.SystemIterationsToFailure * float64(b.Result.Dist.StepsPerIteration) * tech.SwitchSeconds / 86400
 		}
 	}
 	return math.NaN()

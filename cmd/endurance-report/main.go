@@ -158,3 +158,11 @@ func writeFile(cfg config, name string, fn func(io.Writer) error) error {
 	}
 	return f.Close()
 }
+
+// writeBytes writes data to the named file in the output directory.
+func writeBytes(cfg config, name string, data []byte) error {
+	return writeFile(cfg, name, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}

@@ -1,8 +1,8 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 
 	"pimendure/internal/device"
 	"pimendure/internal/lifetime"
@@ -65,32 +65,48 @@ func runSweeps(cfg config) error {
 			fmt.Sprintf("%s — %s write distribution statistics (%d iterations, recompile every %d)",
 				fig, b.Name, cfg.iters, cfg.recompile),
 			"config", "max/iter", "max/mean", "CoV", "Gini")
+		// Results that alias one counts buffer (see pim.Result.Dist) share
+		// one heatmap, its encodings and its Gini, each computed once and
+		// written under every such strategy's name.
+		type rendered struct {
+			png, pgm []byte
+			gini     float64
+		}
+		byCounts := map[*uint64]*rendered{}
 		var giniWork []float64
 		for _, r := range results {
-			grid, err := pim.Heatmap(r.Dist, cfg.heatDim)
-			if err != nil {
-				return err
+			d := byCounts[&r.Dist.Counts[0]]
+			if d == nil {
+				grid, err := pim.Heatmap(r.Dist, cfg.heatDim)
+				if err != nil {
+					return err
+				}
+				var png, pgm bytes.Buffer
+				if err := pim.WriteHeatmapPNG(&png, grid, cfg.heatScale); err != nil {
+					return err
+				}
+				if err := pim.WriteHeatmapPGM(&pgm, grid); err != nil {
+					return err
+				}
+				d = &rendered{png: png.Bytes(), pgm: pgm.Bytes()}
+				// GiniReuse sorts every distinct distribution in one reused
+				// scratch buffer.
+				d.gini, giniWork = stats.GiniReuse(r.Dist.Counts, giniWork)
+				byCounts[&r.Dist.Counts[0]] = d
 			}
 			name := fmt.Sprintf("%s_%s", fig, r.Strategy.Name())
-			if err := writeFile(cfg, name+".png", func(w io.Writer) error {
-				return pim.WriteHeatmapPNG(w, grid, cfg.heatScale)
-			}); err != nil {
+			if err := writeBytes(cfg, name+".png", d.png); err != nil {
 				return err
 			}
-			if err := writeFile(cfg, name+".pgm", func(w io.Writer) error {
-				return pim.WriteHeatmapPGM(w, grid)
-			}); err != nil {
+			if err := writeBytes(cfg, name+".pgm", d.pgm); err != nil {
 				return err
 			}
-			// The CoV comes from the run's summary; GiniReuse sorts all 18
-			// configs' distributions in one reused scratch buffer.
-			var gini float64
-			gini, giniWork = stats.GiniReuse(r.Dist.Counts, giniWork)
+			// The CoV comes from the run's summary.
 			summary.AddRow(r.Strategy.Name(),
 				report.Fixed(r.MaxWritesPerIteration, 2),
 				report.Fixed(r.Imbalance, 3),
 				report.Fixed(r.Summary.CoV, 3),
-				report.Fixed(gini, 3))
+				report.Fixed(d.gini, 3))
 		}
 		if err := emitTable(cfg, fig+"_summary", summary); err != nil {
 			return err

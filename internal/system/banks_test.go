@@ -1,7 +1,6 @@
 package system_test
 
 import (
-	"runtime"
 	"testing"
 
 	"pimendure/internal/core"
@@ -36,26 +35,29 @@ func TestRoundRobinExactStripeCounts(t *testing.T) {
 		Rows: 96, PresetOutputs: true,
 		Iterations: 23, RecompileEvery: 7, Seed: 42,
 	}
-	res, err := system.Stripe(plan, sim, swStrategy(), system.BankConfig{
-		Org: device.FlatOrganization(3), Policy: system.RoundRobin, Endurance: 1e12,
+	rt, err := system.Route(plan, sim, swStrategy(), system.BankConfig{
+		Org: device.FlatOrganization(3), Policy: system.RoundRobin,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantIters := []int{9, 7, 7} // bank 0: blocks 0 (7) and 3 (the short tail, 2)
 	wantBlocks := []int{2, 1, 1}
-	for b, br := range res.Banks {
-		if br.Iterations != wantIters[b] || br.Blocks != wantBlocks[b] {
+	for b := range rt.Iterations {
+		if rt.Iterations[b] != wantIters[b] || rt.Blocks[b] != wantBlocks[b] {
 			t.Errorf("bank %d got %d iterations / %d blocks, want %d / %d",
-				b, br.Iterations, br.Blocks, wantIters[b], wantBlocks[b])
+				b, rt.Iterations[b], rt.Blocks[b], wantIters[b], wantBlocks[b])
 		}
 	}
-	if res.BanksTouched != 3 || res.Spills != 0 {
-		t.Errorf("touched %d banks with %d spills, want 3 / 0", res.BanksTouched, res.Spills)
+	if rt.Spills != 0 {
+		t.Errorf("round-robin spilled %d times, want 0", rt.Spills)
+	}
+	if rt.RecompileEvery != 7 || rt.BlockIters != 7 {
+		t.Errorf("resolved recompile/block %d/%d, want 7/7", rt.RecompileEvery, rt.BlockIters)
 	}
 	total := 0
-	for _, br := range res.Banks {
-		total += br.Iterations
+	for _, n := range rt.Iterations {
+		total += n
 	}
 	if total != sim.Iterations {
 		t.Errorf("assigned %d iterations, want %d", total, sim.Iterations)
@@ -70,24 +72,20 @@ func TestWearAwareRoutesAwayFromHotBank(t *testing.T) {
 		Rows: 96, PresetOutputs: true,
 		Iterations: 40, RecompileEvery: 10, Seed: 7,
 	}
-	res, err := system.Stripe(plan, sim, swStrategy(), system.BankConfig{
+	rt, err := system.Route(plan, sim, swStrategy(), system.BankConfig{
 		Org: device.FlatOrganization(4), Policy: system.WearAware,
-		PriorMax:  []uint64{1 << 40, 0, 0, 0}, // bank 0 is nearly worn out
-		Endurance: 1e12,
+		PriorMax: []uint64{1 << 40, 0, 0, 0}, // bank 0 is nearly worn out
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Banks[0].Iterations != 0 {
-		t.Errorf("hot bank 0 still received %d iterations", res.Banks[0].Iterations)
+	if rt.Iterations[0] != 0 {
+		t.Errorf("hot bank 0 still received %d iterations", rt.Iterations[0])
 	}
 	for b := 1; b < 4; b++ {
-		if res.Banks[b].Iterations == 0 {
+		if rt.Iterations[b] == 0 {
 			t.Errorf("fresh bank %d received no work", b)
 		}
-	}
-	if res.BanksTouched != 3 {
-		t.Errorf("touched %d banks, want 3", res.BanksTouched)
 	}
 }
 
@@ -100,15 +98,15 @@ func TestWearAwareSpreadsFreshBanks(t *testing.T) {
 		Rows: 96, PresetOutputs: true,
 		Iterations: 40, RecompileEvery: 10, Seed: 7,
 	}
-	res, err := system.Stripe(plan, sim, swStrategy(), system.BankConfig{
-		Org: device.FlatOrganization(4), Policy: system.WearAware, Endurance: 1e12,
+	rt, err := system.Route(plan, sim, swStrategy(), system.BankConfig{
+		Org: device.FlatOrganization(4), Policy: system.WearAware,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b, br := range res.Banks {
-		if br.Iterations != 10 {
-			t.Errorf("bank %d got %d iterations, want 10", b, br.Iterations)
+	for b, n := range rt.Iterations {
+		if n != 10 {
+			t.Errorf("bank %d got %d iterations, want 10", b, n)
 		}
 	}
 }
@@ -124,107 +122,23 @@ func TestLocalitySpillBoundary(t *testing.T) {
 		Rows: 96, PresetOutputs: true,
 		Iterations: 10 * r, RecompileEvery: r, Seed: 3,
 	}
-	res, err := system.Stripe(plan, sim, swStrategy(), system.BankConfig{
+	rt, err := system.Route(plan, sim, swStrategy(), system.BankConfig{
 		Org:           system.Organization{Name: "tiny", Channels: 1, BankGroups: 2, Banks: 2},
 		Policy:        system.LocalityAware,
 		PressureIters: 3 * r,
-		Endurance:     1e12,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantBlocks := []int{4, 3, 1, 2} // blocks {0,2,4,8}, {1,5,9}, {6}, {3,7}
-	for b, br := range res.Banks {
-		if br.Blocks != wantBlocks[b] || br.Iterations != wantBlocks[b]*r {
+	for b := range rt.Blocks {
+		if rt.Blocks[b] != wantBlocks[b] || rt.Iterations[b] != wantBlocks[b]*r {
 			t.Errorf("bank %d got %d blocks / %d iterations, want %d / %d",
-				b, br.Blocks, br.Iterations, wantBlocks[b], wantBlocks[b]*r)
+				b, rt.Blocks[b], rt.Iterations[b], wantBlocks[b], wantBlocks[b]*r)
 		}
 	}
-	if res.Spills != 1 {
-		t.Errorf("spills = %d, want exactly 1", res.Spills)
-	}
-}
-
-// The load-bearing invariant: every bank's distribution must be
-// bit-identical to a standalone serial reference run of its assigned
-// iteration count, for software and +Hw strategies and for any worker
-// count. (The short final block lands on one bank as its final epochs,
-// so each bank's epoch-length sequence is exactly a standalone run's.)
-func TestBankBitIdentityVsReference(t *testing.T) {
-	plan := bankFixture(t)
-	strategies := []core.StrategyConfig{
-		{Within: mapping.Random, Between: mapping.Static},
-		{Within: mapping.Random, Between: mapping.Static, Hw: true},
-	}
-	for _, strat := range strategies {
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			sim := core.SimConfig{
-				Rows: 96, PresetOutputs: true,
-				Iterations: 60, RecompileEvery: 7, Seed: 11,
-				Workers: workers,
-			}
-			res, err := system.Stripe(plan, sim, strat, system.BankConfig{
-				Org: device.FlatOrganization(8), Policy: system.RoundRobin, Endurance: 1e12,
-			})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", strat.Name(), workers, err)
-			}
-			for _, br := range res.Banks {
-				if br.Iterations == 0 {
-					if br.Dist != nil {
-						t.Fatalf("%s: untouched bank %d has a distribution", strat.Name(), br.Bank)
-					}
-					continue
-				}
-				ref, err := core.SimulateReference(plan.Trace(), core.SimConfig{
-					Rows: 96, PresetOutputs: true,
-					Iterations: br.Iterations, RecompileEvery: 7,
-					Seed: sim.Seed + int64(br.Bank),
-				}, strat)
-				if err != nil {
-					t.Fatalf("%s bank %d reference: %v", strat.Name(), br.Bank, err)
-				}
-				if !br.Dist.Equal(ref) {
-					t.Errorf("%s workers=%d: bank %d diverges from standalone reference (bank max %d, ref max %d)",
-						strat.Name(), workers, br.Bank, br.Dist.Max(), ref.Max())
-				}
-			}
-		}
-	}
-}
-
-// Wear-aware striping must preserve the same per-bank bit-identity: the
-// routing steppers are advisory, and phase 2 re-simulates each bank from
-// scratch with its own seed.
-func TestWearAwareBitIdentityVsReference(t *testing.T) {
-	plan := bankFixture(t)
-	strat := core.StrategyConfig{Within: mapping.Random, Between: mapping.Static, Hw: true}
-	sim := core.SimConfig{
-		Rows: 96, PresetOutputs: true,
-		Iterations: 60, RecompileEvery: 7, Seed: 11,
-		Workers: runtime.GOMAXPROCS(0),
-	}
-	res, err := system.Stripe(plan, sim, strat, system.BankConfig{
-		Org: device.FlatOrganization(4), Policy: system.WearAware, Endurance: 1e12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, br := range res.Banks {
-		if br.Iterations == 0 {
-			continue
-		}
-		ref, err := core.SimulateReference(plan.Trace(), core.SimConfig{
-			Rows: 96, PresetOutputs: true,
-			Iterations: br.Iterations, RecompileEvery: 7,
-			Seed: sim.Seed + int64(br.Bank),
-		}, strat)
-		if err != nil {
-			t.Fatalf("bank %d reference: %v", br.Bank, err)
-		}
-		if !br.Dist.Equal(ref) {
-			t.Errorf("bank %d diverges from standalone reference", br.Bank)
-		}
+	if rt.Spills != 1 {
+		t.Errorf("spills = %d, want exactly 1", rt.Spills)
 	}
 }
 
@@ -291,18 +205,20 @@ func TestStripeRejectsBadConfig(t *testing.T) {
 		{"prior length", sim, system.BankConfig{Org: device.FlatOrganization(4), PriorMax: []uint64{1, 2}}},
 		{"block not multiple", sim, system.BankConfig{Org: device.FlatOrganization(4), BlockIters: 15}},
 		{"unknown policy", sim, system.BankConfig{Org: device.FlatOrganization(4), Policy: system.Policy(99)}},
+		// No iterations resolve the recompile period to 0; Route must
+		// reject them before dividing by it.
+		{"no iterations", core.SimConfig{Rows: 96, PresetOutputs: true, RecompileEvery: 10}, system.BankConfig{Org: device.FlatOrganization(4)}},
 	}
 	for _, c := range cases {
-		if _, err := system.Stripe(plan, c.sim, swStrategy(), c.cfg); err == nil {
-			t.Errorf("%s: Stripe accepted the configuration", c.name)
+		if _, err := system.Route(plan, c.sim, swStrategy(), c.cfg); err == nil {
+			t.Errorf("%s: Route accepted the configuration", c.name)
 		}
 	}
 }
 
 // Wear-aware routing hands its per-bank steppers' scratch and counts
-// buffers back to the plan's arena, so a warm repeat of a stripe whose
-// results were released allocates nothing. (Not parallel: the obs
-// registry is process-wide.)
+// buffers back to the plan's arena, so a warm repeat of a routing
+// allocates nothing. (Not parallel: the obs registry is process-wide.)
 func TestWearAwareRoutingReturnsBuffers(t *testing.T) {
 	obs.Reset()
 	obs.Enable()
@@ -315,24 +231,18 @@ func TestWearAwareRoutingReturnsBuffers(t *testing.T) {
 		Rows: 96, PresetOutputs: true,
 		Iterations: 80, RecompileEvery: 5, Seed: 1, Workers: 1,
 	}
-	for _, policy := range []system.Policy{system.RoundRobin, system.WearAware} {
-		stripe := func() {
-			res, err := system.Stripe(plan, sim, swStrategy(), system.BankConfig{
-				Org: device.FlatOrganization(4), Policy: policy, Endurance: 1e12,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, br := range res.Banks {
-				br.Dist.Release()
-			}
+	route := func() {
+		if _, err := system.Route(plan, sim, swStrategy(), system.BankConfig{
+			Org: device.FlatOrganization(4), Policy: system.WearAware,
+		}); err != nil {
+			t.Fatal(err)
 		}
-		stripe() // cold: fills the arena
-		misses := obs.GetCounter("core.arena_misses")
-		before := misses.Value()
-		stripe()
-		if got := misses.Value() - before; got != 0 {
-			t.Errorf("%s: warm stripe missed the arena %d times, want 0", policy, got)
-		}
+	}
+	route() // cold: fills the arena
+	misses := obs.GetCounter("core.arena_misses")
+	before := misses.Value()
+	route()
+	if got := misses.Value() - before; got != 0 {
+		t.Errorf("warm wear-aware routing missed the arena %d times, want 0", got)
 	}
 }

@@ -11,6 +11,11 @@
 // single-array analysis (package lifetime); array-to-array variation is
 // lognormal. The chip is serviceable while at least a minimum fraction of
 // arrays survive.
+//
+// The package also holds the multi-bank scheduler (banks.go): Route
+// assigns a workload's iteration blocks to the banks of an Organization.
+// It simulates nothing; pim.BankStripe runs each touched bank on pim's
+// run path.
 package system
 
 import (

@@ -1,10 +1,26 @@
 package pim_test
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
+	"pimendure/internal/core"
 	"pimendure/pim"
 )
+
+// bankFixture is the small multiplication the bit-identity tests
+// stripe: 4-bit operands on an 8-lane, 96-row array.
+func bankFixture(t *testing.T) (*pim.Benchmark, pim.Options) {
+	t.Helper()
+	opt := pim.Options{Lanes: 8, Rows: 96, PresetOutputs: true, NANDBasis: true}
+	b, err := pim.NewParallelMult(opt, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b, opt
+}
 
 // BankStripe must split exactly rc.Iterations across the organization,
 // fill the endurance from the technology, and project a finite system
@@ -47,7 +63,7 @@ func TestBankStripeSmoke(t *testing.T) {
 }
 
 // SampleEvery must attach a per-bank wear trajectory to every touched
-// bank.
+// bank, named under the bank's own prefix.
 func TestBankStripeWearSeries(t *testing.T) {
 	opt := testOptions()
 	b, err := pim.NewParallelMult(opt, 4)
@@ -67,8 +83,158 @@ func TestBankStripeWearSeries(t *testing.T) {
 		if br.Iterations == 0 {
 			continue
 		}
-		if br.Wear == nil || br.Wear.Len() == 0 {
+		wear := br.Result.Wear
+		if wear == nil || wear.Len() == 0 {
 			t.Errorf("bank %d has no wear trajectory", br.Bank)
+			continue
+		}
+		// A repeated run of this test finds the names taken, and the
+		// registry appends "#<n>" to them.
+		want := fmt.Sprintf("t1.system.round-robin.bank%03d.wear.%s.%s", br.Bank, b.Name, pim.StaticStrategy.Name())
+		if !strings.HasPrefix(wear.Name(), want) {
+			t.Errorf("bank %d series %q, want %q", br.Bank, wear.Name(), want)
+		}
+	}
+}
+
+// The load-bearing invariant: every bank's distribution must be
+// bit-identical to a standalone serial reference run of its assigned
+// iteration count, for software and +Hw strategies and for any worker
+// count. (The short final block lands on one bank as its final epochs,
+// so each bank's epoch-length sequence is exactly a standalone run's.)
+func TestBankBitIdentityVsReference(t *testing.T) {
+	b, opt := bankFixture(t)
+	strategies := []pim.Strategy{
+		{Within: pim.Random, Between: pim.Static},
+		{Within: pim.Random, Between: pim.Static, Hw: true},
+	}
+	for _, strat := range strategies {
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			rc := pim.RunConfig{Iterations: 60, RecompileEvery: 7, Seed: 11, Workers: workers}
+			res, err := pim.BankStripe(b, opt, rc, strat, pim.MRAM(), pim.BankConfig{
+				Org: pim.FlatOrganization(8), Policy: pim.RoundRobinBanks,
+			})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", strat.Name(), workers, err)
+			}
+			for _, br := range res.Banks {
+				if br.Iterations == 0 {
+					if br.Result != nil {
+						t.Fatalf("%s: untouched bank %d has a distribution", strat.Name(), br.Bank)
+					}
+					continue
+				}
+				ref, err := core.SimulateReference(b.Trace, core.SimConfig{
+					Rows: 96, PresetOutputs: true,
+					Iterations: br.Iterations, RecompileEvery: 7,
+					Seed: rc.Seed + int64(br.Bank),
+				}, strat)
+				if err != nil {
+					t.Fatalf("%s bank %d reference: %v", strat.Name(), br.Bank, err)
+				}
+				if dist := br.Result.Dist; !dist.Equal(ref) {
+					t.Errorf("%s workers=%d: bank %d diverges from standalone reference (bank max %d, ref max %d)",
+						strat.Name(), workers, br.Bank, dist.Max(), ref.Max())
+				}
+			}
+		}
+	}
+}
+
+// Wear-aware striping must preserve the same per-bank bit-identity: the
+// routing steppers are advisory, and every bank is then run from
+// scratch with its own seed.
+func TestWearAwareBitIdentityVsReference(t *testing.T) {
+	b, opt := bankFixture(t)
+	strat := pim.Strategy{Within: pim.Random, Between: pim.Static, Hw: true}
+	rc := pim.RunConfig{Iterations: 60, RecompileEvery: 7, Seed: 11, Workers: runtime.GOMAXPROCS(0)}
+	res, err := pim.BankStripe(b, opt, rc, strat, pim.MRAM(), pim.BankConfig{
+		Org: pim.FlatOrganization(4), Policy: pim.WearAwareBanks,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, br := range res.Banks {
+		if br.Iterations == 0 {
+			continue
+		}
+		ref, err := core.SimulateReference(b.Trace, core.SimConfig{
+			Rows: 96, PresetOutputs: true,
+			Iterations: br.Iterations, RecompileEvery: 7,
+			Seed: rc.Seed + int64(br.Bank),
+		}, strat)
+		if err != nil {
+			t.Fatalf("bank %d reference: %v", br.Bank, err)
+		}
+		if !br.Result.Dist.Equal(ref) {
+			t.Errorf("bank %d diverges from standalone reference", br.Bank)
+		}
+	}
+}
+
+// A bank is a run: every touched bank's Result must equal a standalone
+// Run at the bank's iterations, seed Seed+b and drawn endurance, and the
+// bank's summary fields must come from that Result — under round-robin
+// and wear-aware routing, software and +Hw, one and three workers, and
+// identical or lognormally varied banks. Wear-aware routing skips the
+// pre-worn bank 0, so the untouched branch is covered too.
+func TestBankResultsEqualStandaloneRuns(t *testing.T) {
+	b, opt := bankFixture(t)
+	const banks = 4
+	for _, policy := range []pim.BankPolicy{pim.RoundRobinBanks, pim.WearAwareBanks} {
+		var prior []uint64
+		if policy == pim.WearAwareBanks {
+			prior = []uint64{1 << 40, 0, 0, 0}
+		}
+		for _, hw := range []bool{false, true} {
+			strat := pim.Strategy{Within: pim.Random, Between: pim.Static, Hw: hw}
+			for _, workers := range []int{1, 3} {
+				for _, sigma := range []float64{0, 0.2} {
+					name := fmt.Sprintf("%s/%s/workers=%d/sigma=%g", policy, strat.Name(), workers, sigma)
+					rc := pim.RunConfig{Iterations: 60, RecompileEvery: 7, Seed: 11, Workers: workers}
+					res, err := pim.BankStripe(b, opt, rc, strat, pim.MRAM(), pim.BankConfig{
+						Org: pim.FlatOrganization(banks), Policy: policy, PriorMax: prior, Sigma: sigma,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					endur := pim.BankEndurances(banks, pim.MRAM().Endurance, sigma, rc.Seed)
+					for _, br := range res.Banks {
+						if br.Endurance != endur[br.Bank] {
+							t.Errorf("%s: bank %d endurance %g, want its draw %g", name, br.Bank, br.Endurance, endur[br.Bank])
+						}
+						if br.Iterations == 0 {
+							if br.Result != nil || br.MaxWrites != 0 {
+								t.Errorf("%s: untouched bank %d has a result", name, br.Bank)
+							}
+							continue
+						}
+						tech := pim.MRAM()
+						tech.Endurance = endur[br.Bank]
+						want, err := pim.Run(b, opt, pim.RunConfig{
+							Iterations: br.Iterations, RecompileEvery: rc.RecompileEvery,
+							Seed: rc.Seed + int64(br.Bank),
+						}, strat, tech)
+						if err != nil {
+							t.Fatalf("%s bank %d: %v", name, br.Bank, err)
+						}
+						got := br.Result
+						if got.Dist.Checksum() != want.Dist.Checksum() {
+							t.Errorf("%s: bank %d checksum %s, standalone run %s", name, br.Bank, got.Dist.Checksum(), want.Dist.Checksum())
+						}
+						if got.Summary != want.Summary || got.MaxWritesPerIteration != want.MaxWritesPerIteration ||
+							got.Lifetime != want.Lifetime || got.Imbalance != want.Imbalance {
+							t.Errorf("%s: bank %d result %+v/%v/%+v/%v, standalone run %+v/%v/%+v/%v", name, br.Bank,
+								got.Summary, got.MaxWritesPerIteration, got.Lifetime, got.Imbalance,
+								want.Summary, want.MaxWritesPerIteration, want.Lifetime, want.Imbalance)
+						}
+						if br.MaxWrites != got.Summary.Max || br.CoV != got.Summary.CoV {
+							t.Errorf("%s: bank %d max/CoV %d/%v, its result's %d/%v", name, br.Bank,
+								br.MaxWrites, br.CoV, got.Summary.Max, got.Summary.CoV)
+						}
+					}
+				}
+			}
 		}
 	}
 }

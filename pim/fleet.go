@@ -111,11 +111,8 @@ func (p FleetPoint) Seconds(iterations float64) float64 {
 // paper's four device models. Points are ordered strategy-major, then
 // technology, then σ.
 func Fleet(b *Benchmark, opt Options, rc RunConfig, strategies []Strategy, techs []Technology, fc FleetConfig) ([]FleetPoint, error) {
-	sp := obs.StartSpan("pim.fleet")
-	defer sp.End()
-	obsFleets.Add(1)
-	plan := core.NewWearPlan(b.Trace, opt.Rows, opt.PresetOutputs)
-	return fleetPlanned(plan, b, rc, strategies, techs, fc)
+	points, _, err := uncached.Fleet(b, opt, rc, strategies, techs, fc)
+	return points, err
 }
 
 // Fleet is the cache-aware fleet entry point: identical to Fleet except
@@ -130,8 +127,7 @@ func (c *PlanCache) Fleet(b *Benchmark, opt Options, rc RunConfig, strategies []
 	return points, hit, err
 }
 
-// fleetPlanned is Fleet against a prebuilt (possibly cached) WearPlan —
-// the shared inner body of Fleet and PlanCache.Fleet.
+// fleetPlanned is Fleet against a prebuilt (possibly cached) WearPlan.
 //
 // Strategies run sequentially, each handing the full rc.Workers budget
 // to its simulator, its table builds and its draws: unlike Sweep's

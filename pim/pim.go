@@ -371,15 +371,11 @@ func runPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, s Strategy, tec
 // of the group share its distribution (see Result.Dist), so the paper's
 // multiplication runs 6 simulations for its 18 strategies.
 func Sweep(b *Benchmark, opt Options, rc RunConfig, strategies []Strategy, tech Technology) ([]*Result, error) {
-	sp := obs.StartSpan("pim.sweep")
-	defer sp.End()
-	obsSweeps.Add(1)
-	plan := core.NewWearPlan(b.Trace, opt.Rows, opt.PresetOutputs)
-	return sweepPlanned(plan, b, rc, strategies, tech)
+	results, _, err := uncached.Sweep(b, opt, rc, strategies, tech)
+	return results, err
 }
 
-// sweepPlanned is Sweep against a prebuilt (possibly cached) WearPlan —
-// the shared inner body of Sweep and PlanCache.Sweep.
+// sweepPlanned is Sweep against a prebuilt (possibly cached) WearPlan.
 func sweepPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []Strategy, tech Technology) ([]*Result, error) {
 	if strategies == nil {
 		strategies = AllStrategies()
@@ -390,22 +386,56 @@ func sweepPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []
 	if rc.SampleEvery == 0 {
 		first = sameDist(plan, strategies)
 	}
-	runs := strategies
-	if first != nil {
-		runs = nil
-		for i, s := range strategies {
-			if first[i] == i {
-				runs = append(runs, s)
-			}
+	var jobs []runJob
+	for i, s := range strategies {
+		if first == nil || first[i] == i {
+			jobs = append(jobs, runJob{rc: rc, s: s, tech: tech})
 		}
 	}
-	results := make([]*Result, len(runs))
-	errs := make([]error, len(runs))
-	workers := pool.Size(rc.Workers, len(runs))
-	inner := rc
-	inner.Workers = pool.Share(rc.Workers, workers)
-	pool.ForEach(workers, len(runs), func(i int) {
-		results[i], errs[i] = runPlanned(plan, b, inner, runs[i], tech)
+	results, err := runAll(plan, b, rc.Workers, jobs)
+	if err != nil || first == nil {
+		return results, err
+	}
+	out := make([]*Result, len(strategies))
+	next := 0
+	for i, s := range strategies {
+		if first[i] == i {
+			out[i] = results[next]
+			next++
+			continue
+		}
+		alias := *out[first[i]]
+		alias.Strategy = s
+		alias.Dist = alias.Dist.Alias()
+		out[i] = &alias
+	}
+	obsRunsReused.Add(int64(len(strategies) - len(jobs)))
+	return out, nil
+}
+
+// runJob is one run of a runAll fan-out.
+type runJob struct {
+	rc   RunConfig
+	s    Strategy
+	tech Technology
+}
+
+// runAll runs every job through runPlanned against one shared plan and
+// returns the results in job order — the fan-out behind Sweep and
+// BankStripe. Jobs are sharded over a bounded pool of workers
+// goroutines (≤ 0 selects GOMAXPROCS) instead of one goroutine each,
+// and the budget is shared with the inner engines (each job's
+// rc.Workers is overridden), so the total goroutine count stays near
+// workers regardless of nesting.
+func runAll(plan *core.WearPlan, b *Benchmark, workers int, jobs []runJob) ([]*Result, error) {
+	results := make([]*Result, len(jobs))
+	errs := make([]error, len(jobs))
+	outer := pool.Size(workers, len(jobs))
+	inner := pool.Share(workers, outer)
+	pool.ForEach(outer, len(jobs), func(i int) {
+		rc := jobs[i].rc
+		rc.Workers = inner
+		results[i], errs[i] = runPlanned(plan, b, rc, jobs[i].s, jobs[i].tech)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -422,24 +452,7 @@ func sweepPlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, strategies []
 			return nil, err
 		}
 	}
-	if first == nil {
-		return results, nil
-	}
-	out := make([]*Result, len(strategies))
-	next := 0
-	for i, s := range strategies {
-		if first[i] == i {
-			out[i] = results[next]
-			next++
-			continue
-		}
-		alias := *out[first[i]]
-		alias.Strategy = s
-		alias.Dist = alias.Dist.Alias()
-		out[i] = &alias
-	}
-	obsRunsReused.Add(int64(len(strategies) - len(runs)))
-	return out, nil
+	return results, nil
 }
 
 // sameDist maps each requested strategy to the index of the first

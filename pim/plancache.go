@@ -51,6 +51,10 @@ type planEntry struct {
 	plan *core.WearPlan
 }
 
+// uncached is the zero-capacity cache behind the free Sweep, Fleet and
+// BankStripe: every call builds a fresh plan without fingerprinting.
+var uncached = NewPlanCache(0)
+
 // NewPlanCache creates a cache holding at most capacity plans; the
 // least recently used entry is evicted beyond that. A capacity ≤ 0
 // disables caching entirely (every lookup misses, nothing is stored) —
