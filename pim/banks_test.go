@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pimendure/internal/core"
+	"pimendure/internal/obs"
 	"pimendure/pim"
 )
 
@@ -198,6 +199,9 @@ func TestBankResultsEqualStandaloneRuns(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
+					if policy == pim.WearAwareBanks && res.BanksTouched != banks-1 {
+						t.Errorf("%s: touched %d banks, want %d", name, res.BanksTouched, banks-1)
+					}
 					endur := pim.BankEndurances(banks, pim.MRAM().Endurance, sigma, rc.Seed)
 					for _, br := range res.Banks {
 						if br.Endurance != endur[br.Bank] {
@@ -235,6 +239,45 @@ func TestBankResultsEqualStandaloneRuns(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// Every bank run, and under wear-aware routing every routing stepper,
+// hands its scratch and counts buffers back to the plan's arena, so a
+// warm repeat of a stripe whose results were released allocates nothing.
+// (Not parallel: the obs registry is process-wide.)
+func TestBankStripeReturnsBuffers(t *testing.T) {
+	obs.Reset()
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	b, opt := bankFixture(t)
+	rc := pim.RunConfig{Iterations: 80, RecompileEvery: 5, Seed: 1, Workers: 1}
+	for _, policy := range []pim.BankPolicy{pim.RoundRobinBanks, pim.WearAwareBanks} {
+		cache := pim.NewPlanCache(1)
+		stripe := func() {
+			res, _, err := cache.BankStripe(b, opt, rc, pim.StaticStrategy, pim.MRAM(), pim.BankConfig{
+				Org: pim.FlatOrganization(4), Policy: policy,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.BanksTouched != 4 {
+				t.Fatalf("%s: touched %d banks, want 4", policy, res.BanksTouched)
+			}
+			for _, br := range res.Banks {
+				br.Result.Dist.Release()
+			}
+		}
+		stripe() // cold: fills the arena
+		misses := obs.GetCounter("core.arena_misses")
+		before := misses.Value()
+		stripe()
+		if got := misses.Value() - before; got != 0 {
+			t.Errorf("%s: warm stripe missed the arena %d times, want 0", policy, got)
 		}
 	}
 }
