@@ -597,10 +597,12 @@ func BenchmarkHwEngine(b *testing.B) {
 // software path — the engine every software config ran on before the
 // WearPlan existed) and reports the ratio as `speedup_x`. The parallel
 // multiplication writes only through the full lane mask, so
-// "software-partial" times the partial-mask landing instead: the 9
-// software configurations on the §4 dot product (1024×1024, 32-bit),
+// "software-partial" times the partial-mask landing instead: each of the
+// 9 software configurations on the §4 dot product (1024×1024, 32-bit),
 // whose reduction tree writes through ten nested partial masks, at
-// 10 000 iterations.
+// 10 000 iterations, as its own sub-benchmark (software-partial/StxRa, …)
+// on one plan built outside the timer, so a change to one landing shows
+// in its own entry.
 func BenchmarkSweep(b *testing.B) {
 	b.Run("full18", func(b *testing.B) {
 		bench := mustMult(b, benchOptions(), 32)
@@ -676,16 +678,25 @@ func BenchmarkSweep(b *testing.B) {
 		}
 		sim := paperSim
 		sim.Iterations = 10000
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			plan := core.NewWearPlan(dot.Trace, sim.Rows, sim.PresetOutputs)
-			for _, s := range swConfigs {
-				dist, err := plan.Simulate(sim, s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dist.Release()
+		plan := core.NewWearPlan(dot.Trace, sim.Rows, sim.PresetOutputs)
+		simulate := func(b *testing.B, s core.StrategyConfig) {
+			dist, err := plan.Simulate(sim, s)
+			if err != nil {
+				b.Fatal(err)
 			}
+			dist.Release()
+		}
+		// One untimed pass fills the plan's arena, so each entry times its
+		// own landing whatever ran before it.
+		for _, s := range swConfigs {
+			simulate(b, s)
+		}
+		for _, s := range swConfigs {
+			b.Run(s.Name(), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					simulate(b, s)
+				}
+			})
 		}
 	})
 }

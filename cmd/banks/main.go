@@ -97,13 +97,17 @@ func main() {
 	cfg := pim.BankConfig{
 		Org: org, BlockIters: *block, PressureIters: *pressure, Sigma: *sigma,
 	}
-	// One cached plan serves every (policy, bank count) point.
+	// One cached plan serves every (policy, bank count) point. Each
+	// bank count prefixes its series, so every point of the curve names
+	// its banks apart.
 	cache := pim.NewPlanCache(2)
 	stripe := func(p pim.BankPolicy, o pim.Organization) *pim.StripeResult {
 		c := cfg
 		c.Policy = p
 		c.Org = o
-		res, _, err := cache.BankStripe(bench, opt, rc, strat, technology, c)
+		r := rc
+		r.SeriesPrefix = fmt.Sprintf("banks%d.", o.TotalBanks())
+		res, _, err := cache.BankStripe(bench, opt, r, strat, technology, c)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -117,7 +121,9 @@ func main() {
 	// Lifetime-scaling curve: single bank up to the full organization,
 	// per policy. The single-bank point is policy-independent (every
 	// block lands on the one bank), so it is computed once and reused as
-	// every policy's baseline.
+	// every policy's baseline. Every other point's bank distributions go
+	// back to the plan's arena once the point is read, so the next stripe
+	// reuses their counts buffers.
 	points := curvePoints(org.TotalBanks())
 	single := stripe(pim.RoundRobinBanks, pim.SingleBank())
 	baseline := single.SystemIterationsToFailure
@@ -152,6 +158,9 @@ func main() {
 				report.Sci(pt.SystemItersToFailure), report.Times(pt.ScalingX),
 				report.Fixed(pt.BankCoV, 3), fmt.Sprint(pt.Spills),
 				fmt.Sprintf("%.2f days", pt.LifetimeDays))
+			if res != single && n < org.TotalBanks() {
+				release(res)
+			}
 		}
 		// The curve ends at the full organization: its stripe is this
 		// policy's per-bank table.
@@ -169,7 +178,11 @@ func main() {
 				fmt.Sprint(b.Iterations), fmt.Sprint(b.Blocks), fmt.Sprint(b.MaxWrites),
 				report.Fixed(b.MeanWrites, 1), report.Fixed(b.CoV, 3), report.Sci(b.IterationsToFailure))
 		}
+		if res != single {
+			release(res)
+		}
 	}
+	release(single)
 	if err := scaling.WriteMarkdown(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
@@ -234,6 +247,15 @@ func lifetimeDays(res *pim.StripeResult, tech pim.Technology) float64 {
 		}
 	}
 	return math.NaN()
+}
+
+// release hands a stripe's bank distributions back to the plan's arena.
+func release(res *pim.StripeResult) {
+	for _, b := range res.Banks {
+		if b.Result != nil {
+			b.Result.Dist.Release()
+		}
+	}
 }
 
 // curvePoints enumerates the bank counts of the scaling curve: powers of

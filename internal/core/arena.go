@@ -96,15 +96,9 @@ type engineScratch struct {
 	hist   []uint64 // [mask*rows+physRow] partial-mask histogram; dense output of a +Hw replay
 	hw     *mapping.HwRenamer
 	cyc    *cycleScratch
-	units  grouper // the walker's epoch units (worker 0 only)
-	lands  grouper // one between unit's epochs, by within map (and length)
-
-	// landPartialHist's lane sets under one between map: each partial
-	// mask's permuted lanes, sorted, at sorted[sortedOff[i]:sortedOff[i+1]],
-	// extracted from the lane bitmap laneBits (kept zeroed between calls).
-	sorted    []int32
-	sortedOff []int32
-	laneBits  []uint64
+	units  grouper     // the walker's epoch units (worker 0 only)
+	lands  grouper     // one between unit's epochs, by within map (and length)
+	lw     laneWeights // the lanes and weights of one partial landing
 }
 
 // take pops the newest entry of one of the arena's free lists, or
@@ -159,16 +153,28 @@ func (p *WearPlan) zeroedRows(buf []uint64) []uint64 {
 }
 
 // ensureLand sizes the scratch every landing needs: the histogram (left
-// dirty — a landing clears it first) and landPartialHist's zeroed lane
-// bitmap.
+// dirty — a landing clears it first) and the zeroed per-partial-mask lane
+// weights and bitmaps that landPartialHist consumes.
 func (p *WearPlan) ensureLand(s *engineScratch) {
 	if len(s.hist) != len(p.maskLanes)*p.rows {
 		s.hist = make([]uint64, len(p.maskLanes)*p.rows)
 	}
-	if words := (p.trace.Lanes + 63) / 64; len(s.laneBits) != words {
-		s.laneBits = make([]uint64, words)
+	lw, n := &s.lw, len(p.partMasks)
+	if len(lw.dense) != n*p.trace.Lanes {
+		lw.dense = make([]uint64, n*p.trace.Lanes)
+		// Sized for one lane set per mask, what a between unit and a
+		// Stepper land: only a within unit's wider sets grow the pairs.
+		pairs := 0
+		for _, m := range p.partMasks {
+			pairs += len(p.maskLanes[m])
+		}
+		lw.sets, lw.lane, lw.weight = make([]laneSet, 0, n), make([]int32, 0, pairs), make([]uint64, 0, pairs)
 	}
-	clear(s.laneBits)
+	if words := n * ((p.trace.Lanes + 63) / 64); len(lw.bits) != words {
+		lw.bits = make([]uint64, words)
+	}
+	clear(lw.dense)
+	clear(lw.bits)
 }
 
 // ensureHw sizes the scratch's +Hw replay state (renamer, cycle

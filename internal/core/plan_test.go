@@ -180,17 +180,19 @@ func swCounters(t *testing.T, tr *program.Trace, sim core.SimConfig, strat core.
 
 // The walker's epoch grouping, pinned per configuration: 2050 iterations
 // recompiled every 100 make 21 epochs, the last one 50 long. Software
-// epochs collapse by within map, and with partial masks (dot) by between
-// map first: St×St into one landing, and dot's St×Bs into the 8-epoch
-// rotation period of 64 lanes. mult has no partial masks, so its
-// software epochs group by within map alone and every St-within
-// configuration is one landing. Every other software configuration keeps
-// its 21 epochs apart — Bs within maps over 256 rows only repeat after 32
-// epochs, and Ra never repeats. Every +Hw configuration replays each
-// epoch length (100 and 50) once and lands its other 19 epochs from
-// those replays; one recorded iteration per replay, so the other 2048 of
-// the 2050 epoch-iterations are saved. (Not parallel: the obs
-// registry is process-wide.)
+// epochs collapse by within map: mult has no partial masks, so it groups
+// by within map alone, and dot lands by the side with fewer distinct
+// maps, so its St within map (one map, against St×St's one, St×Ra's 21
+// and St×Bs's 8-epoch rotation period of 64 lanes) makes one landing
+// too. Every St-within configuration is therefore one landing on both
+// kernels. Every other software configuration keeps its 21 epochs apart
+// — Bs within maps over 256 rows only repeat after 32 epochs, Ra never
+// repeats, and a between unit of dot's Bs×St or Bs×Bs sums one landing
+// per within map. Every +Hw configuration replays each epoch length (100
+// and 50) once and lands its other 19 epochs from those replays; one
+// recorded iteration per replay, so the other 2048 of the 2050
+// epoch-iterations are saved. (Not parallel: the obs registry is
+// process-wide.)
 func TestGroupingCounters(t *testing.T) {
 	cfg := workloads.Config{Lanes: 64, Rows: 256, Basis: synth.NAND}
 	mult, err := workloads.ParallelMult(cfg, 8)
@@ -207,11 +209,8 @@ func TestGroupingCounters(t *testing.T) {
 	for _, b := range []*workloads.Benchmark{mult, dot} {
 		for _, strat := range core.AllConfigs() {
 			landings, hits := int64(21), int64(0)
-			switch {
-			case strat.Within == mapping.Static && (b == mult || strat.Between == mapping.Static):
+			if strat.Within == mapping.Static {
 				landings, hits = 1, 20
-			case strat == core.StrategyConfig{Within: mapping.Static, Between: mapping.ByteShift}:
-				landings, hits = 8, 13
 			}
 			want := [6]int64{landings, hits, 0, 0, 0, 0}
 			if strat.Hw {
@@ -263,5 +262,38 @@ func TestSwEngineBsGroupingEdgeCases(t *testing.T) {
 	groups, hits = swCounters(t, tr, sim, core.Static)
 	if groups != 1 || hits != 29 {
 		t.Errorf("StxSt: groups=%d hits=%d, want 1/29", groups, hits)
+	}
+}
+
+// Landing by the smaller side on a partial-mask kernel: over 96 rows the
+// Bs rotation period is 12 epochs, shorter than the 30-epoch run. Bs×Ra
+// has 12 within maps against 30 between maps, so its epochs land once per
+// rotation through summed lane weights; Ra×Ra ties at 30 and 30 and keeps
+// one landing per epoch. Either way the landings and the epochs folded
+// into them add up to the run's epochs. (Not parallel: the obs registry
+// is process-wide.)
+func TestSwEngineLandsBySmallerSide(t *testing.T) {
+	dot, err := workloads.DotProduct(workloads.Config{Lanes: 8, Rows: 96, Basis: synth.NAND}, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !core.NewWearPlan(dot.Trace, 96, true).HasPartialMasks() {
+		t.Fatal("dot product has no partial-mask writes")
+	}
+	sim := core.SimConfig{Rows: 96, PresetOutputs: true, Iterations: 30, RecompileEvery: 1, Seed: 5, Workers: 2}
+	for _, tc := range []struct {
+		strat       core.StrategyConfig
+		groups, hit int64
+	}{
+		{core.StrategyConfig{Within: mapping.ByteShift, Between: mapping.Random}, 12, 18},
+		{core.StrategyConfig{Within: mapping.Random, Between: mapping.Random}, 30, 0},
+	} {
+		groups, hits := swCounters(t, dot.Trace, sim, tc.strat)
+		if groups != tc.groups || hits != tc.hit {
+			t.Errorf("%s: groups=%d hits=%d, want %d/%d", tc.strat.Name(), groups, hits, tc.groups, tc.hit)
+		}
+		if groups+hits != int64(sim.Iterations) {
+			t.Errorf("%s: groups+hits = %d, want the %d epochs", tc.strat.Name(), groups+hits, sim.Iterations)
+		}
 	}
 }

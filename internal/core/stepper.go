@@ -13,16 +13,17 @@
 // plan's write-matrix table times the epoch length, or the renamer's
 // identity-map replay of the epoch's length, which the stepper keeps for
 // the last length it stepped (a run steps one length, then perhaps a
-// short final one). Both relabel it by the epoch's within-lane
-// map (addHist): the full-mask rows land as pending per-row weights
-// (expanded by Finish), the partial-mask rows through the epoch's
-// between-lane map (landPartialHist), which a plan without partial masks
-// never generates. MaxWrites is O(1): after each Step the stepper
-// rescans only the rows the epoch scattered cells into. Cell counts only
-// grow, so the running maximum never needs a full distribution scan, and
-// the pending full-mask weight adds uniformly across a row, so a row's
-// maximum is (max materialized cell in the row, tracked per row) +
-// (pending row weight).
+// short final one). Both relabel it by the epoch's within-lane map
+// (addHist): the full-mask rows land as pending per-row weights
+// (expanded by Finish), the partial-mask rows through the walker's one
+// partial landing (landPartialHist) as a one-epoch between unit — the
+// epoch's between-lane map weighed in with weight 1 (weighLanes), a map
+// a plan without partial masks never generates. MaxWrites is O(1):
+// after each Step the stepper rescans only the rows the epoch scattered
+// cells into. Cell counts only grow, so the running maximum never needs
+// a full distribution scan, and the pending full-mask weight adds
+// uniformly across a row, so a row's maximum is (max materialized cell
+// in the row, tracked per row) + (pending row weight).
 package core
 
 import (
@@ -128,9 +129,10 @@ func (s *Stepper) Step(iters int) {
 	if len(p.partMasks) > 0 {
 		clear(hist)
 	}
-	p.addHist(base, gen.withinAt(s.epoch), mult, s.scr.rowW, hist)
+	p.addHist(base, gen.withinAt(s.epoch), mult, mult, s.scr.rowW, hist)
 	if len(p.partMasks) > 0 {
-		p.landPartialHist(s.scr, hist, gen.betweenAt(s.epoch), s.dist.Counts)
+		p.weighLanes(&s.scr.lw, gen.betweenAt(s.epoch), 1)
+		p.landPartialHist(&s.scr.lw, hist, s.dist.Counts)
 	}
 	// Rows the partial landing scattered into get their materialized
 	// maximum rescanned; every row's pending weight may have grown.

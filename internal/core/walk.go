@@ -7,10 +7,11 @@
 // epoch's between-lane map. The base is the plan's write-matrix table
 // times the epoch length under software re-mapping, and under +Hw the
 // identity-map replay of the epoch's length, run once per length when
-// the walk starts (hw_engine.go). Both land through the same primitives (land.go):
-// addHist relabels a base, adding its full-mask rows as per-row weights
-// and its partial-mask rows to a histogram that landPartialHist scatters
-// through sorted lane sets.
+// the walk starts (hw_engine.go). Both land through the same primitives
+// (land.go): addHist relabels a base, adding its full-mask rows as
+// per-row weights and its partial-mask rows to a histogram that
+// landPartialHist scatters through sorted (lane, weight) pairs, which
+// weighLanes sums over the between maps the landing covers.
 //
 // The walker advances one segment at a time. Segments end at the
 // sampler's due epochs; without a sampler one segment spans the whole
@@ -18,17 +19,23 @@
 // so epochs inside a segment may land in any order (uint64 adds commute),
 // and the walker exploits that freedom:
 //
-//   - Grouping: epochs with identical landings collapse into units (see
-//     grouper). Epochs with the same within map — and, under +Hw, the
-//     same length — share a relabeled base, which is added once, scaled
-//     by the members' summed iterations (software) or their count (+Hw).
-//     With partial masks a unit is a segment's between-lane map: its
-//     members are sub-grouped by within map, each group adds its base,
-//     and the unit's partial rows land once. Whatever the within maps, an
-//     St between map makes one unit per segment and a Bs one its rotation
-//     period; only Ra-between epochs stay unique. A plan without partial
-//     masks (mult) needs no between map at all: its units are the
-//     segment's within groups, which land only per-row weights.
+//   - Grouping: epochs whose landings can be summed collapse into units
+//     (see grouper). Epochs with the same within map — and, under +Hw,
+//     the same length — share a relabeled base, which is added once,
+//     scaled by the members' summed iterations (software) or their count
+//     (+Hw). A plan without partial masks (mult) needs no between map at
+//     all: its units are the segment's within groups, which land only
+//     per-row weights. With partial masks the walker counts the
+//     segment's distinct within groups and between maps from the
+//     schedule's keys, generating no map, and cuts the segment by the
+//     smaller side. Within units (fewer within groups; at paper scale
+//     St×Ra, St×Bs and Bs×Ra) are the within groups themselves; each
+//     lands its partial rows once through the lane weights its members'
+//     between maps sum to. Between units (fewer between maps, or a tie;
+//     the other six) are between maps; each sub-groups its members by
+//     within map, adds each group's base, and lands its partial rows once
+//     through that map's lanes. Only Ra×Ra, unique on both sides, keeps
+//     one landing per epoch.
 //   - Sharding: a segment's units are sharded over pool.Size(workers,
 //     units) workers. Worker 0 lands into the distribution itself; with
 //     partial masks the others land into arena counts buffers merged at
@@ -225,9 +232,12 @@ func (w *walker) shard(units int, counts bool, land func(slot, unit int)) {
 }
 
 // land lands one segment. Its epochs are grouped by within map (and
-// length, under +Hw) into groups that each add one relabeled base; with
-// partial masks the groups are formed inside units of one between map,
-// whose partial rows land once per unit.
+// length, under +Hw) into groups that each add one relabeled base. With
+// partial masks the segment is cut into units by the side with fewer
+// distinct maps: a within unit is one such group, whose partial rows land
+// once through the lane weights its members' between maps sum to; a
+// between unit (the side on a tie) holds the groups of one between map,
+// whose partial rows land once through that map's lanes.
 func (w *walker) land(seg []int) {
 	p := w.p
 	key := byWithin
@@ -240,7 +250,30 @@ func (w *walker) land(seg []int) {
 		w.shard(len(units), false, func(slot, u int) { w.add(w.scr[slot], &units[u]) })
 		return
 	}
+	// Both sides are counted in worker 0's units grouper, whose map grows
+	// with the segment: the lands groupers, cleared once per unit, only
+	// ever hold one unit's epochs.
+	withins := len(w.scr[0].units.group(w.sched, w.cfg, seg, key))
 	units := w.scr[0].units.group(w.sched, w.cfg, seg, byBetween)
+	if withins < len(units) {
+		units = w.scr[0].units.group(w.sched, w.cfg, seg, key)
+		w.shard(len(units), true, func(slot, u int) {
+			s, unit := w.scr[slot], &units[u]
+			w.countSw(1, unit.count)
+			clear(s.hist)
+			base, mult := w.base(unit)
+			p.addHist(base, s.gen.withinAt(unit.epoch0), mult, 1, s.rowW, s.hist)
+			for _, e := range unit.members {
+				c := uint64(1)
+				if !w.hw {
+					c = uint64(w.cfg.epochLen(e))
+				}
+				p.weighLanes(&s.lw, s.gen.betweenAt(e), c)
+			}
+			p.landPartialHist(&s.lw, s.hist, w.parts[slot])
+		})
+		return
+	}
 	w.shard(len(units), true, func(slot, u int) {
 		s, unit := w.scr[slot], &units[u]
 		groups := s.lands.group(w.sched, w.cfg, unit.members, key)
@@ -249,23 +282,29 @@ func (w *walker) land(seg []int) {
 		for i := range groups {
 			w.add(s, &groups[i])
 		}
-		p.landPartialHist(s, s.hist, s.gen.betweenAt(unit.epoch0), w.parts[slot])
+		p.weighLanes(&s.lw, s.gen.betweenAt(unit.epoch0), 1)
+		p.landPartialHist(&s.lw, s.hist, w.parts[slot])
 	})
 }
 
-// add adds one group's relabeled base to the worker's row weights and
-// partial-mask histogram: the plan's write-matrix table times the
-// members' summed iterations in software, the replay of their length
-// times their count under +Hw.
-func (w *walker) add(s *engineScratch, g *epochGroup) {
-	base, mult := &w.p.sw, g.iters
-	if w.hw {
-		base, mult = &w.hwFull, uint64(g.count)
-		if g.epoch0 == w.cfg.epochs()-1 {
-			base = &w.hwLast
-		}
+// base returns group g's histogram base and the multiplier its members
+// sum to: the plan's write-matrix table and their summed iterations in
+// software, the replay of their length and their count under +Hw.
+func (w *walker) base(g *epochGroup) (*histBase, uint64) {
+	if !w.hw {
+		return &w.p.sw, g.iters
 	}
-	w.p.addHist(base, s.gen.withinAt(g.epoch0), mult, s.rowW, s.hist)
+	if g.epoch0 == w.cfg.epochs()-1 {
+		return &w.hwLast, uint64(g.count)
+	}
+	return &w.hwFull, uint64(g.count)
+}
+
+// add adds one group's relabeled base, times its multiplier, to the
+// worker's row weights and partial-mask histogram.
+func (w *walker) add(s *engineScratch, g *epochGroup) {
+	base, mult := w.base(g)
+	w.p.addHist(base, s.gen.withinAt(g.epoch0), mult, mult, s.rowW, s.hist)
 }
 
 // countSw records, for a software run, the landings summed for epochs
