@@ -7,7 +7,7 @@ GO ?= go
 
 # Packages whose exported symbols must all carry doc comments (public
 # API + instrumented engine layers). Enforced by `make doclint`.
-DOC_PKGS = ./pim ./pim/kernel ./internal/obs ./internal/core ./internal/pool ./internal/serve ./internal/system ./internal/device ./internal/fleet
+DOC_PKGS = ./pim ./pim/kernel ./internal/obs ./internal/core ./internal/pool ./internal/serve ./internal/system ./internal/device ./internal/fleet ./internal/faults ./internal/stats
 
 .PHONY: all build vet test race race-obs race-core race-serve race-system race-fleet bench bench-alloc bench-json bench-current benchdiff bench-module report report-diff report-check abtest ci doclint promlint fmt
 

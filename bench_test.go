@@ -113,15 +113,16 @@ func BenchmarkTable2Overhead(b *testing.B) {
 	b.ReportMetric(add32*100, "add32_overhead_%")
 }
 
-// BenchmarkFig11FaultCurve Monte-Carlo samples the usable-bits collapse.
+// BenchmarkFig11FaultCurve computes the usable-bits collapse exactly on
+// a 1024×1024 array.
 func BenchmarkFig11FaultCurve(b *testing.B) {
 	var usable float64
 	for i := 0; i < b.N; i++ {
-		pts, err := faults.UsableCurve(128, 1024, []float64{0.001, 0.01}, 20, int64(i))
+		pts, err := faults.UsableCurve(1024, 1024, []float64{0.001, 0.01})
 		if err != nil {
 			b.Fatal(err)
 		}
-		usable = pts[1].UsableMC
+		usable = pts[1].UsableExact
 	}
 	b.ReportMetric(usable, "usable_at_1%")
 }
@@ -292,7 +293,7 @@ func BenchmarkE12StartGap(b *testing.B) {
 func BenchmarkE13LaneSets(b *testing.B) {
 	var eff float64
 	for i := 0; i < b.N; i++ {
-		res, err := faults.LaneSets(128, 128, 4, 80, 50, int64(i))
+		res, err := faults.LaneSets(128, 128, 4, 80)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -705,19 +706,41 @@ func BenchmarkSweep(b *testing.B) {
 // pim.Sweep bounded pool) at one worker and at GOMAXPROCS workers.
 // "parallel" times both on the same inputs and reports their parallel
 // efficiency, parallel_eff = t₁ / (t_N × N) for N = GOMAXPROCS: 1 is
-// perfect scaling, 1/N no gain from the extra cores.
+// perfect scaling, 1/N no gain from the extra cores. Every entry sweeps
+// one PlanCache plan, warmed by untimed sweeps, and releases each
+// result, so its allocations do not depend on how many counts buffers
+// the workers of a cold plan's arena happen to hold at once.
 func BenchmarkSweepWorkers(b *testing.B) {
 	bench := mustMult(b, benchOptions(), 32)
 	opt := benchOptions()
 	n := runtime.GOMAXPROCS(0)
+	cache := pim.NewPlanCache(1)
 	sweep := func(b *testing.B, workers int) time.Duration {
 		rc := benchRun()
 		rc.Workers = workers
+		// Two collections empty every sync.Pool, among them the JSON
+		// encoder behind the cache's fingerprint, so no sweep finds a
+		// buffer that an earlier one happened to leave there.
+		b.StopTimer()
+		runtime.GC()
+		runtime.GC()
+		b.StartTimer()
 		t0 := time.Now()
-		if _, err := pim.Sweep(bench, opt, rc, nil, pim.MRAM()); err != nil {
+		results, _, err := cache.Sweep(bench, opt, rc, nil, pim.MRAM())
+		if err != nil {
 			b.Fatal(err)
 		}
-		return time.Since(t0)
+		elapsed := time.Since(t0)
+		for _, r := range results {
+			r.Dist.Release()
+		}
+		return elapsed
+	}
+	// A worker's scratch bundle grows its +Hw pieces the first time it
+	// serves a +Hw run, and which bundle serves which run is up to the
+	// scheduler: one warm-up sweep can leave a bundle short, so run three.
+	for i := 0; i < 3; i++ {
+		sweep(b, n)
 	}
 	b.Run("workers=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -141,9 +141,9 @@ func synthesizedGates(b int, circuit func(*program.Builder, synth.Basis, []progr
 	return n
 }
 
-// runFig11 samples Fig. 11b: the usable fraction of each lane versus the
-// fraction of failed cells, Monte Carlo against the closed form, for three
-// array widths.
+// runFig11 computes Fig. 11b: the usable fraction of each lane versus the
+// fraction of failed cells, exact against the paper's closed form
+// (1−f)^lanes, for three square arrays.
 func runFig11(cfg config) error {
 	fracs := []float64{0, 0.0005, 0.001, 0.002, 0.003, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.03, 0.05}
 	widths := []int{256, 512, 1024}
@@ -152,25 +152,19 @@ func runFig11(cfg config) error {
 	headers[0] = "failed_frac"
 	cols[0] = fracs
 	for i, n := range widths {
-		// Monte Carlo cost grows with the array; shrink rows, which the
-		// closed form is independent of, keeping lane width faithful.
-		rows := n
-		if rows > 256 {
-			rows = 256
-		}
-		pts, err := faults.UsableCurve(rows, n, fracs, cfg.trials, cfg.seed+int64(i))
+		pts, err := faults.UsableCurve(n, n, fracs)
 		if err != nil {
 			return err
 		}
-		mc := make([]float64, len(pts))
+		exact := make([]float64, len(pts))
 		cf := make([]float64, len(pts))
 		for j, p := range pts {
-			mc[j] = p.UsableMC
+			exact[j] = p.UsableExact
 			cf[j] = p.UsableClosed
 		}
-		headers[1+2*i] = fmt.Sprintf("usable_mc_%d", n)
+		headers[1+2*i] = fmt.Sprintf("usable_exact_%d", n)
 		headers[2+2*i] = fmt.Sprintf("usable_closed_%d", n)
-		cols[1+2*i] = mc
+		cols[1+2*i] = exact
 		cols[2+2*i] = cf
 	}
 	return writeFile(cfg, "fig11b_usable.csv", func(w io.Writer) error {
@@ -181,12 +175,12 @@ func runFig11(cfg config) error {
 // runLaneSets evaluates §3.3's partitioning workaround: usable capacity and
 // effective throughput for 1–8 lane sets at several failure levels.
 func runLaneSets(cfg config) error {
-	t := report.NewTable("E13 — lane-set partitioning under failed cells (§3.3)",
+	t := report.NewTable("E13 — lane-set partitioning under failed cells (§3.3; exact expectation over uniform failure placement)",
 		"failed cells", "sets", "usable fraction", "latency factor", "effective capacity")
 	const rows, lanes = 256, 256
 	for _, failed := range []int{64, 256, 1024} {
 		for _, sets := range []int{1, 2, 4, 8} {
-			res, err := faults.LaneSets(rows, lanes, sets, failed, cfg.trials, cfg.seed)
+			res, err := faults.LaneSets(rows, lanes, sets, failed)
 			if err != nil {
 				return err
 			}

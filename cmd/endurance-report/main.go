@@ -45,7 +45,6 @@ type config struct {
 	iters     int
 	recompile int
 	seed      int64
-	trials    int
 	heatDim   int
 	heatScale int
 	workers   int
@@ -104,7 +103,7 @@ func main() {
 	log.Printf("done in %s, results in %s/", time.Since(start).Round(time.Millisecond), cfg.out)
 	if err := run.Finish(cfg.out, map[string]any{
 		"out": cfg.out, "lanes": cfg.lanes, "rows": cfg.rows,
-		"iters": cfg.iters, "recompile": cfg.recompile, "trials": cfg.trials,
+		"iters": cfg.iters, "recompile": cfg.recompile,
 		"heatdim": cfg.heatDim, "heatscale": cfg.heatScale, "workers": cfg.workers,
 		"sample": cfg.sample,
 		"quick":  quick,
@@ -114,17 +113,15 @@ func main() {
 }
 
 // parseFlags defines the report's flags on fs and parses args. -quick
-// lowers -iters and -trials to the low-fidelity pass, except where args
-// set them explicitly.
+// lowers -iters to the low-fidelity pass, unless args set it explicitly.
 func parseFlags(fs *flag.FlagSet, args []string) (cfg config, quick bool, err error) {
-	fs.BoolVar(&quick, "quick", false, "low-fidelity pass (2 000 iterations, 100 Monte Carlo trials, unless -iters or -trials is given)")
+	fs.BoolVar(&quick, "quick", false, "low-fidelity pass (2 000 iterations, unless -iters is given)")
 	fs.StringVar(&cfg.out, "out", "out", "output directory")
 	fs.IntVar(&cfg.lanes, "lanes", 1024, "array lanes (columns)")
 	fs.IntVar(&cfg.rows, "rows", 1024, "array rows (bit addresses per lane)")
 	fs.IntVar(&cfg.iters, "iters", 100000, "benchmark iterations per configuration")
 	fs.IntVar(&cfg.recompile, "recompile", 100, "software re-mapping period in iterations")
 	fs.Int64Var(&cfg.seed, "seed", 1, "random-shuffle seed")
-	fs.IntVar(&cfg.trials, "trials", 1000, "Monte Carlo trials for fault experiments")
 	fs.IntVar(&cfg.heatDim, "heatdim", 128, "heatmap resolution cap per axis")
 	fs.IntVar(&cfg.heatScale, "heatscale", 4, "heatmap PNG pixels per cell")
 	fs.IntVar(&cfg.workers, "workers", 0, "worker goroutines for sweeps and the +Hw engine (0 = GOMAXPROCS); results are identical for any value")
@@ -137,9 +134,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (cfg config, quick bool, err er
 		fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
 		if !given["iters"] {
 			cfg.iters = 2000
-		}
-		if !given["trials"] {
-			cfg.trials = 100
 		}
 	}
 	return cfg, quick, nil

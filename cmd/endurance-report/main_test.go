@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,10 +32,9 @@ func readCSV(t *testing.T, cfg config, name string) [][]string {
 
 // The report is the only producer of the paper's Eq. 1/2 bounds, Table 2,
 // Fig. 11b and the §3.3 lane-set table (steps e2, table2, fig11, e13);
-// run those steps at the paper's array size, with few Monte Carlo trials,
-// and check what they wrote.
+// run those steps at the paper's array size and check what they wrote.
 func TestPaperTableSteps(t *testing.T) {
-	cfg := config{out: t.TempDir(), lanes: 1024, rows: 1024, trials: 20, seed: 1}
+	cfg := config{out: t.TempDir(), lanes: 1024, rows: 1024, seed: 1}
 	for _, step := range []func(config) error{runE2, runTable2, runFig11, runLaneSets} {
 		if err := step(cfg); err != nil {
 			t.Fatal(err)
@@ -78,11 +78,25 @@ func TestPaperTableSteps(t *testing.T) {
 	}
 
 	// Fig. 11b: 12 failed-cell fractions; §3.3: 3 failure levels × 4 sets.
-	if fig := readCSV(t, cfg, "fig11b_usable.csv"); len(fig) != 1+12 {
-		t.Errorf("fig11b has %d lines, want header + 12", len(fig))
+	fig := readCSV(t, cfg, "fig11b_usable.csv")
+	if len(fig) != 1+12 {
+		t.Fatalf("fig11b has %d lines, want header + 12", len(fig))
 	}
-	if ls := readCSV(t, cfg, "e13_lane_sets.csv"); len(ls) != 1+12 {
-		t.Errorf("e13 has %d lines, want header + 12", len(ls))
+	// At 1.5% failed cells a 1024×1024 array keeps 1.885e-7 of each
+	// lane, too little for a sample of a few hundred thousand rows to see.
+	if row := fig[9]; row[0] != "0.015" {
+		t.Errorf("fig11b row 9 is f=%s, want 0.015", row[0])
+	} else if v, err := strconv.ParseFloat(row[5], 64); err != nil || math.Abs(v/1.8847e-7-1) > 1e-4 {
+		t.Errorf("fig11b 1.5%% row %v: want usable_exact_1024 ≈ 1.8847e-07", row)
+	}
+	ls := readCSV(t, cfg, "e13_lane_sets.csv")
+	if len(ls) != 1+12 {
+		t.Fatalf("e13 has %d lines, want header + 12", len(ls))
+	}
+	// 64 failures against 256-lane sets and 256 against 64-lane sets are
+	// the same hypergeometric chance.
+	if ls[1][2] != ls[7][2] {
+		t.Errorf("e13: 64 failed cells in 1 set %v, 256 in 4 sets %v", ls[1], ls[7])
 	}
 }
 
@@ -98,16 +112,16 @@ func TestQuickKeepsExplicitFlags(t *testing.T) {
 		}
 		return cfg, quick
 	}
-	if cfg, quick := parse(); cfg.iters != 100000 || cfg.trials != 1000 || quick {
-		t.Errorf("defaults: iters %d trials %d quick %v", cfg.iters, cfg.trials, quick)
+	if cfg, quick := parse(); cfg.iters != 100000 || quick {
+		t.Errorf("defaults: iters %d quick %v", cfg.iters, quick)
 	}
-	if cfg, quick := parse("-quick", "-lanes", "64"); cfg.iters != 2000 || cfg.trials != 100 || cfg.lanes != 64 || !quick {
-		t.Errorf("-quick -lanes 64: iters %d trials %d lanes %d, want 2000 / 100 / 64", cfg.iters, cfg.trials, cfg.lanes)
+	if cfg, quick := parse("-quick", "-lanes", "64"); cfg.iters != 2000 || cfg.lanes != 64 || !quick {
+		t.Errorf("-quick -lanes 64: iters %d lanes %d, want 2000 / 64", cfg.iters, cfg.lanes)
 	}
-	if cfg, _ := parse("-quick", "-iters", "400"); cfg.iters != 400 || cfg.trials != 100 {
-		t.Errorf("-quick -iters 400: iters %d trials %d, want 400 / 100", cfg.iters, cfg.trials)
+	if cfg, _ := parse("-quick", "-iters", "400"); cfg.iters != 400 {
+		t.Errorf("-quick -iters 400: iters %d, want 400", cfg.iters)
 	}
-	if cfg, _ := parse("-trials", "20", "-quick"); cfg.iters != 2000 || cfg.trials != 20 {
-		t.Errorf("-trials 20 -quick: iters %d trials %d, want 2000 / 20", cfg.iters, cfg.trials)
+	if cfg, _ := parse("-iters", "400", "-quick"); cfg.iters != 400 {
+		t.Errorf("-iters 400 -quick: iters %d, want 400", cfg.iters)
 	}
 }

@@ -5,18 +5,23 @@
 // The lane-set partitioning workaround — using subsets of lanes
 // sequentially so a failure only poisons its own set — trades latency for
 // capacity.
+//
+// Both analyses place a fixed number of failed cells uniformly at random
+// without replacement, and both report exact expectations, not samples:
+// the chance that a group of cells escapes every failure is
+// hypergeometric (noneFailed).
 package faults
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
-// UsableFractionExpected is the closed form behind Fig. 11b: with a
-// fraction f of the array's cells failed uniformly at random, a given bit
-// address survives only if none of the `lanes` cells holding it failed, so
-// the expected usable fraction of each lane is (1−f)^lanes.
+// UsableFractionExpected is the paper's closed form behind Fig. 11b: with
+// each cell failed independently with probability f, a given bit address
+// survives only if none of the `lanes` cells holding it failed, so the
+// expected usable fraction of each lane is (1−f)^lanes. UsableCurve gives
+// the exact value for a fixed failure count next to it.
 func UsableFractionExpected(lanes int, failedFrac float64) float64 {
 	if failedFrac <= 0 {
 		return 1
@@ -27,71 +32,51 @@ func UsableFractionExpected(lanes int, failedFrac float64) float64 {
 	return math.Pow(1-failedFrac, float64(lanes))
 }
 
-// SimulateUsable places failedCells uniformly at random (without
-// replacement) in a rows×lanes array and returns the fraction of bit
-// addresses with no failed cell, averaged over trials.
-func SimulateUsable(rows, lanes, failedCells, trials int, seed int64) (float64, error) {
-	if rows <= 0 || lanes <= 0 {
-		return 0, fmt.Errorf("faults: invalid array %dx%d", rows, lanes)
+// noneFailed returns the chance that a given group of g cells holds none
+// of k failures placed uniformly at random without replacement among n
+// cells, C(n−g, k)/C(n, k) = C(n−k, g)/C(n, g). By linearity of
+// expectation it is also the expected fraction of a partition's g-cell
+// groups that no failure touches. It multiplies min(g, k) ratios, so it
+// is exactly 1 for k = 0 and exactly 0 once k > n−g.
+func noneFailed(n, g, k int) float64 {
+	if g+k > n {
+		return 0
 	}
-	total := rows * lanes
-	if failedCells < 0 || failedCells > total {
-		return 0, fmt.Errorf("faults: %d failed cells outside [0, %d]", failedCells, total)
+	if g > k {
+		g, k = k, g
 	}
-	if trials <= 0 {
-		return 0, fmt.Errorf("faults: trials must be positive")
+	p := 1.0
+	for i := 0; i < g; i++ {
+		p *= float64(n-k-i) / float64(n-i)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	sum := 0.0
-	cells := make([]int, total)
-	for i := range cells {
-		cells[i] = i
-	}
-	rowHit := make([]bool, rows)
-	for tr := 0; tr < trials; tr++ {
-		// Partial Fisher-Yates: draw failedCells distinct cells.
-		for i := range rowHit {
-			rowHit[i] = false
-		}
-		for k := 0; k < failedCells; k++ {
-			j := k + rng.Intn(total-k)
-			cells[k], cells[j] = cells[j], cells[k]
-			rowHit[cells[k]/lanes] = true
-		}
-		usable := 0
-		for _, hit := range rowHit {
-			if !hit {
-				usable++
-			}
-		}
-		sum += float64(usable) / float64(rows)
-	}
-	return sum / float64(trials), nil
+	return p
 }
 
-// CurvePoint is one sample of the Fig. 11b series.
+// CurvePoint is one point of the Fig. 11b series.
 type CurvePoint struct {
 	FailedFrac   float64 // fraction of the array's cells failed
-	UsableMC     float64 // Monte Carlo usable fraction of each lane
-	UsableClosed float64 // (1−f)^lanes
+	UsableExact  float64 // expected usable fraction of each lane, exact
+	UsableClosed float64 // the paper's (1−f)^lanes
 }
 
-// UsableCurve samples usable-vs-failed for an array, reproducing Fig. 11b.
-// failedFracs are fractions of the whole array's cells.
-func UsableCurve(rows, lanes int, failedFracs []float64, trials int, seed int64) ([]CurvePoint, error) {
+// UsableCurve computes usable-vs-failed for a rows×lanes array,
+// reproducing Fig. 11b. failedFracs are fractions of the whole array's
+// cells; each point places round(f·rows·lanes) failed cells, and a bit
+// address (a row of `lanes` cells) is usable when none of them failed.
+func UsableCurve(rows, lanes int, failedFracs []float64) ([]CurvePoint, error) {
+	if rows <= 0 || lanes <= 0 {
+		return nil, fmt.Errorf("faults: invalid array %dx%d", rows, lanes)
+	}
+	cells := rows * lanes
 	out := make([]CurvePoint, 0, len(failedFracs))
-	for i, f := range failedFracs {
-		if f < 0 || f > 1 {
+	for _, f := range failedFracs {
+		if !(f >= 0 && f <= 1) {
 			return nil, fmt.Errorf("faults: failed fraction %v outside [0,1]", f)
 		}
-		k := int(math.Round(f * float64(rows*lanes)))
-		mc, err := SimulateUsable(rows, lanes, k, trials, seed+int64(i))
-		if err != nil {
-			return nil, err
-		}
+		k := int(math.Round(f * float64(cells)))
 		out = append(out, CurvePoint{
 			FailedFrac:   f,
-			UsableMC:     mc,
+			UsableExact:  noneFailed(cells, lanes, k),
 			UsableClosed: UsableFractionExpected(lanes, f),
 		})
 	}
@@ -103,8 +88,7 @@ func UsableCurve(rows, lanes int, failedFracs []float64, trials int, seed int64)
 type LaneSetResult struct {
 	Sets int
 	// UsableFrac is the expected usable fraction of bit addresses within
-	// one set (averaged over sets and trials): a failure now only
-	// poisons lanes of its own set.
+	// one set: a failure now only poisons the lanes of its own set.
 	UsableFrac float64
 	// LatencyFactor is the serialization cost: sets run one after
 	// another.
@@ -115,48 +99,20 @@ type LaneSetResult struct {
 }
 
 // LaneSets evaluates splitting the lanes into `sets` equal groups under
-// failedCells uniform random failures, by Monte Carlo.
-func LaneSets(rows, lanes, sets, failedCells, trials int, seed int64) (LaneSetResult, error) {
+// failedCells uniform random failures: a bit address of one set is
+// usable when none of its lanes/sets cells failed.
+func LaneSets(rows, lanes, sets, failedCells int) (LaneSetResult, error) {
 	if sets <= 0 || lanes%sets != 0 {
 		return LaneSetResult{}, fmt.Errorf("faults: %d lanes not divisible into %d sets", lanes, sets)
 	}
-	if rows <= 0 {
-		return LaneSetResult{}, fmt.Errorf("faults: invalid rows %d", rows)
+	if rows <= 0 || lanes <= 0 {
+		return LaneSetResult{}, fmt.Errorf("faults: invalid array %dx%d", rows, lanes)
 	}
-	total := rows * lanes
-	if failedCells < 0 || failedCells > total {
-		return LaneSetResult{}, fmt.Errorf("faults: %d failed cells outside [0, %d]", failedCells, total)
+	cells := rows * lanes
+	if failedCells < 0 || failedCells > cells {
+		return LaneSetResult{}, fmt.Errorf("faults: %d failed cells outside [0, %d]", failedCells, cells)
 	}
-	if trials <= 0 {
-		return LaneSetResult{}, fmt.Errorf("faults: trials must be positive")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	setOf := func(lane int) int { return lane / (lanes / sets) }
-	cells := make([]int, total)
-	for i := range cells {
-		cells[i] = i
-	}
-	hit := make([]bool, rows*sets) // (row, set) poisoned
-	sum := 0.0
-	for tr := 0; tr < trials; tr++ {
-		for i := range hit {
-			hit[i] = false
-		}
-		for k := 0; k < failedCells; k++ {
-			j := k + rng.Intn(total-k)
-			cells[k], cells[j] = cells[j], cells[k]
-			r, l := cells[k]/lanes, cells[k]%lanes
-			hit[r*sets+setOf(l)] = true
-		}
-		usable := 0
-		for _, h := range hit {
-			if !h {
-				usable++
-			}
-		}
-		sum += float64(usable) / float64(rows*sets)
-	}
-	frac := sum / float64(trials)
+	frac := noneFailed(cells, lanes/sets, failedCells)
 	return LaneSetResult{
 		Sets:              sets,
 		UsableFrac:        frac,

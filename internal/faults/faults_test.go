@@ -2,8 +2,47 @@ package faults
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
+
+// simulateUsable is the failure-placement sampler that the exact
+// expectations replaced, kept as their test oracle. Each trial places
+// `failed` cells uniformly at random without replacement in a rows×lanes
+// array (partial Fisher–Yates) and records the fraction of (row, lane
+// set) groups, lanes/sets cells each, that no failure touches. It returns
+// the mean over trials and its standard error.
+func simulateUsable(rows, lanes, sets, failed, trials int, seed int64) (mean, se float64) {
+	rng := rand.New(rand.NewSource(seed))
+	cells := make([]int, rows*lanes)
+	for i := range cells {
+		cells[i] = i
+	}
+	hit := make([]bool, rows*sets)
+	width := lanes / sets
+	var sum, sumSq float64
+	for tr := 0; tr < trials; tr++ {
+		clear(hit)
+		for k := 0; k < failed; k++ {
+			j := k + rng.Intn(len(cells)-k)
+			cells[k], cells[j] = cells[j], cells[k]
+			hit[cells[k]/lanes*sets+cells[k]%lanes/width] = true
+		}
+		usable := 0
+		for _, h := range hit {
+			if !h {
+				usable++
+			}
+		}
+		frac := float64(usable) / float64(len(hit))
+		sum += frac
+		sumSq += frac * frac
+	}
+	n := float64(trials)
+	mean = sum / n
+	variance := math.Max(sumSq/n-mean*mean, 0) * n / (n - 1)
+	return mean, math.Sqrt(variance / n)
+}
 
 func TestUsableFractionExpectedEdges(t *testing.T) {
 	if UsableFractionExpected(1024, 0) != 1 {
@@ -34,57 +73,87 @@ func TestUsableCollapsesQuickly(t *testing.T) {
 	}
 }
 
+// The exact expectation against the failure-placement sampler, over
+// arrays, lane sets and failure counts that include no failures (exactly
+// 1) and more than N − g failures, where every group of g cells must hold
+// one (exactly 0).
 func TestSimulateUsableMatchesClosedForm(t *testing.T) {
-	const rows, lanes = 64, 64
-	for _, f := range []float64{0.001, 0.01, 0.03} {
-		k := int(f * rows * lanes)
-		mc, err := SimulateUsable(rows, lanes, k, 400, 7)
+	cases := []struct{ rows, lanes, sets, failed int }{
+		{64, 64, 1, 0},
+		{64, 64, 1, 4},
+		{64, 64, 1, 41},
+		{64, 64, 4, 120},
+		{32, 16, 2, 200},
+		{16, 8, 1, 40},
+		{256, 256, 4, 256},
+		{8, 8, 1, 57},  // 57 > 64 − 8
+		{8, 8, 2, 61},  // 61 > 64 − 4
+		{8, 8, 8, 64},  // every cell failed
+		{8, 8, 8, 63},  // one cell left: 1 of 64 groups survives
+		{4, 64, 64, 1}, // one failure poisons 1 of 256 single-cell groups
+	}
+	for i, c := range cases {
+		res, err := LaneSets(c.rows, c.lanes, c.sets, c.failed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := UsableFractionExpected(lanes, float64(k)/float64(rows*lanes))
-		if math.Abs(mc-want) > 0.03 {
-			t.Errorf("f=%v: MC %.4f vs closed form %.4f", f, mc, want)
+		mc, se := simulateUsable(c.rows, c.lanes, c.sets, c.failed, 2000, int64(i+1))
+		if math.Abs(mc-res.UsableFrac) > 4*se {
+			t.Errorf("%+v: sampler %.5f ± %.5f, exact %.5f", c, mc, se, res.UsableFrac)
+		}
+		if c.failed == 0 && res.UsableFrac != 1 {
+			t.Errorf("%+v: no failures leave %v usable, want exactly 1", c, res.UsableFrac)
+		}
+		if c.failed > c.rows*c.lanes-c.lanes/c.sets && res.UsableFrac != 0 {
+			t.Errorf("%+v: %v usable, want exactly 0", c, res.UsableFrac)
 		}
 	}
 }
 
 func TestSimulateUsableEdges(t *testing.T) {
-	if u, err := SimulateUsable(8, 8, 0, 10, 1); err != nil || u != 1 {
-		t.Errorf("0 failures: %v, %v", u, err)
-	}
-	if u, err := SimulateUsable(8, 8, 64, 10, 1); err != nil || u != 0 {
-		t.Errorf("all failed: %v, %v", u, err)
-	}
-	if _, err := SimulateUsable(0, 8, 0, 10, 1); err == nil {
-		t.Error("invalid rows accepted")
-	}
-	if _, err := SimulateUsable(8, 8, 100, 10, 1); err == nil {
-		t.Error("too many failures accepted")
-	}
-	if _, err := SimulateUsable(8, 8, 1, 0, 1); err == nil {
-		t.Error("zero trials accepted")
-	}
-}
-
-func TestUsableCurve(t *testing.T) {
-	pts, err := UsableCurve(64, 64, []float64{0, 0.005, 0.01, 0.02}, 200, 3)
+	pts, err := UsableCurve(8, 8, []float64{0, 57.0 / 64, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 4 {
-		t.Fatalf("%d points", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].UsableClosed > pts[i-1].UsableClosed {
-			t.Error("closed-form curve should be non-increasing")
+	for i, want := range []float64{1, 0, 0} {
+		if got := pts[i].UsableExact; got != want || math.Signbit(got) {
+			t.Errorf("f=%v: usable %v, want exactly %v", pts[i].FailedFrac, got, want)
 		}
-		if pts[i].UsableMC > pts[i-1].UsableMC+0.05 {
-			t.Error("MC curve should be (noisily) non-increasing")
+		if mc, _ := simulateUsable(8, 8, 1, int(pts[i].FailedFrac*64), 10, 1); mc != want {
+			t.Errorf("f=%v: sampler %v, want exactly %v", pts[i].FailedFrac, mc, want)
 		}
 	}
-	if _, err := UsableCurve(8, 8, []float64{-0.1}, 10, 1); err == nil {
-		t.Error("negative fraction accepted")
+	if _, err := UsableCurve(0, 8, []float64{0}); err == nil {
+		t.Error("invalid rows accepted")
+	}
+	for _, f := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := UsableCurve(8, 8, []float64{f}); err == nil {
+			t.Errorf("failed fraction %v accepted", f)
+		}
+	}
+}
+
+// Fig. 11b's curve at its three square arrays: non-increasing, and within
+// 0.01 of the paper's (1−f)^lanes at every point, as EXPERIMENTS E5
+// states.
+func TestUsableCurve(t *testing.T) {
+	fracs := []float64{0, 0.0005, 0.001, 0.002, 0.003, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.03, 0.05}
+	for _, n := range []int{256, 512, 1024} {
+		pts, err := UsableCurve(n, n, fracs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != len(fracs) {
+			t.Fatalf("%d points", len(pts))
+		}
+		for i, p := range pts {
+			if d := math.Abs(p.UsableExact - p.UsableClosed); d > 0.01 {
+				t.Errorf("%d lanes, f=%v: exact %.5f, closed form %.5f", n, p.FailedFrac, p.UsableExact, p.UsableClosed)
+			}
+			if i > 0 && (p.UsableExact > pts[i-1].UsableExact || p.UsableClosed > pts[i-1].UsableClosed) {
+				t.Errorf("%d lanes: curve rises at f=%v", n, p.FailedFrac)
+			}
+		}
 	}
 }
 
@@ -95,44 +164,57 @@ func TestLaneSets(t *testing.T) {
 	failed := 40
 	prev := -1.0
 	for _, sets := range []int{1, 2, 4, 8} {
-		res, err := LaneSets(rows, lanes, sets, failed, 300, 11)
+		res, err := LaneSets(rows, lanes, sets, failed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.LatencyFactor != sets {
 			t.Errorf("sets=%d latency factor %d", sets, res.LatencyFactor)
 		}
-		if res.UsableFrac < prev-0.02 {
-			t.Errorf("sets=%d usable %.3f dropped below %d-set value %.3f", sets, res.UsableFrac, sets/2, prev)
+		if res.UsableFrac <= prev {
+			t.Errorf("sets=%d usable %.4f not above the %d-set value %.4f", sets, res.UsableFrac, sets/2, prev)
 		}
 		prev = res.UsableFrac
-		if math.Abs(res.EffectiveCapacity-res.UsableFrac/float64(sets)) > 1e-12 {
+		if res.EffectiveCapacity != res.UsableFrac/float64(sets) {
 			t.Error("effective capacity inconsistent")
 		}
 	}
-	// One set must agree with the plain simulation.
-	one, _ := LaneSets(rows, lanes, 1, failed, 300, 5)
-	plain, _ := SimulateUsable(rows, lanes, failed, 300, 5)
-	if math.Abs(one.UsableFrac-plain) > 0.03 {
-		t.Errorf("1-set %.3f vs plain %.3f", one.UsableFrac, plain)
+	// One set is Fig. 11b's value.
+	one, err := LaneSets(rows, lanes, 1, failed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := UsableCurve(rows, lanes, []float64{float64(failed) / (rows * lanes)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.UsableFrac != pts[0].UsableExact {
+		t.Errorf("1-set %v vs Fig. 11b %v", one.UsableFrac, pts[0].UsableExact)
+	}
+	// C(N−g, k)/C(N, k) is symmetric in g and k: 64 failures against
+	// 256-cell groups equal 256 failures against 64-cell groups.
+	a, _ := LaneSets(256, 256, 1, 64)
+	b, _ := LaneSets(256, 256, 4, 256)
+	if a.UsableFrac != b.UsableFrac {
+		t.Errorf("64 failures in 1 set %v, 256 in 4 sets %v", a.UsableFrac, b.UsableFrac)
 	}
 }
 
 func TestLaneSetsErrors(t *testing.T) {
-	if _, err := LaneSets(8, 8, 3, 1, 10, 1); err == nil {
+	if _, err := LaneSets(8, 8, 3, 1); err == nil {
 		t.Error("indivisible sets accepted")
 	}
-	if _, err := LaneSets(8, 8, 0, 1, 10, 1); err == nil {
+	if _, err := LaneSets(8, 8, 0, 1); err == nil {
 		t.Error("zero sets accepted")
 	}
-	if _, err := LaneSets(0, 8, 1, 1, 10, 1); err == nil {
+	if _, err := LaneSets(0, 8, 1, 1); err == nil {
 		t.Error("zero rows accepted")
 	}
-	if _, err := LaneSets(8, 8, 1, 65, 10, 1); err == nil {
+	if _, err := LaneSets(8, 8, 1, 65); err == nil {
 		t.Error("too many failures accepted")
 	}
-	if _, err := LaneSets(8, 8, 1, 1, 0, 1); err == nil {
-		t.Error("zero trials accepted")
+	if _, err := LaneSets(8, 8, 1, -1); err == nil {
+		t.Error("negative failures accepted")
 	}
 }
 

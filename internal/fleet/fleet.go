@@ -417,8 +417,11 @@ func buildTable(l stats.Lognormal, g *Groups, workers int) *hazardTable {
 		lnH:   make([]float64, hazardGrid),
 	}
 	t.dlnx = (t.lnxHi - t.lnx0) / (hazardGrid - 1)
-	pool.ForEachBlock(workers, hazardGrid, func(start, end int) {
-		for i := start; i < end; i++ {
+	// One contiguous block of grid points per worker; each point is the
+	// same expression of its index whichever block computes it.
+	blocks := pool.Size(workers, hazardGrid)
+	pool.ForEach(blocks, blocks, func(b int) {
+		for i := b * hazardGrid / blocks; i < (b+1)*hazardGrid/blocks; i++ {
 			t.lnH[i] = math.Log(hazardAt(l, g, math.Exp(t.lnx0+float64(i)*t.dlnx)))
 		}
 	})

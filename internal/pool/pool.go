@@ -76,45 +76,6 @@ func ForEach(workers, n int, fn func(i int)) {
 	ForEachWorker(workers, n, func(_, i int) { fn(i) })
 }
 
-// ForEachBlock partitions [0, n) into one contiguous block per worker
-// (≤ 0 selects GOMAXPROCS; the pool clamps to n) and runs fn(lo, hi) for
-// each block. It exists for data-parallel kernels over dense arrays —
-// row-block gate execution in internal/array — where contiguous ranges
-// keep the per-worker access pattern sequential and a shared work counter
-// would only add contention. With an effective size of 1 it runs fn(0, n)
-// inline, spawning nothing. Blocks are near-equal (boundaries distributed
-// evenly when n does not divide); fn must make block effects independent
-// of scheduling, as with ForEach.
-func ForEachBlock(workers, n int, fn func(lo, hi int)) {
-	w := Size(workers, n)
-	obsDispatches.Add(1)
-	obsJobs.Add(int64(w))
-	obsQueueDepth.Observe(int64(w))
-	if w == 1 {
-		fn(0, n)
-		return
-	}
-	// Propagate the dispatcher's trace id: the spawned workers belong to
-	// the same request-scoped unit of work (trace bindings are
-	// per-goroutine, so without this the fan-out would break the trace).
-	trace := obs.CurrentTrace()
-	var wg sync.WaitGroup
-	var first firstPanic
-	wg.Add(w)
-	for b := 0; b < w; b++ {
-		go func(b int) {
-			defer wg.Done()
-			defer first.catch(nil)
-			if trace != "" {
-				defer obs.SetTrace(trace)()
-			}
-			fn(b*n/w, (b+1)*n/w)
-		}(b)
-	}
-	wg.Wait()
-	first.raise()
-}
-
 // ForEachWorker is ForEach with the worker slot id (0..size-1) passed
 // alongside each item, so callers can keep per-worker accumulation
 // buffers without locking. Slot 0 is always used; when the pool runs
@@ -130,8 +91,9 @@ func ForEachWorker(workers, n int, fn func(worker, i int)) {
 		}
 		return
 	}
-	// Same trace propagation as ForEachBlock: workers inherit the
-	// dispatcher's request-scoped trace id.
+	// Propagate the dispatcher's trace id: the spawned workers belong to
+	// the same request-scoped unit of work (trace bindings are
+	// per-goroutine, so without this the fan-out would break the trace).
 	trace := obs.CurrentTrace()
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -136,21 +136,3 @@ func TestForEachWorkerRaisesWorkerPanicOnCaller(t *testing.T) {
 	})
 	checkRaised(t, v, "TestForEachWorkerRaisesWorkerPanicOnCaller")
 }
-
-// ForEachBlock re-raises a panic from a block other than the first the
-// same way.
-func TestForEachBlockRaisesWorkerPanicOnCaller(t *testing.T) {
-	var ran atomic.Int32
-	v := recovered(func() {
-		pool.ForEachBlock(4, 100, func(lo, hi int) {
-			ran.Add(1)
-			if lo > 0 && lo < 50 {
-				panic(errBoom)
-			}
-		})
-	})
-	checkRaised(t, v, "TestForEachBlockRaisesWorkerPanicOnCaller")
-	if ran.Load() != 4 {
-		t.Errorf("%d of 4 blocks ran; the others must still finish before the re-raise", ran.Load())
-	}
-}

@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"pimendure/pim"
@@ -114,19 +115,41 @@ func TestFleetAdmission(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	for name, mutate := range map[string]func(map[string]any){
-		"over-cap devices": func(m map[string]any) { m["devices"] = 50_001 },
-		"negative sigma":   func(m map[string]any) { m["sigmas"] = []float64{-0.1} },
-		"too many sigmas": func(m map[string]any) {
+	// One more name than each set holds: 19 strategies, 5 technologies.
+	tooManyStrategies := make([]string, maxStrategies+1)
+	for i := range tooManyStrategies {
+		tooManyStrategies[i] = "StxSt"
+	}
+	tooManyTechs := make([]string, maxTechnologies+1)
+	for i := range tooManyTechs {
+		tooManyTechs[i] = "MRAM"
+	}
+	for name, c := range map[string]struct {
+		path   string
+		mutate func(map[string]any)
+		cap    string // the cap the error must name, if any
+	}{
+		"over-cap devices": {"/fleet", func(m map[string]any) { m["devices"] = 50_001 }, ""},
+		"negative sigma":   {"/fleet", func(m map[string]any) { m["sigmas"] = []float64{-0.1} }, ""},
+		"too many sigmas": {"/fleet", func(m map[string]any) {
 			m["sigmas"] = make([]float64, maxFleetSigmas+1)
-		},
-		"unknown technology": func(m map[string]any) { m["technologies"] = []string{"SRAM"} },
+		}, ""},
+		"unknown technology":    {"/fleet", func(m map[string]any) { m["technologies"] = []string{"SRAM"} }, ""},
+		"too many strategies":   {"/fleet", func(m map[string]any) { m["strategies"] = tooManyStrategies }, "cap 18"},
+		"too many technologies": {"/fleet", func(m map[string]any) { m["technologies"] = tooManyTechs }, "cap 4"},
+		"sweep, too many strategies": {"/sweep", func(m map[string]any) {
+			delete(m, "technologies")
+			m["strategies"] = tooManyStrategies
+		}, "cap 18"},
 	} {
 		body := smallFleet()
-		mutate(body)
-		code, out := postJSON(t, ts.Client(), ts.URL+"/fleet", body)
+		c.mutate(body)
+		code, out := postJSON(t, ts.Client(), ts.URL+c.path, body)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (body %v), want 400", name, code, out)
+		}
+		if msg, _ := out["error"].(string); !strings.Contains(msg, c.cap) {
+			t.Errorf("%s: error %q does not name the %s", name, msg, c.cap)
 		}
 	}
 

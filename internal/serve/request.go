@@ -164,6 +164,12 @@ func (r Request) validate(cfg Config, kind string) error {
 	if len(r.Sigmas) > maxFleetSigmas {
 		return fmt.Errorf("%d sigmas exceeds the cap %d", len(r.Sigmas), maxFleetSigmas)
 	}
+	if len(r.Strategies) > maxStrategies {
+		return fmt.Errorf("%d strategies exceeds the cap %d", len(r.Strategies), maxStrategies)
+	}
+	if len(r.Technologies) > maxTechnologies {
+		return fmt.Errorf("%d technologies exceeds the cap %d", len(r.Technologies), maxTechnologies)
+	}
 	for _, s := range r.Sigmas {
 		if s < 0 {
 			return fmt.Errorf("negative sigma %v", s)
@@ -185,6 +191,14 @@ func (r Request) validate(cfg Config, kind string) error {
 // hazard-table build per strategy plus a full device population, so the
 // cap keeps a single request from smuggling in an unbounded study.
 const maxFleetSigmas = 16
+
+// maxStrategies and maxTechnologies bound a request's other two lists by
+// the sets they name from: a repeated name adds no result, while each
+// strategy × technology × σ is a fleet point.
+var (
+	maxStrategies   = len(pim.AllStrategies())
+	maxTechnologies = len(pim.Technologies())
+)
 
 // technology resolves the named device model.
 func (r Request) technology() (pim.Technology, error) {

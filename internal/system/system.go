@@ -10,7 +10,8 @@
 // in parallel. Each array's first-cell-failure time comes from the
 // single-array analysis (package lifetime); array-to-array variation is
 // lognormal. The chip is serviceable while at least a minimum fraction of
-// arrays survive.
+// arrays survive, so its replacement time is an order statistic of the
+// array lives, which ChipLifetime computes exactly.
 //
 // The package also holds the multi-bank scheduler (banks.go): Route
 // assigns a workload's iteration blocks to the banks of an Organization.
@@ -20,8 +21,6 @@ package system
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 
 	"pimendure/internal/stats"
 )
@@ -62,7 +61,6 @@ func (c Config) Validate() error {
 
 // Estimate is the chip-level replacement-time distribution.
 type Estimate struct {
-	Trials int
 	// MeanSeconds is the expected wall-clock time until the chip drops
 	// below its minimum surviving-array count.
 	MeanSeconds float64
@@ -73,49 +71,32 @@ type Estimate struct {
 	ArraysTolerated int
 }
 
-// ChipLifetime Monte-Carlo estimates when the chip must be replaced,
-// given the median first-failure time of a single array under continuous
-// operation (from lifetime.Model.Estimate).
-func ChipLifetime(arrayMedianSeconds float64, cfg Config, trials int, seed int64) (Estimate, error) {
+// ChipLifetime returns when the chip must be replaced, given the median
+// first-failure time of a single array under continuous operation (from
+// lifetime.Model.Estimate). The chip dies at the (k+1)-th of cfg.Arrays
+// lognormal array failures, k = ArraysTolerated, so its compute time is
+// that order statistic (stats.Lognormal.OrderMean and OrderQuantile),
+// and its wall-clock time that divided by the duty cycle. Every figure
+// is exact: nothing is sampled.
+func ChipLifetime(arrayMedianSeconds float64, cfg Config) (Estimate, error) {
 	if err := cfg.Validate(); err != nil {
 		return Estimate{}, err
 	}
 	if arrayMedianSeconds <= 0 {
 		return Estimate{}, fmt.Errorf("system: non-positive array lifetime %v", arrayMedianSeconds)
 	}
-	if trials <= 0 {
-		return Estimate{}, fmt.Errorf("system: trials must be positive")
+	est := Estimate{ArraysTolerated: int(cfg.SpareFraction * float64(cfg.Arrays))}
+	if cfg.Sigma == 0 {
+		// Identical arrays all fail at the median; dividing it directly
+		// skips the exp(ln m) round trip of the lognormal.
+		t := arrayMedianSeconds / cfg.DutyCycle
+		est.MeanSeconds, est.P05, est.P95 = t, t, t
+		return est, nil
 	}
-	tolerated := int(cfg.SpareFraction * float64(cfg.Arrays))
-	// The chip dies at the (tolerated+1)-th array failure.
-	kth := tolerated // 0-indexed order statistic
 	l := stats.LognormalMedian(arrayMedianSeconds, cfg.Sigma)
-	rng := rand.New(rand.NewSource(seed))
-
-	samples := make([]float64, trials)
-	lives := make([]float64, cfg.Arrays)
-	for t := range samples {
-		l.Fill(lives, rng)
-		sort.Float64s(lives)
-		samples[t] = lives[kth] / cfg.DutyCycle
-	}
-	sort.Float64s(samples)
-	var sum float64
-	for _, s := range samples {
-		sum += s
-	}
-	q := func(p float64) float64 {
-		i := int(p * float64(trials))
-		if i >= trials {
-			i = trials - 1
-		}
-		return samples[i]
-	}
-	return Estimate{
-		Trials:          trials,
-		MeanSeconds:     sum / float64(trials),
-		P05:             q(0.05),
-		P95:             q(0.95),
-		ArraysTolerated: tolerated,
-	}, nil
+	n, k := cfg.Arrays, est.ArraysTolerated
+	est.MeanSeconds = l.OrderMean(n, k) / cfg.DutyCycle
+	est.P05 = l.OrderQuantile(0.05, n, k) / cfg.DutyCycle
+	est.P95 = l.OrderQuantile(0.95, n, k) / cfg.DutyCycle
+	return est, nil
 }

@@ -63,7 +63,7 @@ type (
 	// Summary is one pass's statistics of a write distribution: cell
 	// count, max, total, mean and coefficient of variation.
 	Summary = stats.Summary
-	// FaultCurvePoint samples Fig. 11b's usable-vs-failed curve.
+	// FaultCurvePoint is one point of Fig. 11b's usable-vs-failed curve.
 	FaultCurvePoint = faults.CurvePoint
 	// EnergyModel carries per-cell access energies.
 	EnergyModel = energy.Model
@@ -588,10 +588,10 @@ func Optimize(b *Benchmark) (*Benchmark, OptimizeStats) {
 }
 
 // ChipLifetime lifts a single-array lifetime to a whole accelerator
-// (§4's replacement scenario): Monte Carlo over lognormal array-to-array
-// variation, spare arrays, and duty cycle.
-func ChipLifetime(arrayLife Lifetime, cfg ChipConfig, trials int, seed int64) (ChipEstimate, error) {
-	return system.ChipLifetime(arrayLife.Seconds, cfg, trials, seed)
+// (§4's replacement scenario): the exact order statistic of lognormal
+// array-to-array variation, with spare arrays and a duty cycle.
+func ChipLifetime(arrayLife Lifetime, cfg ChipConfig) (ChipEstimate, error) {
+	return system.ChipLifetime(arrayLife.Seconds, cfg)
 }
 
 // UpperBoundOps is Eq. 1: operations an array sustains under perfect
@@ -622,7 +622,8 @@ func UsableFraction(lanes int, failedFrac float64) float64 {
 	return faults.UsableFractionExpected(lanes, failedFrac)
 }
 
-// FaultCurve samples Fig. 11b by Monte Carlo alongside the closed form.
-func FaultCurve(rows, lanes int, failedFracs []float64, trials int, seed int64) ([]FaultCurvePoint, error) {
-	return faults.UsableCurve(rows, lanes, failedFracs, trials, seed)
+// FaultCurve computes Fig. 11b for a rows×lanes array: the exact
+// expected usable fraction of each lane next to the closed form.
+func FaultCurve(rows, lanes int, failedFracs []float64) ([]FaultCurvePoint, error) {
+	return faults.UsableCurve(rows, lanes, failedFracs)
 }

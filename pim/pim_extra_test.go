@@ -96,18 +96,18 @@ func TestChipLifetime(t *testing.T) {
 	}
 	noSpare := pim.ChipConfig{Arrays: 64, DutyCycle: 1, Sigma: 0.4}
 	spared := pim.ChipConfig{Arrays: 64, SpareFraction: 0.25, DutyCycle: 1, Sigma: 0.4}
-	a, err := pim.ChipLifetime(res.Lifetime, noSpare, 100, 1)
+	a, err := pim.ChipLifetime(res.Lifetime, noSpare)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := pim.ChipLifetime(res.Lifetime, spared, 100, 1)
+	bb, err := pim.ChipLifetime(res.Lifetime, spared)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bb.MeanSeconds <= a.MeanSeconds {
 		t.Error("spares should extend chip life")
 	}
-	if _, err := pim.ChipLifetime(res.Lifetime, pim.ChipConfig{}, 10, 1); err == nil {
+	if _, err := pim.ChipLifetime(res.Lifetime, pim.ChipConfig{}); err == nil {
 		t.Error("invalid chip config accepted")
 	}
 }

@@ -214,7 +214,7 @@ func TestAnalyticHelpers(t *testing.T) {
 	if pim.UsableFraction(1024, 0.01) > 0.1 {
 		t.Error("usable fraction should collapse at 1% failures")
 	}
-	pts, err := pim.FaultCurve(32, 32, []float64{0, 0.01}, 50, 1)
+	pts, err := pim.FaultCurve(32, 32, []float64{0, 0.01})
 	if err != nil || len(pts) != 2 {
 		t.Errorf("fault curve: %v %d", err, len(pts))
 	}
