@@ -93,7 +93,7 @@ bench: bench-current
 # prints them so an allocation leak in the hot path is visible even
 # before the benchdiff gate compares snapshots.
 bench-alloc: bench-current
-	@awk '/^Benchmark(Sweep\/|ServeSweep|ArrayIteration|HwEngine|Fleet)/ { name=$$1; bop="-"; aop="-"; \
+	@awk '/^Benchmark(Sweep\/|ServeSweep|ArrayIteration|HwEngine|Fleet|GiniCoV)/ { name=$$1; bop="-"; aop="-"; \
 			for (i=2; i<NF; i++) { if ($$(i+1)=="B/op") bop=$$i; if ($$(i+1)=="allocs/op") aop=$$i } \
 			printf "%-60s %14s B/op %10s allocs/op\n", name, bop, aop }' out/bench_current.txt
 

@@ -830,19 +830,31 @@ func BenchmarkHeatmap(b *testing.B) {
 	}
 }
 
-// BenchmarkGiniCoV measures the distribution statistics used in summaries.
+// BenchmarkGiniCoV measures the distribution statistics used in
+// summaries, on the same counts: gini sorts a float64 copy of them, and
+// summarize is the one fused pass behind every Result's Summary (its
+// per-cell work is integer only, and it allocates nothing).
 func BenchmarkGiniCoV(b *testing.B) {
 	bench := mustMult(b, benchOptions(), 32)
 	res, err := pim.Run(bench, benchOptions(), benchRun(), pim.StaticStrategy, pim.MRAM())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	var g float64
-	for i := 0; i < b.N; i++ {
-		g = stats.Gini(res.Dist.Counts)
-	}
-	b.ReportMetric(g, "gini")
+	counts := res.Dist.Counts
+	b.Run("gini", func(b *testing.B) {
+		var g float64
+		for i := 0; i < b.N; i++ {
+			g = stats.Gini(counts)
+		}
+		b.ReportMetric(g, "gini")
+	})
+	b.Run("summarize", func(b *testing.B) {
+		var s stats.Summary
+		for i := 0; i < b.N; i++ {
+			s = stats.Summarize(counts)
+		}
+		b.ReportMetric(s.CoV, "cov")
+	})
 }
 
 // BenchmarkBankSweep stripes the multiplication across the 16-bank DDR4

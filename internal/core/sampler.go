@@ -125,14 +125,14 @@ func (s *WearSampler) Sample(epoch, iterations int, dist *WriteDist) {
 	if countDead && total > iterations {
 		scale = float64(total) / float64(iterations)
 	}
-	// Sampling runs on the engine's epoch path, so max, mean, variance,
-	// the dead-cell projection, the p99 window histogram AND the radix
-	// fallback histogram are all fused into a single pass — a window miss
-	// resolves the exact p99 from the already-built radix histogram
-	// (stats.PercentileFromHist) instead of rescanning the counts.
-	// Variance comes from E[x²]−µ², which can lose precision when σ ≪ µ —
-	// fine for a live CoV readout; the end-of-run report uses
-	// stats.Summarize's Welford form.
+	// Sampling runs on the engine's epoch path, so max, the exact sums
+	// behind mean and CoV, the dead-cell projection, the p99 window
+	// histogram AND the radix fallback histogram are all fused into a
+	// single pass — a window miss resolves the exact p99 from the
+	// already-built radix histogram (stats.PercentileFromHist) instead of
+	// rescanning the counts. Mean and CoV are finished from the same
+	// integer sums as stats.Summarize's (stats.Moments), so a sample of
+	// the finished distribution reads exactly its Summary's.
 	const p99Window = 4096
 	var pred uint64
 	if s.prevIters > 0 {
@@ -154,7 +154,8 @@ func (s *WearSampler) Sample(epoch, iterations int, dist *WriteDist) {
 	var rhist [stats.RadixBuckets]uint32
 	below := 0
 	var maxC uint64
-	var sum, sumsq, dead float64
+	var m stats.Moments
+	var dead float64
 	for _, c := range counts {
 		if c > maxC {
 			maxC = c
@@ -171,25 +172,12 @@ func (s *WearSampler) Sample(epoch, iterations int, dist *WriteDist) {
 		} else {
 			rhist[stats.RadixBuckets-1]++
 		}
-		f := float64(c)
-		sum += f
-		sumsq += f * f
-		if countDead && f*scale >= s.Endurance {
+		m = m.Add(c)
+		if countDead && float64(c)*scale >= s.Endurance {
 			dead++
 		}
 	}
-	mean := 0.0
-	if n > 0 {
-		mean = sum / float64(n)
-	}
-	cov := math.NaN()
-	if mean > 0 {
-		variance := sumsq/float64(n) - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		cov = math.Sqrt(variance) / mean
-	}
+	mean, cov := m.MeanCoV(n)
 	p99 := math.NaN()
 	if n > 0 {
 		k := int(0.99 * float64(n-1)) // stats' nearest-rank convention

@@ -88,16 +88,17 @@ func TestSampledEngineBitIdentical(t *testing.T) {
 			t.Errorf("%s: last sample iterations = %v, want %v", strat.Name(), got, want)
 		}
 		// The fused/windowed fast paths must reproduce the reference
-		// statistics on the final distribution exactly (p99's predicted
-		// window falls back to an exact scan on a miss; mean is the same
-		// summation), and CoV to within the E[x²]−µ² form's precision.
+		// statistics on the final distribution exactly: p99's predicted
+		// window falls back to an exact scan on a miss, and mean and CoV
+		// are finished from the same exact sums as stats.Summarize.
 		if got, want := get("p99_writes"), stats.Percentile(d.Counts, 0.99); got != want {
 			t.Errorf("%s: last sample p99_writes = %v, want %v", strat.Name(), got, want)
 		}
-		if got, want := get("mean_writes"), stats.Mean(d.Counts); got != want {
+		sum := stats.Summarize(d.Counts)
+		if got, want := get("mean_writes"), sum.Mean; got != want {
 			t.Errorf("%s: last sample mean_writes = %v, want %v", strat.Name(), got, want)
 		}
-		if got, want := get("cov"), stats.CoV(d.Counts); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+		if got, want := get("cov"), sum.CoV; math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("%s: last sample cov = %v, want %v", strat.Name(), got, want)
 		}
 		// max_writes is a prefix statistic of a monotone accumulation.

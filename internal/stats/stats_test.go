@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/big"
+	"math/rand"
 	"sort"
 	"testing"
 )
@@ -11,10 +13,10 @@ func TestMaxMean(t *testing.T) {
 	if Summarize(c).Max != 5 {
 		t.Error("max wrong")
 	}
-	if Mean(c) != 3 {
+	if Summarize(c).Mean != 3 {
 		t.Error("mean wrong")
 	}
-	if Summarize(nil).Max != 0 || Mean(nil) != 0 {
+	if s := Summarize(nil); s.Max != 0 || s.Mean != 0 {
 		t.Error("empty handling wrong")
 	}
 }
@@ -32,15 +34,98 @@ func TestMaxOverMean(t *testing.T) {
 }
 
 func TestCoV(t *testing.T) {
-	if got := CoV([]uint64{4, 4, 4, 4}); got != 0 {
+	if got := Summarize([]uint64{4, 4, 4, 4}).CoV; got != 0 {
 		t.Errorf("uniform CoV = %v", got)
 	}
-	got := CoV([]uint64{0, 8})
+	got := Summarize([]uint64{0, 8}).CoV
 	if math.Abs(got-1) > 1e-12 {
 		t.Errorf("CoV = %v, want 1", got)
 	}
-	if !math.IsNaN(CoV(nil)) {
+	if !math.IsNaN(Summarize(nil).CoV) {
 		t.Error("empty CoV should be NaN")
+	}
+}
+
+// Summarize against a math/big oracle: Σc and Σc² as big integers, the
+// mean as the exact rational Σc/N rounded once, and the CoV as
+// √(N·Σc² − (Σc)²)/Σc at 256 bits of precision. The mean must be the
+// correctly rounded Σc/N and the CoV within 2 ulp of the oracle. The
+// shapes reach every word of the exact sums: c² past 2^64 (a carry into
+// Σc²'s high word), N·Σc² − (Σc)² past 2^128, and σ ≪ µ, where
+// E[x²]−µ² cancels.
+func TestSummarizeExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	fill := func(n int, f func() uint64) []uint64 {
+		c := make([]uint64, n)
+		for i := range c {
+			c[i] = f()
+		}
+		return c
+	}
+	cases := []struct {
+		name   string
+		counts []uint64
+	}{
+		{"empty", nil},
+		{"one cell", []uint64{7}},
+		{"all zeros", make([]uint64, 5)},
+		{"constant", fill(1000, func() uint64 { return 123_456_789 })},
+		{"random small", fill(1000, func() uint64 { return uint64(rng.Intn(100)) })},
+		{"random small, one hot", append(fill(999, func() uint64 { return uint64(rng.Intn(3)) }), 5000)},
+		{"paper scale", fill(1<<16, func() uint64 { return 1_000_000 + uint64(rng.Intn(200_000)) })},
+		{"paper scale, skewed", fill(1<<16, func() uint64 { return uint64(rng.ExpFloat64() * 1e6) })},
+		{"above 2^32", fill(4096, func() uint64 { return 1<<32 + uint64(rng.Int63n(1<<40)) })},
+		{"near 2^62", []uint64{1<<62 - 1, 1<<62 + 12345, 1<<62 - 999_999, 3}},
+		{"near 2^62, sum near 2^64", []uint64{1<<62 + 1<<61, 1<<62 + 1<<60 - 7, 1<<62 + 1<<59, 0, 1}},
+		{"near 2^62 among zeros", append(make([]uint64, 4096), 1<<62+5, 1<<62-3)},
+		{"σ ≪ µ", fill(4096, func() uint64 { return 1_000_000_000_000 + uint64(rng.Intn(2)) })},
+		{"σ ≪ µ, one outlier", append(fill(4095, func() uint64 { return 1_000_000_000_000 }), 1_000_000_000_001)},
+	}
+	for _, tc := range cases {
+		got := Summarize(tc.counts)
+		sum, sq, n := new(big.Int), new(big.Int), int64(len(tc.counts))
+		var mx uint64
+		for _, c := range tc.counts {
+			b := new(big.Int).SetUint64(c)
+			sum.Add(sum, b)
+			sq.Add(sq, b.Mul(b, b))
+			mx = max(mx, c)
+		}
+		if !sum.IsUint64() {
+			t.Fatalf("%s: Σc = %v does not fit 64 bits", tc.name, sum)
+		}
+		if got.N != len(tc.counts) || got.Max != mx || got.Total != sum.Uint64() {
+			t.Errorf("%s: N, Max, Total = %d, %d, %d, want %d, %d, %v", tc.name, got.N, got.Max, got.Total, n, mx, sum)
+		}
+		if n == 0 {
+			if got.Mean != 0 || !math.IsNaN(got.CoV) {
+				t.Errorf("%s: mean, CoV = %v, %v, want 0, NaN", tc.name, got.Mean, got.CoV)
+			}
+			continue
+		}
+		if want, _ := new(big.Rat).SetFrac(sum, big.NewInt(n)).Float64(); got.Mean != want {
+			t.Errorf("%s: mean = %v, want Σc/N = %v correctly rounded", tc.name, got.Mean, want)
+		}
+		if sum.Sign() == 0 {
+			if !math.IsNaN(got.CoV) {
+				t.Errorf("%s: all-zero CoV = %v, want NaN", tc.name, got.CoV)
+			}
+			continue
+		}
+		d := new(big.Int).Mul(big.NewInt(n), sq)
+		d.Sub(d, new(big.Int).Mul(sum, sum))
+		if d.Sign() == 0 {
+			if got.CoV != 0 {
+				t.Errorf("%s: CoV = %v, want exactly 0", tc.name, got.CoV)
+			}
+			continue
+		}
+		cov := new(big.Float).SetPrec(256).SetInt(d)
+		cov.Sqrt(cov).Quo(cov, new(big.Float).SetPrec(256).SetInt(sum))
+		want, _ := cov.Float64()
+		if ulps := int64(math.Float64bits(got.CoV)) - int64(math.Float64bits(want)); ulps < -2 || ulps > 2 {
+			t.Errorf("%s: CoV = %v, oracle %v (%d ulp)", tc.name, got.CoV, want, ulps)
+		}
 	}
 }
 

@@ -190,7 +190,7 @@ func bankStripePlanned(plan *core.WearPlan, b *Benchmark, rc RunConfig, s Strate
 		br := &res.Banks[touched[k]]
 		br.Result = r
 		br.MaxWrites = r.Summary.Max
-		br.MeanWrites = float64(r.Summary.Total) / float64(r.Summary.N)
+		br.MeanWrites = r.Summary.Mean
 		br.CoV = r.Summary.CoV
 	}
 	res.BanksTouched = len(touched)
